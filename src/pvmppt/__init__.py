@@ -11,6 +11,7 @@ from .control import (
     controller_tick,
     detect_psc,
     po_step,
+    reads_sample_module,
     scan_step,
     update_references,
 )

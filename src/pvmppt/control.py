@@ -123,7 +123,11 @@ class ReferenceModel:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One ADC conversion: array terminals plus the instrumented module."""
+    """One ADC conversion: array terminals plus the instrumented module.
+
+    ``v_sample_mod`` is NaN except on the tick where
+    ``reads_sample_module`` is true: that tick is the only one that
+    consumes it, and the plant is solved for it there alone."""
 
     v: float
     i: float
@@ -413,6 +417,20 @@ def _finish_detection(
         state.next_po_t = m.t + cfg.po_period_s
 
 
+def reads_sample_module(state: ControllerState, t: float) -> bool:
+    """True iff the tick at time ``t`` consumes ``Measurement.v_sample_mod``.
+
+    Mirrors the gates of ``_detect_tick``: the trim phase, with no slew
+    pending and the settle time elapsed.  Closed-loop simulations solve
+    the sample module only when this holds and pass NaN otherwise."""
+    return (
+        state.mode is Mode.DETECT_SETTLE
+        and state.detect_phase == _TRIM_REF
+        and math.isnan(state.slew_target)
+        and not (math.isfinite(state.settle_until) and t < state.settle_until)
+    )
+
+
 def _detect_tick(state: ControllerState, m: Measurement, cfg: ControllerConfig, ref: ReferenceModel) -> None:
     """Advance the detection sequence: reach the reference, trim the
     open-loop offset, read the sample module, probe PSI on both sides."""
@@ -439,6 +457,10 @@ def _detect_tick(state: ControllerState, m: Measurement, cfg: ControllerConfig, 
         state.detect_phase = _TRIM_REF
         state.slew_target = max(state.v_ref + (state.detect_v_arr_upd - m.v), 0.0)
     elif phase == _TRIM_REF:
+        if not math.isfinite(m.v_sample_mod):
+            raise ValidationError(
+                "sample-module voltage missing on the trim tick (see reads_sample_module)"
+            )
         state.detect_center_cmd = state.v_ref
         state.detect_dv_mod = (
             (m.v_sample_mod - state.detect_v_mod_upd) / state.detect_v_mod_upd

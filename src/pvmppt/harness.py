@@ -28,9 +28,11 @@ from .control import (
     compute_psi,
     controller_tick,
     make_controller_state,
+    reads_sample_module,
     update_references,
 )
 from .converter import (
+    MAX_DT,
     ConverterParams,
     MeasurementNoise,
     TraceRecord,
@@ -150,9 +152,26 @@ class Scenario:
     v_ref_start: float | None = None
 
     def validate(self) -> None:
+        adc = self.controller.adc_period_s
+        for where, value in (
+            ("horizon_s", self.horizon_s),
+            ("dt_s", self.dt_s),
+            ("controller.adc_period_s", adc),
+        ):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ScenarioError(f"{where}: must be positive and finite, got {value}")
+        if abs(round(adc / self.dt_s) * self.dt_s - adc) > 1e-12:
+            raise ScenarioError("controller.adc_period_s: must be a multiple of dt_s")
+        if self.dt_s > MAX_DT:
+            raise ScenarioError(
+                f"dt_s: {self.dt_s} above the integrator stability limit {MAX_DT}"
+            )
         if not self.events:
             raise ScenarioError("timeline: must contain at least one event")
         times = [e.t for e in self.events]
+        for k, t in enumerate(times):
+            if not math.isfinite(t):
+                raise ScenarioError(f"timeline[{k}].t_s: must be finite, got {t}")
         if times != sorted(times):
             raise ScenarioError("timeline: events must be time-sorted")
         if times[0] != 0.0:
@@ -610,8 +629,6 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     dt = scn.dt_s
     adc = cfg.adc_period_s
     sub_per_tick = round(adc / dt)
-    if abs(sub_per_tick * dt - adc) > 1e-12:
-        raise ScenarioError("controller.adc_period_s must be a multiple of dt_s")
     n_ticks = round(scn.horizon_s / adc)
 
     noisy = scn.noise.v_amplitude > 0.0 or scn.noise.i_amplitude > 0.0
@@ -675,7 +692,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
         if noisy:
             v_meas += rng.uniform(-scn.noise.v_amplitude, scn.noise.v_amplitude)
             i_meas = max(i_meas + rng.uniform(-scn.noise.i_amplitude, scn.noise.i_amplitude), 0.0)
-        if state.mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE):
+        if reads_sample_module(state, t):
             i_str = string_current(spec_now, s_idx, max(v_meas, 0.0))
             v_samp = module_voltage(
                 spec_now.params_at(s_idx, pos), spec_now.conditions[s_idx][pos], i_str
@@ -954,11 +971,12 @@ def run_corpus(seed: int, count: int, jobs: int = 1) -> dict:
     else:
         reports = [_corpus_worker(a) for a in args]
 
-    events = [e for r in reports for e in r["events"]]
+    located = [(a, r, e) for a, r in zip(args, reports) for e in r["events"]]
+    events = [e for _, _, e in located]
     within = [
         e for e in events if e["final_power_w"] >= 0.99 * e["oracle_power_w"]
     ]
-    worst = sorted(events, key=lambda e: e["final_power_w"] / e["oracle_power_w"])[:5]
+    worst = sorted(located, key=lambda x: x[2]["final_power_w"] / x[2]["oracle_power_w"])[:5]
     return {
         "seed": seed,
         "count": count,
@@ -967,11 +985,13 @@ def run_corpus(seed: int, count: int, jobs: int = 1) -> dict:
         "fraction_within_1pct": len(within) / len(events) if events else 0.0,
         "worst_events": [
             {
-                "scenario": w["index"],
-                "ratio": w["final_power_w"] / w["oracle_power_w"],
-                "pattern": w["pattern"],
+                "scenario": r["name"],
+                "event_index": e["index"],
+                "random_scenario_args": list(a),
+                "ratio": e["final_power_w"] / e["oracle_power_w"],
+                "pattern": e["pattern"],
             }
-            for w in worst
+            for a, r, e in worst
         ],
         "reports": reports,
     }

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from pvmppt.control import (
     detect_psc,
     make_controller_state,
     po_step,
+    reads_sample_module,
     scan_step,
     update_references,
 )
@@ -264,12 +266,14 @@ class IdealPlantDriver:
         self.state = make_controller_state(ref, cfg)
         self.t = 0.0
         self.modes = []
+        self.sample_reads = 0
 
     def measurement(self):
         v = self.state.v_ref
         i = float(self.curve.current_at(v))
         s_idx, pos = self.spec.sample_module
-        if self.state.mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE):
+        if reads_sample_module(self.state, self.t):
+            self.sample_reads += 1
             i_str = string_current(self.spec, s_idx, v)
             v_samp = module_voltage(
                 self.spec.params_at(s_idx, pos), self.spec.conditions[s_idx][pos], i_str
@@ -304,6 +308,27 @@ class TestControllerTick:
         assert Mode.DETECT_PROBE in drv.modes
         assert Mode.SCAN_UP not in drv.modes
         assert all(not d.is_psc for d in drv.state.detections)
+
+    def test_sample_module_read_once_per_detection(self, nd_module, ref_3x5):
+        cfg = ControllerConfig(detector=DetectorConfig(periodic_trigger_s=0.3))
+        spec = ArraySpec.uniform(nd_module, 5, 3, sample_module=(0, 2))
+        drv = IdealPlantDriver(spec, ref_3x5, cfg)
+        drv.run(1.0)
+        assert drv.sample_reads == len(drv.state.detections) >= 2
+
+    def test_missing_sample_readout_on_trim_tick_raises(self, nd_module, ref_3x5):
+        cfg = ControllerConfig(detector=DetectorConfig(periodic_trigger_s=0.3))
+        spec = ArraySpec.uniform(nd_module, 5, 3, sample_module=(0, 2))
+        drv = IdealPlantDriver(spec, ref_3x5, cfg)
+        for _ in range(round(1.0 / cfg.adc_period_s)):
+            if reads_sample_module(drv.state, drv.t):
+                break
+            drv.run(cfg.adc_period_s)
+        else:
+            pytest.fail("detection never reached its trim tick")
+        m = replace(drv.measurement(), v_sample_mod=math.nan)
+        with pytest.raises(ValidationError, match="sample-module"):
+            controller_tick(drv.state, m, cfg, ref_3x5)
 
     def test_po_only_never_leaves_po(self, nd_module, ref_3x5):
         cfg = ControllerConfig(po_only=True, detector=DetectorConfig(periodic_trigger_s=0.1))

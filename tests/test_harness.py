@@ -11,6 +11,7 @@ import pytest
 from pvmppt.cli import main as cli_main
 from pvmppt.control import Mode
 from pvmppt.converter import ConverterState, MeasurementNoise, duty_for_voltage, step_ode
+from pvmppt import harness
 from pvmppt.harness import (
     ScenarioError,
     ShadingPattern,
@@ -27,10 +28,11 @@ from pvmppt.harness import (
     prune_violations,
     random_scenario,
     run_closed_loop,
+    run_corpus,
     scenario_from_dict,
     benchmark_scenario,
 )
-from pvmppt.pvmodel import ArraySpec, ModuleCondition, sweep_curve
+from pvmppt.pvmodel import ArraySpec, ModuleCondition, string_current, sweep_curve
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -238,6 +240,56 @@ class TestClosedLoop:
         assert trace[1].v_pv == pytest.approx(s.v_pv, abs=1e-9)
 
 
+def _eager_readout_gate(state, t):
+    """Eager reference gate: solve the sample module on every detection tick."""
+    return state.mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE)
+
+
+def _emitted_bytes(scn, tmp_path, tag):
+    trace, report = run_closed_loop(scn)
+    emit_trace(trace, tmp_path / f"{tag}.csv")
+    emit_report(report, tmp_path / f"{tag}.json")
+    return (tmp_path / f"{tag}.csv").read_bytes(), (tmp_path / f"{tag}.json").read_bytes()
+
+
+class TestGatedReadout:
+    @pytest.mark.parametrize(
+        "scn",
+        [
+            load_scenario(SCENARIO_DIR / "benchmark_psc1.json"),
+            *(random_scenario(2026, i) for i in (0, 3, 5, 9)),
+        ],
+        ids=lambda scn: scn.name,
+    )
+    def test_outputs_match_eager_gate(self, scn, tmp_path, monkeypatch):
+        gated = _emitted_bytes(scn, tmp_path, "gated")
+        assert json.loads(gated[1])["events"][-1]["detected"] is True
+        monkeypatch.setattr(harness, "reads_sample_module", _eager_readout_gate)
+        assert _emitted_bytes(scn, tmp_path, "eager") == gated
+
+    @pytest.mark.parametrize(
+        "scn",
+        [load_scenario(SCENARIO_DIR / "benchmark_psc1.json"), random_scenario(2026, 3)],
+        ids=lambda scn: scn.name,
+    )
+    def test_one_readout_per_detection(self, scn, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return string_current(*args)
+
+        monkeypatch.setattr(harness, "string_current", counting)
+        trace, report = run_closed_loop(scn)
+        trims = sum(
+            1
+            for a, b in zip(trace, trace[1:])
+            if a.mode == Mode.DETECT_SETTLE.value and b.mode == Mode.DETECT_PROBE.value
+        )
+        assert trims == sum(e.detected is not None for e in report.events) >= 1
+        assert len(calls) == trims
+
+
 class TestEmitters:
     def test_header_and_rows(self, tmp_path, psc1_run):
         trace, _ = psc1_run
@@ -292,6 +344,19 @@ class TestCorpusScenario:
         assert a == b
         a.validate()
         assert a.events[0].pattern.as_strings() == ["5-0-0"] * 3
+
+    def test_worst_events_name_rerunnable_scenarios(self):
+        agg = run_corpus(2026, 3)
+        by_name = {r["name"]: r for r in agg["reports"]}
+        assert len(agg["worst_events"]) == 5
+        for w in agg["worst_events"]:
+            seed, index = w["random_scenario_args"]
+            assert seed == 2026
+            assert random_scenario(seed, index).name == w["scenario"]
+            event = by_name[w["scenario"]]["events"][w["event_index"]]
+            assert event["index"] == w["event_index"]
+            assert event["pattern"] == w["pattern"]
+            assert event["final_power_w"] / event["oracle_power_w"] == w["ratio"]
 
 
 class TestCli:
@@ -365,6 +430,28 @@ class TestCli:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["events_total"] >= 2
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("controller", "adc_period_s"), 0, "controller.adc_period_s"),
+            (("horizon_s",), float("nan"), "horizon_s"),
+            (("dt_s",), 1e-4, "dt_s"),
+            (("timeline", 1, "t_s"), float("nan"), "timeline[1].t_s"),
+        ],
+        ids=("adc_period_zero", "horizon_nan", "dt_above_max", "event_time_nan"),
+    )
+    def test_out_of_range_timing_rejected(self, tmp_path, capsys, path, value, field):
+        doc = json.loads((SCENARIO_DIR / "benchmark_psc1.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli_main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
     def test_invalid_scenario_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
