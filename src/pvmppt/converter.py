@@ -7,7 +7,8 @@ open loop by a voltage command translated to a duty cycle.  The averaged
     C_pv * dv_pv/dt = i_array(v_pv) - i_L
     L    * di_L/dt  = v_pv - r_L*i_L - (1 - D)*v_out
 
-integrated with fixed-step RK4.  The inductor current is clamped at zero
+integrated with fixed-step RK4 (:func:`advance`, shared by the open-loop
+runs and the closed loop).  The inductor current is clamped at zero
 (ideal diode, discontinuous-conduction guard).
 """
 
@@ -18,7 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .pvmodel import ArraySpec, ValidationError, array_current
+import numpy as np
+
+from .pvmodel import ArraySpec, PvCurve, ValidationError, sweep_curve
 
 MAX_DT = 2e-5  # stability margin at the reference plant parameters
 MAX_DUTY = 0.99
@@ -32,10 +35,9 @@ class ConverterParams:
     l: float = 600e-6  # H
     c_pv: float = 100e-6  # F
     v_out: float = 250.0  # V, held constant
-    f_sw: float = 20e3  # Hz, metadata only; the averaged model does not switch
 
     def __post_init__(self) -> None:
-        if min(self.r_l, self.l, self.c_pv, self.v_out, self.f_sw) <= 0.0:
+        if min(self.r_l, self.l, self.c_pv, self.v_out) <= 0.0:
             raise ValidationError("converter parameters must be strictly positive")
 
 
@@ -116,12 +118,74 @@ def duty_for_voltage(v_ref: float, v_out: float) -> float:
     return min(1.0 - v_ref / v_out, MAX_DUTY)
 
 
+class PlantCurve:
+    """Uniform-grid current lookup of a swept curve: the plant's current source."""
+
+    __slots__ = ("ilist", "h", "v_top")
+
+    def __init__(self, curve: PvCurve, h: float = 0.01):
+        voc = float(curve.v[-1])
+        grid = np.arange(0.0, voc + 2 * h, h)
+        vals = np.interp(grid, curve.v, curve.i, right=0.0)
+        vals[grid >= voc] = 0.0
+        self.ilist = vals.tolist()
+        self.h = h
+        self.v_top = (len(self.ilist) - 2) * h
+
+    def __call__(self, v: float) -> float:
+        if v <= 0.0:
+            return self.ilist[0]
+        if v >= self.v_top:
+            return 0.0
+        x = v / self.h
+        j = int(x)
+        fr = x - j
+        il = self.ilist
+        return il[j] + (il[j + 1] - il[j]) * fr
+
+
 def _as_current_fn(array) -> Callable[[float], float]:
     if isinstance(array, ArraySpec):
-        return lambda v: array_current(array, max(v, 0.0))
+        return PlantCurve(sweep_curve(array, 0.01))
     if callable(array):
         return array
     raise ValidationError("array must be an ArraySpec or a current function i(v)")
+
+
+def advance(
+    v: float, il: float, w0: float, dw: float, n_sub: int, dt: float, i_of_v, params: ConverterParams
+) -> tuple[float, float]:
+    """Integrate ``n_sub`` fixed RK4 steps of the averaged plant; returns ``(v_pv, i_L)``.
+
+    The output-side voltage ``w = (1 - D)*v_out`` slews linearly: step ``k``
+    holds ``w0 + dw*(k + 0.5)``, floored at ``(1 - MAX_DUTY)*v_out`` (a NaN
+    goes to the floor).  Both states are clamped at zero after every step.
+    """
+    inv_c = 1.0 / params.c_pv
+    inv_l = 1.0 / params.l
+    r_l = params.r_l
+    w_floor = (1.0 - MAX_DUTY) * params.v_out
+    for k in range(n_sub):
+        x = w0 + dw * (k + 0.5)
+        w = x if x > w_floor else w_floor
+        k1v = (i_of_v(v) - il) * inv_c
+        k1i = (v - r_l * il - w) * inv_l
+        v2, i2 = v + 0.5 * dt * k1v, il + 0.5 * dt * k1i
+        k2v = (i_of_v(v2) - i2) * inv_c
+        k2i = (v2 - r_l * i2 - w) * inv_l
+        v3, i3 = v + 0.5 * dt * k2v, il + 0.5 * dt * k2i
+        k3v = (i_of_v(v3) - i3) * inv_c
+        k3i = (v3 - r_l * i3 - w) * inv_l
+        v4, i4 = v + dt * k3v, il + dt * k3i
+        k4v = (i_of_v(v4) - i4) * inv_c
+        k4i = (v4 - r_l * i4 - w) * inv_l
+        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        il += dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        if il < 0.0:
+            il = 0.0
+        if v < 0.0:
+            v = 0.0
+    return v, il
 
 
 def step_ode(
@@ -131,35 +195,20 @@ def step_ode(
     array,
     params: ConverterParams = ConverterParams(),
 ) -> ConverterState:
-    """One fixed-step RK4 advance of the averaged plant.
+    """One RK4 step of the averaged plant at a fixed duty.
 
-    ``array`` is the PV source: an :class:`ArraySpec` or any callable
-    ``i(v)``.  The inductor current is clamped at zero after the step.
+    ``array`` is the PV source: an :class:`ArraySpec` (swept on every call;
+    pass a :class:`PlantCurve` to step it repeatedly) or any callable
+    ``i(v)``.
     """
     if dt > MAX_DT:
         raise ValidationError(f"dt {dt} above stability margin {MAX_DT}")
-    i_of_v = _as_current_fn(array)
-    w = (1.0 - duty) * params.v_out
-    inv_c = 1.0 / params.c_pv
-    inv_l = 1.0 / params.l
-    r_l = params.r_l
-    v, il = s.v_pv, s.i_l
-
-    k1v = (i_of_v(v) - il) * inv_c
-    k1i = (v - r_l * il - w) * inv_l
-    v2, i2 = v + 0.5 * dt * k1v, il + 0.5 * dt * k1i
-    k2v = (i_of_v(v2) - i2) * inv_c
-    k2i = (v2 - r_l * i2 - w) * inv_l
-    v3, i3 = v + 0.5 * dt * k2v, il + 0.5 * dt * k2i
-    k3v = (i_of_v(v3) - i3) * inv_c
-    k3i = (v3 - r_l * i3 - w) * inv_l
-    v4, i4 = v + dt * k3v, il + dt * k3i
-    k4v = (i_of_v(v4) - i4) * inv_c
-    k4i = (v4 - r_l * i4 - w) * inv_l
-
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    i_new = il + dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-    return ConverterState(v_pv=max(v_new, 0.0), i_l=max(i_new, 0.0), t=s.t + dt)
+    if not (0.0 <= duty <= MAX_DUTY):
+        raise ValidationError(f"duty {duty} outside [0, {MAX_DUTY}]")
+    v, il = advance(
+        s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, 1, dt, _as_current_fn(array), params
+    )
+    return ConverterState(v_pv=v, i_l=il, t=s.t + dt)
 
 
 def _command_profile(

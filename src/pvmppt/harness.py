@@ -35,10 +35,13 @@ from .converter import (
     MAX_DT,
     ConverterParams,
     MeasurementNoise,
+    PlantCurve,
     TraceRecord,
+    advance,
     duty_for_voltage,
 )
 from .pvmodel import (
+    STC_IRRADIANCE,
     ArraySpec,
     ModuleCondition,
     ModuleDatasheet,
@@ -99,7 +102,9 @@ class ShadingPattern:
         counts = []
         for s, text in enumerate(strings):
             try:
-                row = tuple(int(tok) for tok in str(text).split("-"))
+                if not isinstance(text, str):
+                    raise ValueError(text)
+                row = tuple(int(tok) for tok in text.split("-"))
             except ValueError as exc:
                 raise ScenarioError(f"{where}[{s}]: not a dash-separated count string") from exc
             if len(row) != len(lv):
@@ -180,7 +185,16 @@ class Scenario:
             raise ScenarioError("timeline: events must end before the horizon")
         if self.datasheet is None and self.params is None:
             raise ScenarioError("module: datasheet or params required")
+        v_out = self.converter.v_out
+        if self.v_ref_start is not None and not (0.0 <= self.v_ref_start <= v_out):
+            raise ScenarioError(f"v_ref_start_v: {self.v_ref_start} outside [0, v_out = {v_out}]")
         for k, e in enumerate(self.events):
+            for j, level in enumerate(e.pattern.levels):
+                if not (0.0 <= level.irradiance <= STC_IRRADIANCE):
+                    raise ScenarioError(
+                        f"timeline[{k}].levels[{j}]: irradiance {level.irradiance} kW/m^2 "
+                        f"outside [0, {STC_IRRADIANCE}]"
+                    )
             if len(e.pattern.counts) != self.n_parallel:
                 raise ScenarioError(
                     f"timeline[{k}].pattern: {len(e.pattern.counts)} strings, "
@@ -217,103 +231,153 @@ def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
 # ---------------------------------------------------------------------------
 
 
-def _get(d: dict, key: str, where: str, required: bool = True, default=None):
+_REQUIRED = object()
+
+
+def _typed(kind: type, what: str):
+    def coerce(value, path: str):
+        if not isinstance(value, kind):
+            raise ScenarioError(f"{path}: expected {what}")
+        return value
+
+    return coerce
+
+
+_object = _typed(dict, "an object")
+_list = _typed(list, "a list")
+_flag = _typed(bool, "true or false")
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"{path}: not a finite number")
+    return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{path}: not an integer")
+    return value
+
+
+def _levels(value, path: str) -> tuple[ModuleCondition, ...]:
+    levels = []
+    for j, pair in enumerate(_list(value, path)):
+        where = f"{path}[{j}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ScenarioError(f"{where}: expected an [irradiance, temperature] pair")
+        try:
+            levels.append(ModuleCondition(*(_number(x, where) for x in pair)))
+        except ValidationError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
+    return tuple(levels)
+
+
+def _get(d: dict, key: str, where: str, coerce, default=_REQUIRED):
+    """``d[key]`` through ``coerce``, which raises a ScenarioError naming the
+    field path; ``default`` is returned as is when the key is absent."""
+    path = f"{where}.{key}" if where else key
     if key not in d:
-        if required:
-            raise ScenarioError(f"{where}.{key}: missing required field")
+        if default is _REQUIRED:
+            raise ScenarioError(f"{path}: missing required field")
         return default
-    return d[key]
+    return coerce(d[key], path)
 
 
 def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("root: expected a JSON object")
-    arr = _get(doc, "array", "root")
-    n_series = int(_get(arr, "n_series", "array"))
-    n_parallel = int(_get(arr, "n_parallel", "array"))
-    sample = tuple(int(x) for x in _get(arr, "sample_module", "array", False, [0, 0]))
+    doc = _object(doc, "root")
+    arr = _get(doc, "array", "", _object)
+    n_series = _get(arr, "n_series", "array", _integer)
+    n_parallel = _get(arr, "n_parallel", "array", _integer)
+    sample = _get(arr, "sample_module", "array", _list, [0, 0])
+    if len(sample) != 2:
+        raise ScenarioError("array.sample_module: expected [string, position]")
+    sample = tuple(_integer(x, f"array.sample_module[{j}]") for j, x in enumerate(sample))
 
-    mod = _get(doc, "module", "root")
+    mod = _get(doc, "module", "", _object)
     datasheet = params = None
     if "datasheet" in mod:
-        d = mod["datasheet"]
+        d = _get(mod, "datasheet", "module", _object)
+        where = "module.datasheet"
         datasheet = ModuleDatasheet(
-            p_max=float(_get(d, "p_max_w", "module.datasheet")),
-            v_oc=float(_get(d, "v_oc_v", "module.datasheet")),
-            i_sc=float(_get(d, "i_sc_a", "module.datasheet")),
-            v_mpp=float(_get(d, "v_mpp_v", "module.datasheet")),
-            i_mpp=float(_get(d, "i_mpp_a", "module.datasheet")),
-            pmax_thermal_coeff=float(
-                _get(d, "pmax_thermal_coeff_frac_per_c", "module.datasheet", False, -0.0044)
-            ),
-            rho_mod=float(_get(d, "rho_mod_frac_per_c", "module.datasheet")),
-            n_cells=int(_get(d, "n_cells", "module.datasheet")),
+            p_max=_get(d, "p_max_w", where, _number),
+            v_oc=_get(d, "v_oc_v", where, _number),
+            i_sc=_get(d, "i_sc_a", where, _number),
+            v_mpp=_get(d, "v_mpp_v", where, _number),
+            i_mpp=_get(d, "i_mpp_a", where, _number),
+            pmax_thermal_coeff=_get(d, "pmax_thermal_coeff_frac_per_c", where, _number, -0.0044),
+            rho_mod=_get(d, "rho_mod_frac_per_c", where, _number),
+            n_cells=_get(d, "n_cells", where, _integer),
         )
     elif "params" in mod:
-        p = mod["params"]
+        p = _get(mod, "params", "module", _object)
+        where = "module.params"
         params = ModuleParams(
-            i_pv_ref=float(_get(p, "i_pv_ref_a", "module.params")),
-            i_o_ref=float(_get(p, "i_o_ref_a", "module.params")),
-            ideality_a=float(_get(p, "ideality_a", "module.params")),
-            r_s=float(_get(p, "r_s_ohm", "module.params")),
-            r_sh=float(_get(p, "r_sh_ohm", "module.params")),
-            n_cells=int(_get(p, "n_cells", "module.params")),
-            v_bypass=float(_get(p, "v_bypass_v", "module.params", False, -0.7)),
-            rho_mod=float(_get(p, "rho_mod_frac_per_c", "module.params", False, -0.00329)),
+            i_pv_ref=_get(p, "i_pv_ref_a", where, _number),
+            i_o_ref=_get(p, "i_o_ref_a", where, _number),
+            ideality_a=_get(p, "ideality_a", where, _number),
+            r_s=_get(p, "r_s_ohm", where, _number),
+            r_sh=_get(p, "r_sh_ohm", where, _number),
+            n_cells=_get(p, "n_cells", where, _integer),
+            v_bypass=_get(p, "v_bypass_v", where, _number, -0.7),
+            rho_mod=_get(p, "rho_mod_frac_per_c", where, _number, -0.00329),
         )
     else:
         raise ScenarioError("module: needs 'datasheet' or 'params'")
 
-    default_levels = _get(doc, "levels", "root", False)
-    timeline = _get(doc, "timeline", "root")
-    if not isinstance(timeline, list) or not timeline:
+    default_levels = _get(doc, "levels", "", _levels, None)
+    timeline = _get(doc, "timeline", "", _list)
+    if not timeline:
         raise ScenarioError("timeline: must be a non-empty list")
     events = []
     for k, ev in enumerate(timeline):
         where = f"timeline[{k}]"
-        t = float(_get(ev, "t_s", where))
-        levels = ev.get("levels", default_levels)
+        ev = _object(ev, where)
+        t = _get(ev, "t_s", where, _number)
+        levels = _get(ev, "levels", where, _levels, default_levels)
         if levels is None:
             raise ScenarioError(f"{where}.levels: no levels declared here or at root")
         pattern = ShadingPattern.parse(
-            _get(ev, "pattern", where), levels, where=f"{where}.pattern"
+            _get(ev, "pattern", where, _list), levels, where=f"{where}.pattern"
         )
         events.append(TimelineEvent(t=t, pattern=pattern))
 
-    conv_doc = _get(doc, "converter", "root", False, {})
+    conv_doc = _get(doc, "converter", "", _object, {})
     converter = ConverterParams(
-        r_l=float(conv_doc.get("r_l_ohm", 0.3)),
-        l=float(conv_doc.get("l_h", 600e-6)),
-        c_pv=float(conv_doc.get("c_pv_f", 100e-6)),
-        v_out=float(conv_doc.get("v_out_v", 250.0)),
-        f_sw=float(conv_doc.get("f_sw_hz", 20e3)),
+        r_l=_get(conv_doc, "r_l_ohm", "converter", _number, 0.3),
+        l=_get(conv_doc, "l_h", "converter", _number, 600e-6),
+        c_pv=_get(conv_doc, "c_pv_f", "converter", _number, 100e-6),
+        v_out=_get(conv_doc, "v_out_v", "converter", _number, 250.0),
     )
 
-    ctl_doc = _get(doc, "controller", "root", False, {})
-    det_doc = ctl_doc.get("detector", {})
+    ctl_doc = _get(doc, "controller", "", _object, {})
+    det_doc = _get(ctl_doc, "detector", "controller", _object, {})
+    where = "controller.detector"
     detector = DetectorConfig(
-        psi_threshold=float(det_doc.get("psi_threshold", 0.001)),
-        dv_arr_threshold=float(det_doc.get("dv_arr_threshold", 0.02)),
-        dv_mod_threshold=float(det_doc.get("dv_mod_threshold", 0.02)),
-        power_change_trigger=float(det_doc.get("power_change_trigger", 0.03)),
-        periodic_trigger_s=float(det_doc.get("periodic_trigger_s", 5.0)),
-        psi_probe_frac=float(det_doc.get("psi_probe_frac", 0.01)),
+        psi_threshold=_get(det_doc, "psi_threshold", where, _number, 0.001),
+        dv_arr_threshold=_get(det_doc, "dv_arr_threshold", where, _number, 0.02),
+        dv_mod_threshold=_get(det_doc, "dv_mod_threshold", where, _number, 0.02),
+        power_change_trigger=_get(det_doc, "power_change_trigger", where, _number, 0.03),
+        periodic_trigger_s=_get(det_doc, "periodic_trigger_s", where, _number, 5.0),
+        psi_probe_frac=_get(det_doc, "psi_probe_frac", where, _number, 0.01),
     )
     controller = ControllerConfig(
         detector=detector,
-        po_period_s=float(ctl_doc.get("po_period_s", 0.02)),
-        adc_period_s=float(ctl_doc.get("adc_period_s", 5e-4)),
-        settle_s=float(ctl_doc.get("settle_s", 0.02)),
-        ramp_rate_v_per_s=float(ctl_doc.get("ramp_rate_v_per_s", 4000.0)),
-        po_step_v=float(ctl_doc.get("po_step_v", 1.0)),
-        po_only=bool(ctl_doc.get("po_only", False)),
+        po_period_s=_get(ctl_doc, "po_period_s", "controller", _number, 0.02),
+        adc_period_s=_get(ctl_doc, "adc_period_s", "controller", _number, 5e-4),
+        settle_s=_get(ctl_doc, "settle_s", "controller", _number, 0.02),
+        ramp_rate_v_per_s=_get(ctl_doc, "ramp_rate_v_per_s", "controller", _number, 4000.0),
+        po_step_v=_get(ctl_doc, "po_step_v", "controller", _number, 1.0),
+        po_only=_get(ctl_doc, "po_only", "controller", _flag, False),
         v_cmd_max=converter.v_out,
     )
 
-    noise_doc = _get(doc, "noise", "root", False, {})
+    noise_doc = _get(doc, "noise", "", _object, {})
     noise = MeasurementNoise(
-        v_amplitude=float(noise_doc.get("v_amplitude_v", 0.0)),
-        i_amplitude=float(noise_doc.get("i_amplitude_a", 0.0)),
+        v_amplitude=_get(noise_doc, "v_amplitude_v", "noise", _number, 0.0),
+        i_amplitude=_get(noise_doc, "i_amplitude_a", "noise", _number, 0.0),
     )
 
     scn = Scenario(
@@ -322,17 +386,15 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         n_parallel=n_parallel,
         sample_module=sample,
         events=tuple(events),
-        horizon_s=float(_get(doc, "horizon_s", "root")),
+        horizon_s=_get(doc, "horizon_s", "", _number),
         datasheet=datasheet,
         params=params,
         converter=converter,
         controller=controller,
         noise=noise,
-        seed=int(doc.get("seed", 0)),
-        dt_s=float(doc.get("dt_s", 5e-6)),
-        v_ref_start=(
-            float(doc["v_ref_start_v"]) if "v_ref_start_v" in doc else None
-        ),
+        seed=_get(doc, "seed", "", _integer, 0),
+        dt_s=_get(doc, "dt_s", "", _number, 5e-6),
+        v_ref_start=_get(doc, "v_ref_start_v", "", _number, None),
     )
     scn.validate()
     return scn
@@ -579,33 +641,6 @@ class RunReport:
         }
 
 
-class _PlantCurve:
-    """Uniform-grid current lookup for the integration inner loop."""
-
-    __slots__ = ("ilist", "h", "n", "v_top")
-
-    def __init__(self, curve: PvCurve, h: float = 0.01):
-        voc = float(curve.v[-1])
-        grid = np.arange(0.0, voc + 2 * h, h)
-        vals = np.interp(grid, curve.v, curve.i, right=0.0)
-        vals[grid >= voc] = 0.0
-        self.ilist = vals.tolist()
-        self.h = h
-        self.n = len(self.ilist)
-        self.v_top = (self.n - 2) * h
-
-    def __call__(self, v: float) -> float:
-        if v <= 0.0:
-            return self.ilist[0]
-        if v >= self.v_top:
-            return 0.0
-        x = v / self.h
-        j = int(x)
-        fr = x - j
-        il = self.ilist
-        return il[j] + (il[j + 1] - il[j]) * fr
-
-
 _RAMP_MODES = (
     Mode.DETECT_SETTLE,
     Mode.DETECT_PROBE,
@@ -653,7 +688,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
                 "event": e,
                 "spec": spec,
                 "curve": curve,
-                "plant": _PlantCurve(curve),
+                "plant": PlantCurve(curve),
                 "oracle": (v_star, p_star),
                 "t_sample": grid[scn.sample_module[0]][scn.sample_module[1]].temperature,
                 "tick_start": event_ticks[k],
@@ -666,11 +701,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     il = windows[0]["plant"](v)
     cmd_applied = state.v_ref
 
-    inv_c = 1.0 / conv.c_pv
-    inv_l = 1.0 / conv.l
-    r_l = conv.r_l
     v_out = conv.v_out
-    w_floor = (1.0 - 0.99) * v_out
 
     trace: list[TraceRecord] = []
     widx = 0
@@ -723,29 +754,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
         # integrate [t, t+adc): command slews linearly in ramp modes
         dcmd = (new_ref - prev_cmd) / sub_per_tick if slew else 0.0
         base = prev_cmd if slew else new_ref
-        for k in range(sub_per_tick):
-            cmd_mid = base + dcmd * (k + 0.5)
-            w = cmd_mid if cmd_mid > w_floor else w_floor
-            k1v = (cur(v) - il) * inv_c
-            k1i = (v - r_l * il - w) * inv_l
-            v2 = v + 0.5 * dt * k1v
-            i2 = il + 0.5 * dt * k1i
-            k2v = (cur(v2) - i2) * inv_c
-            k2i = (v2 - r_l * i2 - w) * inv_l
-            v3 = v + 0.5 * dt * k2v
-            i3 = il + 0.5 * dt * k2i
-            k3v = (cur(v3) - i3) * inv_c
-            k3i = (v3 - r_l * i3 - w) * inv_l
-            v4 = v + dt * k3v
-            i4 = il + dt * k3i
-            k4v = (cur(v4) - i4) * inv_c
-            k4i = (v4 - r_l * i4 - w) * inv_l
-            v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            il += dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-            if il < 0.0:
-                il = 0.0
-            if v < 0.0:
-                v = 0.0
+        v, il = advance(v, il, base, dcmd, sub_per_tick, dt, cur, conv)
 
     report = _build_report(scn, windows, trace, state, adc)
     return trace, report

@@ -18,7 +18,7 @@ cubic/exponential temperature law with a 1.12 eV band gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,6 +65,8 @@ class ModuleDatasheet:
     n_cells: int
 
     def validate(self) -> None:
+        if not self.p_max > 0.0:
+            raise ValidationError("p_max must be positive")
         if not (0.0 < self.v_mpp < self.v_oc):
             raise ValidationError("require 0 < v_mpp < v_oc")
         if not (0.0 < self.i_mpp < self.i_sc):
@@ -162,9 +164,6 @@ class ArraySpec:
     ) -> "ArraySpec":
         grid = tuple(tuple(condition for _ in range(n_series)) for _ in range(n_parallel))
         return cls(n_series, n_parallel, module, grid, sample_module)
-
-    def with_conditions(self, grid: tuple[tuple[ModuleCondition, ...], ...]) -> "ArraySpec":
-        return replace(self, conditions=grid)
 
     def params_at(self, string_idx: int, pos: int) -> ModuleParams:
         if self.overrides and (string_idx, pos) in self.overrides:
@@ -582,6 +581,8 @@ def calibrate_module(ds: ModuleDatasheet, a_fixed: float = 1.3) -> ModuleParams:
         return weights * np.array([r1, r2, r3, r4])
 
     io0 = ds.i_sc * math.exp(-ds.v_oc / a)
+    if not (1e-16 <= io0 <= 1e-3):
+        raise CalibrationError(f"datasheet implies a saturation current {io0:.3g} A", ())
     rs_max = 5.0 * (ds.v_oc - ds.v_mpp) / ds.i_mpp
     starts = [
         [ds.i_sc * 1.001, math.log(io0), 0.3 * (ds.v_oc - ds.v_mpp) / ds.i_mpp, math.log(300.0)],
@@ -595,7 +596,7 @@ def calibrate_module(ds: ModuleDatasheet, a_fixed: float = 1.3) -> ModuleParams:
     for x0 in starts:
         try:
             sol = least_squares(residuals, x0, bounds=bounds, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        except (SolverError, ValidationError):
+        except (SolverError, ValueError):  # ValidationError, or x0 outside the bounds
             continue
         if best is None or sol.cost < best.cost:
             best = sol

@@ -11,6 +11,8 @@ from pvmppt.converter import (
     ConverterParams,
     ConverterState,
     MeasurementNoise,
+    PlantCurve,
+    advance,
     duty_for_voltage,
     run,
     step_ode,
@@ -19,6 +21,7 @@ from pvmppt.pvmodel import (
     ArraySpec,
     ModuleDatasheet,
     ValidationError,
+    array_current,
     calibrate_module,
     sweep_curve,
 )
@@ -32,7 +35,7 @@ TABLE_PLANT = ConverterParams()  # r_l=0.3, L=600 uH, C=100 uF, 250 V link
 
 
 @pytest.fixture(scope="module")
-def array_130v_8a():
+def spec_130v_8a():
     """Synthetic test array: V_oc 130 V, I_sc 8 A (5 series modules)."""
     ds = ModuleDatasheet(
         p_max=156.0,
@@ -44,8 +47,12 @@ def array_130v_8a():
         rho_mod=-0.0033,
         n_cells=42,
     )
-    spec = ArraySpec.uniform(calibrate_module(ds), 5, 1)
-    curve = sweep_curve(spec, 0.01)
+    return ArraySpec.uniform(calibrate_module(ds), 5, 1)
+
+
+@pytest.fixture(scope="module")
+def array_130v_8a(spec_130v_8a):
+    curve = sweep_curve(spec_130v_8a, 0.01)
     return lambda v: float(curve.current_at(max(v, 0.0)))
 
 
@@ -110,6 +117,30 @@ class TestStepOde:
         v1 = simulate(4e-6)
         v2 = simulate(2e-6)
         assert abs(v1 - v2) / abs(v2) < 1e-4
+
+    @pytest.mark.parametrize("duty", [-0.1, 1.0])
+    def test_duty_outside_range_rejected(self, duty):
+        with pytest.raises(ValidationError, match="duty"):
+            step_ode(ConverterState(100.0, 5.0), duty, 5e-6, lambda v: 5.0, TABLE_PLANT)
+
+
+class TestAdvance:
+    @pytest.mark.parametrize(
+        "v0, duty, source",
+        [(60.0, 0.68, "array"), (10.0, 0.0, "dark")],
+        ids=("lit", "dark_clamped"),
+    )
+    def test_fixed_command_equals_step_ode_sequence(self, array_130v_8a, v0, duty, source):
+        i_of_v = array_130v_8a if source == "array" else (lambda v: 0.0)
+        n, dt = 40, 5e-6
+        s = ConverterState(v_pv=v0, i_l=i_of_v(v0))
+        for _ in range(n):
+            s = step_ode(s, duty, dt, i_of_v, TABLE_PLANT)
+        w = (1.0 - duty) * TABLE_PLANT.v_out
+        v, il = advance(v0, i_of_v(v0), w, 0.0, n, dt, i_of_v, TABLE_PLANT)
+        assert (v, il) == (s.v_pv, s.i_l)
+        if source == "dark":  # the link sits above v_pv: the clamp holds i_L at 0
+            assert il == 0.0
 
 
 class TestRun:
@@ -207,3 +238,39 @@ class TestRun:
             CommandSegment("ramp", 10.0, rate_v_per_s=0.0)
         with pytest.raises(ValidationError):
             CommandSegment("hold", 10.0)
+
+
+class TestArraySpecSource:
+    """An ArraySpec plant is swept once per run and read through PlantCurve."""
+
+    CMD = CommandSignal(
+        (
+            CommandSegment("hold", 60.0, duration_s=2.5e-4),
+            CommandSegment("ramp", 64.0, rate_v_per_s=4000.0),
+            CommandSegment("hold", 64.0, duration_s=2.5e-4),
+        ),
+        v_start=60.0,
+    )
+
+    @staticmethod
+    def states(trace):
+        return [(r.t, r.v_pv, r.i_pv) for r in trace]
+
+    def test_spec_runs_on_its_sampled_curve(self, spec_130v_8a):
+        plant = PlantCurve(sweep_curve(spec_130v_8a, 0.01))
+        via_spec = run(self.CMD, spec_130v_8a, TABLE_PLANT, sample_period=5e-5)
+        assert self.states(via_spec) == self.states(run(self.CMD, plant, TABLE_PLANT, sample_period=5e-5))
+
+    def test_sampled_curve_tracks_scalar_source(self, spec_130v_8a):
+        sampled = run(self.CMD, spec_130v_8a, TABLE_PLANT, sample_period=5e-5)
+        scalar = run(
+            self.CMD,
+            lambda v: array_current(spec_130v_8a, max(v, 0.0)),
+            TABLE_PLANT,
+            sample_period=5e-5,
+        )
+        assert len(sampled) == len(scalar) == 31
+        for a, b in zip(sampled, scalar):
+            assert a.t == b.t
+            assert abs(a.v_pv - b.v_pv) < 1e-6
+            assert abs(a.i_pv - b.i_pv) < 1e-6

@@ -1,16 +1,30 @@
 """Harness tests: scenario files, closed loop, reports, emitters, CLI."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import operator
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvmppt.cli import main as cli_main
 from pvmppt.control import Mode
-from pvmppt.converter import ConverterState, MeasurementNoise, duty_for_voltage, step_ode
+from pvmppt.converter import (
+    ConverterState,
+    MeasurementNoise,
+    PlantCurve,
+    duty_for_voltage,
+    step_ode,
+)
 from pvmppt import harness
 from pvmppt.harness import (
     ScenarioError,
@@ -18,7 +32,6 @@ from pvmppt.harness import (
     BENCHMARK_LEVELS,
     BENCHMARK_PATTERNS,
     TRACE_HEADER,
-    _PlantCurve,
     base_array_spec,
     build_reference_model,
     detect_pattern,
@@ -229,7 +242,7 @@ class TestClosedLoop:
         # one ADC interval of the fast loop equals a step_ode sequence
         scn = short_psc1()
         spec = base_array_spec(scn, 0)
-        plant = _PlantCurve(sweep_curve(spec, 0.01))
+        plant = PlantCurve(sweep_curve(spec, 0.01))
         trace, _ = run_closed_loop(scn)
         v0 = trace[0].v_pv
         cmd = trace[0].v_ref
@@ -438,8 +451,25 @@ class TestCli:
             (("horizon_s",), float("nan"), "horizon_s"),
             (("dt_s",), 1e-4, "dt_s"),
             (("timeline", 1, "t_s"), float("nan"), "timeline[1].t_s"),
+            (("levels",), [1, 2, 3], "levels[0]"),
+            (("converter",), "x", "converter"),
+            (("seed",), "abc", "seed"),
+            (("levels", 0, 0), float("nan"), "levels[0]"),
+            (("levels", 0, 0), 5.0, "timeline[1].levels[0]"),
+            (("v_ref_start_v",), 300, "v_ref_start_v"),
         ],
-        ids=("adc_period_zero", "horizon_nan", "dt_above_max", "event_time_nan"),
+        ids=(
+            "adc_period_zero",
+            "horizon_nan",
+            "dt_above_max",
+            "event_time_nan",
+            "levels_not_pairs",
+            "converter_not_object",
+            "seed_not_integer",
+            "irradiance_nan",
+            "irradiance_above_stc",
+            "v_ref_start_above_link",
+        ),
     )
     def test_out_of_range_timing_rejected(self, tmp_path, capsys, path, value, field):
         doc = json.loads((SCENARIO_DIR / "benchmark_psc1.json").read_text())
@@ -458,3 +488,57 @@ class TestCli:
         bad.write_text("{\"name\": \"x\"}")
         rc = cli_main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+def _json_paths(node, prefix=()):
+    """Every key/index path below ``node`` (its root excluded)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_PSC1_DOC = json.loads((SCENARIO_DIR / "benchmark_psc1.json").read_text())
+_MUTATIONS = ("drop", "nan", "negate", "huge", "string", "list", "object", "bool", "null")
+
+
+def _mutate(node, key, how):
+    if how == "drop":
+        del node[key]
+    elif how == "negate":
+        x = node[key]
+        node[key] = -x if isinstance(x, (int, float)) and not isinstance(x, bool) else -1
+    else:
+        node[key] = {
+            "nan": math.nan, "huge": 1e300, "string": "abc", "list": [1, 2, 3],
+            "object": {}, "bool": True, "null": None,
+        }[how]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(_json_paths(_PSC1_DOC))), st.sampled_from(_MUTATIONS)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_mutated_scenario_exits_cleanly(mutations):
+    """A mangled scenario file is swept (exit 0) or rejected (exit 2), never a traceback."""
+    doc = copy.deepcopy(_PSC1_DOC)
+    for path, how in mutations:
+        try:
+            _mutate(functools.reduce(operator.getitem, path[:-1], doc), path[-1], how)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this path
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli_main(["sweep", "--scenario", str(scenario), "--out", str(Path(tmp) / "c.csv")])
+    assert rc in (0, 2)
