@@ -26,6 +26,19 @@ from .pvmodel import ArraySpec, PvCurve, ValidationError, sweep_curve
 MAX_DT = 2e-5  # stability margin at the reference plant parameters
 MAX_DUTY = 0.99
 
+# Plant envelope in which RK4 at MAX_DT is stable.  Linearised, the plant's
+# inductor pole and LC resonance give the step numbers r_l*MAX_DT/l and
+# MAX_DT/sqrt(l*c_pv); every corner of this box keeps both at most 1, inside
+# the RK4 limits of 2.79 (real axis) and 2.83 (imaginary axis).  The
+# reference plant (0.3 ohm, 600 uH, 100 uF) sits at 0.01 and 0.08.
+R_L_MAX = 3.0  # ohm
+L_MIN = 60e-6  # H
+C_PV_MIN = MAX_DT**2 / L_MIN  # F (6.7 uF)
+# v_out only moves the equilibrium, so its cap is practical: the 1500 V DC
+# ceiling PV plants are built to, which keeps the duty floor
+# (1 - MAX_DUTY)*v_out at most 15 V and every RK4 stage finite.
+V_OUT_MAX = 1500.0  # V
+
 
 @dataclass(frozen=True)
 class ConverterParams:
@@ -118,30 +131,31 @@ def duty_for_voltage(v_ref: float, v_out: float) -> float:
     return min(1.0 - v_ref / v_out, MAX_DUTY)
 
 
-class PlantCurve:
-    """Uniform-grid current lookup of a swept curve: the plant's current source."""
+def PlantCurve(curve: PvCurve, h: float = 0.01) -> Callable[[float], float]:
+    """Uniform-grid current lookup of a swept curve: the plant's current source.
 
-    __slots__ = ("ilist", "h", "v_top")
+    Returns a plain closure ``i(v)`` over the grid list: the RK4 kernel
+    calls it four times per sub-step, so it holds its state in cells, not
+    attributes."""
+    voc = float(curve.v[-1])
+    grid = np.arange(0.0, voc + 2 * h, h)
+    vals = np.interp(grid, curve.v, curve.i, right=0.0)
+    vals[grid >= voc] = 0.0
+    il = vals.tolist()
+    v_top = (len(il) - 2) * h
+    i_short = il[0]
 
-    def __init__(self, curve: PvCurve, h: float = 0.01):
-        voc = float(curve.v[-1])
-        grid = np.arange(0.0, voc + 2 * h, h)
-        vals = np.interp(grid, curve.v, curve.i, right=0.0)
-        vals[grid >= voc] = 0.0
-        self.ilist = vals.tolist()
-        self.h = h
-        self.v_top = (len(self.ilist) - 2) * h
-
-    def __call__(self, v: float) -> float:
+    def plant_current(v: float) -> float:
         if v <= 0.0:
-            return self.ilist[0]
-        if v >= self.v_top:
+            return i_short
+        if v >= v_top:
             return 0.0
-        x = v / self.h
+        x = v / h
         j = int(x)
         fr = x - j
-        il = self.ilist
         return il[j] + (il[j + 1] - il[j]) * fr
+
+    return plant_current
 
 
 def _as_current_fn(array) -> Callable[[float], float]:
@@ -198,8 +212,8 @@ def step_ode(
     """One RK4 step of the averaged plant at a fixed duty.
 
     ``array`` is the PV source: an :class:`ArraySpec` (swept on every call;
-    pass a :class:`PlantCurve` to step it repeatedly) or any callable
-    ``i(v)``.
+    pass the closure ``PlantCurve(sweep_curve(spec, 0.01))`` to step it
+    repeatedly) or any callable ``i(v)``.
     """
     if dt > MAX_DT:
         raise ValidationError(f"dt {dt} above stability margin {MAX_DT}")

@@ -13,6 +13,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,11 @@ from .control import (
     update_references,
 )
 from .converter import (
+    C_PV_MIN,
+    L_MIN,
     MAX_DT,
+    R_L_MAX,
+    V_OUT_MAX,
     ConverterParams,
     MeasurementNoise,
     PlantCurve,
@@ -70,6 +75,11 @@ BENCHMARK_PATTERNS = {
     5: ("1-1-3", "5-0-0", "4-0-1"),
 }
 BENCHMARK_SAMPLE = (0, 2)
+
+# longest accepted run: 46x the longest corpus horizon (1.3 s) and 12
+# periodic detections at the default 5 s trigger; a 60 s trace at the
+# 0.5 ms ADC cadence is 120k rows
+MAX_HORIZON_S = 60.0
 
 
 class ScenarioError(ValueError):
@@ -165,6 +175,10 @@ class Scenario:
         ):
             if not (math.isfinite(value) and value > 0.0):
                 raise ScenarioError(f"{where}: must be positive and finite, got {value}")
+        if self.horizon_s > MAX_HORIZON_S:
+            raise ScenarioError(
+                f"horizon_s: {self.horizon_s} s above the {MAX_HORIZON_S} s maximum"
+            )
         if abs(round(adc / self.dt_s) * self.dt_s - adc) > 1e-12:
             raise ScenarioError("controller.adc_period_s: must be a multiple of dt_s")
         if self.dt_s > MAX_DT:
@@ -185,7 +199,18 @@ class Scenario:
             raise ScenarioError("timeline: events must end before the horizon")
         if self.datasheet is None and self.params is None:
             raise ScenarioError("module: datasheet or params required")
-        v_out = self.converter.v_out
+        conv = self.converter
+        for where, value, ok, envelope in (
+            ("r_l_ohm", conv.r_l, conv.r_l <= R_L_MAX, f"(0, {R_L_MAX}] ohm"),
+            ("l_h", conv.l, conv.l >= L_MIN, f">= {L_MIN} H"),
+            ("c_pv_f", conv.c_pv, conv.c_pv >= C_PV_MIN, f">= {C_PV_MIN:.3g} F"),
+            ("v_out_v", conv.v_out, conv.v_out <= V_OUT_MAX, f"(0, {V_OUT_MAX}] V"),
+        ):
+            if not ok:
+                raise ScenarioError(
+                    f"converter.{where}: {value} outside the plant envelope {envelope}"
+                )
+        v_out = conv.v_out
         if self.v_ref_start is not None and not (0.0 <= self.v_ref_start <= v_out):
             raise ScenarioError(f"v_ref_start_v: {self.v_ref_start} outside [0, v_out = {v_out}]")
         for k, e in enumerate(self.events):
@@ -416,6 +441,7 @@ def load_scenario(path: str | Path) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def build_reference_model(
     module: ModuleParams, n_series: int, n_parallel: int
 ) -> ReferenceModel:
@@ -423,7 +449,9 @@ def build_reference_model(
 
     Probes the healthy array for its standard-condition MPP, the
     temperature slope of the MPP voltage, and the irradiance-correction
-    table keyed by the MPP current ratio."""
+    table keyed by the MPP current ratio.  The result depends on nothing
+    else, so it is computed once per ``(module, n_series, n_parallel)``
+    per process and shared (``ReferenceModel`` is frozen)."""
 
     def mpp_at(cond: ModuleCondition) -> tuple[float, float]:
         spec = ArraySpec.uniform(module, n_series, n_parallel, cond)

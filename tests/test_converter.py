@@ -240,6 +240,45 @@ class TestRun:
             CommandSegment("hold", 10.0)
 
 
+def _class_lookup(curve, h=0.01):
+    """The plant lookup as the former ``PlantCurve`` class computed it."""
+    voc = float(curve.v[-1])
+    grid = np.arange(0.0, voc + 2 * h, h)
+    vals = np.interp(grid, curve.v, curve.i, right=0.0)
+    vals[grid >= voc] = 0.0
+    ilist = vals.tolist()
+    v_top = (len(ilist) - 2) * h
+
+    def lookup(v):
+        if v <= 0.0:
+            return ilist[0]
+        if v >= v_top:
+            return 0.0
+        x = v / h
+        j = int(x)
+        fr = x - j
+        return ilist[j] + (ilist[j + 1] - ilist[j]) * fr
+
+    return lookup, v_top
+
+
+class TestPlantCurve:
+    def test_closure_equals_class_formula(self, spec_130v_8a):
+        curve = sweep_curve(spec_130v_8a, 0.01)
+        reference, v_top = _class_lookup(curve)
+        n_grid = round(v_top / 0.01) + 2
+        voltages = (
+            np.linspace(-2.0, v_top + 2.0, 40001).tolist()
+            + [k * 0.01 for k in range(n_grid)]
+            + [-1e300, -0.0, 0.0, 5e-324, v_top, np.nextafter(v_top, 0.0), 1e300]
+        )
+        plant = PlantCurve(curve)
+        got = [plant(v) for v in voltages]
+        assert got == [reference(v) for v in voltages]
+        assert plant(0.0) == reference(0.0) > 7.0  # short-circuit end, not the zero tail
+        assert plant(v_top) == 0.0
+
+
 class TestArraySpecSource:
     """An ArraySpec plant is swept once per run and read through PlantCurve."""
 

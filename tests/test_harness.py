@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvmppt.cli import main as cli_main
@@ -135,6 +135,31 @@ class TestReferenceModel:
     def test_rated_limits(self, ref_3x5):
         assert ref_3x5.v_oc_arr_rated == pytest.approx(5 * 29.7, rel=0.01)
         assert ref_3x5.i_sc_rated == pytest.approx(3 * 8.68, rel=0.01)
+
+
+class TestCommissioningCache:
+    def test_equal_arrays_share_one_model(self, nd_module, ref_3x5):
+        assert build_reference_model(nd_module, 5, 3) is ref_3x5
+        assert build_reference_model(replace(nd_module), 5, 3) is ref_3x5
+
+    def test_distinct_arrays_get_their_own_model(self, nd_module, ref_3x5):
+        other_module = replace(nd_module, r_s=nd_module.r_s * 1.05)
+        models = [
+            build_reference_model(nd_module, 4, 3),
+            build_reference_model(nd_module, 5, 2),
+            build_reference_model(other_module, 5, 3),
+        ]
+        for m in models:
+            assert m != ref_3x5
+        assert models[0].v_mpp_arr_sc == pytest.approx(0.8 * ref_3x5.v_mpp_arr_sc, rel=1e-9)
+        assert models[1].i_mpp_arr_sc == pytest.approx(2 / 3 * ref_3x5.i_mpp_arr_sc, rel=1e-9)
+
+    def test_cold_cache_run_is_byte_identical(self, tmp_path):
+        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
+        warm = _emitted_bytes(scn, tmp_path, "warm")
+        build_reference_model.cache_clear()
+        assert _emitted_bytes(scn, tmp_path, "cold") == warm
+        assert build_reference_model.cache_info().misses == 1
 
 
 class TestStaticDetection:
@@ -457,6 +482,11 @@ class TestCli:
             (("levels", 0, 0), float("nan"), "levels[0]"),
             (("levels", 0, 0), 5.0, "timeline[1].levels[0]"),
             (("v_ref_start_v",), 300, "v_ref_start_v"),
+            (("horizon_s",), 61.0, "horizon_s"),
+            (("converter", "r_l_ohm"), 1e300, "converter.r_l_ohm"),
+            (("converter", "l_h"), 1e-6, "converter.l_h"),
+            (("converter", "c_pv_f"), 1e-6, "converter.c_pv_f"),
+            (("converter", "v_out_v"), 1e308, "converter.v_out_v"),
         ],
         ids=(
             "adc_period_zero",
@@ -469,6 +499,11 @@ class TestCli:
             "irradiance_nan",
             "irradiance_above_stc",
             "v_ref_start_above_link",
+            "horizon_above_max",
+            "inductor_resistance_huge",
+            "inductance_below_envelope",
+            "capacitance_below_envelope",
+            "link_voltage_above_envelope",
         ),
     )
     def test_out_of_range_timing_rejected(self, tmp_path, capsys, path, value, field):
@@ -541,4 +576,60 @@ def test_mutated_scenario_exits_cleanly(mutations):
         scenario.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = cli_main(["sweep", "--scenario", str(scenario), "--out", str(Path(tmp) / "c.csv")])
+    assert rc in (0, 2)
+
+
+# psc1 on a short horizon, with the optional controller and noise sections
+# written out at their defaults so that the fuzzer mutates their fields too
+_PSC1_RUN_DOC = {
+    **_PSC1_DOC,
+    "horizon_s": 0.32,
+    "controller": {
+        "po_period_s": 0.02,
+        "adc_period_s": 5e-4,
+        "settle_s": 0.02,
+        "ramp_rate_v_per_s": 4000.0,
+        "po_step_v": 1.0,
+        "po_only": False,
+        "detector": {
+            "psi_threshold": 0.001,
+            "dv_arr_threshold": 0.02,
+            "dv_mod_threshold": 0.02,
+            "power_change_trigger": 0.03,
+            "periodic_trigger_s": 5.0,
+            "psi_probe_frac": 0.01,
+        },
+    },
+    "noise": {"v_amplitude_v": 0.0, "i_amplitude_a": 0.0},
+}
+
+
+def test_run_fuzz_document_is_psc1_with_defaults_spelled_out():
+    assert scenario_from_dict(copy.deepcopy(_PSC1_RUN_DOC)) == scenario_from_dict(
+        {**copy.deepcopy(_PSC1_DOC), "horizon_s": 0.32}
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(_json_paths(_PSC1_RUN_DOC))), st.sampled_from(_MUTATIONS)),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example([(("converter", "r_l_ohm"), "huge")])
+def test_mutated_scenario_runs_or_exits_cleanly(mutations):
+    """A mangled scenario file runs the closed loop (exit 0) or is rejected (exit 2)."""
+    doc = copy.deepcopy(_PSC1_RUN_DOC)
+    for path, how in mutations:
+        try:
+            _mutate(functools.reduce(operator.getitem, path[:-1], doc), path[-1], how)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this path
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli_main(["run", "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
     assert rc in (0, 2)
