@@ -47,6 +47,13 @@ class Mode(str, Enum):
 _GOTO_REF, _TRIM_REF, _GOTO_LO, _GOTO_HI = range(4)
 
 
+def _non_negative(cfg, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"{name} must be finite and non-negative, got {value}", name)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Thresholds and probe geometry of the shading detector."""
@@ -65,10 +72,12 @@ class DetectorConfig:
         return self.psi_probe_frac * v_mpp_arr
 
     def __post_init__(self) -> None:
-        if min(self.psi_threshold, self.dv_arr_threshold, self.dv_mod_threshold) <= 0:
-            raise ValidationError("detector thresholds must be positive")
+        for name in ("psi_threshold", "dv_arr_threshold", "dv_mod_threshold"):
+            if getattr(self, name) <= 0:
+                raise ValidationError("detector thresholds must be positive", name)
         if self.psi_probe_dv is not None and self.psi_probe_dv <= 0:
-            raise ValidationError("psi_probe_dv must be positive")
+            raise ValidationError("psi_probe_dv must be positive", "psi_probe_dv")
+        _non_negative(self, "power_change_trigger", "periodic_trigger_s", "psi_probe_frac")
 
 
 @dataclass(frozen=True)
@@ -84,9 +93,11 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         if self.po_period_s < self.adc_period_s:
-            raise ValidationError("po_period_s must be >= adc_period_s")
-        if self.ramp_rate_v_per_s <= 0 or self.po_step_v <= 0:
-            raise ValidationError("rates and steps must be positive")
+            raise ValidationError("po_period_s must be >= adc_period_s", "po_period_s")
+        for name in ("ramp_rate_v_per_s", "po_step_v"):
+            if getattr(self, name) <= 0:
+                raise ValidationError("rates and steps must be positive", name)
+        _non_negative(self, "settle_s")
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,12 @@ MAX_DUTY = 0.99
 
 # Plant envelope in which RK4 at MAX_DT is stable.  Linearised, the plant's
 # inductor pole and LC resonance give the step numbers r_l*MAX_DT/l and
-# MAX_DT/sqrt(l*c_pv); every corner of this box keeps both at most 1, inside
-# the RK4 limits of 2.79 (real axis) and 2.83 (imaginary axis).  The
-# reference plant (0.3 ohm, 600 uH, 100 uF) sits at 0.01 and 0.08.
+# MAX_DT/sqrt(l*c_pv); every corner of this box keeps both at most
+# STEP_NUMBER_MAX, inside the RK4 limits of 2.79 (real axis) and 2.83
+# (imaginary axis).  The reference plant (0.3 ohm, 600 uH, 100 uF) sits at
+# 0.01 and 0.08.  The capacitor pole g*dt/c_pv also depends on the array's
+# slope g = |di/dv|, so the closed loop checks it per swept curve.
+STEP_NUMBER_MAX = 1.0
 R_L_MAX = 3.0  # ohm
 L_MIN = 60e-6  # H
 C_PV_MIN = MAX_DT**2 / L_MIN  # F (6.7 uF)
@@ -50,8 +53,9 @@ class ConverterParams:
     v_out: float = 250.0  # V, held constant
 
     def __post_init__(self) -> None:
-        if min(self.r_l, self.l, self.c_pv, self.v_out) <= 0.0:
-            raise ValidationError("converter parameters must be strictly positive")
+        for name in ("r_l", "l", "c_pv", "v_out"):
+            if getattr(self, name) <= 0.0:
+                raise ValidationError("converter parameters must be strictly positive", name)
 
 
 @dataclass(frozen=True)
@@ -208,21 +212,26 @@ def step_ode(
     dt: float,
     array,
     params: ConverterParams = ConverterParams(),
+    n: int = 1,
 ) -> ConverterState:
-    """One RK4 step of the averaged plant at a fixed duty.
+    """``n`` RK4 steps of the averaged plant at a fixed duty.
 
     ``array`` is the PV source: an :class:`ArraySpec` (swept on every call;
     pass the closure ``PlantCurve(sweep_curve(spec, 0.01))`` to step it
-    repeatedly) or any callable ``i(v)``.
+    repeatedly) or any callable ``i(v)``.  The duty is held exactly, so one
+    call of ``n`` steps gives the same ``v_pv`` and ``i_l`` bits as ``n``
+    calls of one step.
     """
     if dt > MAX_DT:
         raise ValidationError(f"dt {dt} above stability margin {MAX_DT}")
     if not (0.0 <= duty <= MAX_DUTY):
         raise ValidationError(f"duty {duty} outside [0, {MAX_DUTY}]")
+    if n < 1:
+        raise ValidationError(f"step count {n} below 1")
     v, il = advance(
-        s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, 1, dt, _as_current_fn(array), params
+        s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, n, dt, _as_current_fn(array), params
     )
-    return ConverterState(v_pv=v, i_l=il, t=s.t + dt)
+    return ConverterState(v_pv=v, i_l=il, t=s.t + n * dt)
 
 
 def _command_profile(
@@ -255,6 +264,16 @@ def command_value(pieces, t: float) -> float:
     return v
 
 
+def _held_until(pieces, t: float) -> float:
+    """Time up to which :func:`command_value` keeps its value at ``t``: the
+    end of the hold piece containing ``t``, infinity past the last piece,
+    and ``t`` itself inside a ramp (no later instant is guaranteed equal)."""
+    for t0, v_from, v_to, dur in pieces:
+        if dur > 0.0 and t0 <= t < t0 + dur:
+            return t0 + dur if v_from == v_to else t
+    return math.inf
+
+
 def run(
     command: CommandSignal,
     array,
@@ -267,11 +286,17 @@ def run(
 ) -> list[TraceRecord]:
     """Integrate the plant over an open-loop command and sample it.
 
-    Measurements are instantaneous state reads; optional uniform sensor
-    noise perturbs the recorded voltage/current only, never the state.
+    Step ``n`` covers ``[n*dt, (n+1)*dt)`` at the duty of the command at
+    its midpoint; a stretch of steps that share one duty up to the next
+    sample is one :func:`step_ode` call.  Sample ``n`` is stamped
+    ``state0.t + n*dt``.  Measurements are instantaneous state reads;
+    optional uniform sensor noise (drawn from ``rng``, which it requires)
+    perturbs the recorded voltage/current only, never the state.
     """
     if sample_period < dt:
         raise ValidationError("sample_period must be >= dt")
+    if noise is not None and rng is None:
+        raise ValidationError("measurement noise needs an rng")
     command.validate_against(params.v_out)
     i_of_v = _as_current_fn(array)
     pieces = _command_profile(command)
@@ -286,15 +311,15 @@ def run(
 
     trace: list[TraceRecord] = []
 
-    def record(state: ConverterState, v_cmd: float, duty: float) -> None:
-        v_meas = state.v_pv
-        i_meas = i_of_v(state.v_pv)
-        if noise is not None and rng is not None:
+    def record(n: int, v_pv: float, v_cmd: float, duty: float) -> None:
+        v_meas = v_pv
+        i_meas = i_of_v(v_pv)
+        if noise is not None:
             v_meas += rng.uniform(-noise.v_amplitude, noise.v_amplitude)
             i_meas += rng.uniform(-noise.i_amplitude, noise.i_amplitude)
         trace.append(
             TraceRecord(
-                t=state.t,
+                t=state0.t + n * dt,
                 v_ref=v_cmd,
                 duty=duty,
                 v_pv=v_meas,
@@ -303,15 +328,22 @@ def run(
             )
         )
 
-    for n in range(n_steps):
+    n = 0
+    while n < n_steps:
         t_mid = (n + 0.5) * dt
-        v_cmd = command_value(pieces, t_mid)
-        duty = duty_for_voltage(v_cmd, params.v_out)
+        duty = duty_for_voltage(command_value(pieces, t_mid), params.v_out)
         if n % per_sample == 0:
-            record(s, command_value(pieces, n * dt), duty)
-        s = step_ode(s, duty, dt, i_of_v, params)
-        s = ConverterState(s.v_pv, s.i_l, t=(n + 1) * dt)
+            record(n, s.v_pv, command_value(pieces, n * dt), duty)
+        # extend the stretch over the steps up to the next sample whose
+        # midpoints the command holds at this duty
+        end = min(n - n % per_sample + per_sample, n_steps)
+        t_held = _held_until(pieces, t_mid)
+        m = n + 1
+        while m < end and (m + 0.5) * dt < t_held:
+            m += 1
+        s = step_ode(s, duty, dt, i_of_v, params, m - n)
+        n = m
     if n_steps > 0:
         v_cmd = command_value(pieces, horizon)
-        record(s, v_cmd, duty_for_voltage(v_cmd, params.v_out))
+        record(n_steps, s.v_pv, v_cmd, duty_for_voltage(v_cmd, params.v_out))
     return trace

@@ -37,6 +37,7 @@ from .converter import (
     L_MIN,
     MAX_DT,
     R_L_MAX,
+    STEP_NUMBER_MAX,
     V_OUT_MAX,
     ConverterParams,
     MeasurementNoise,
@@ -311,6 +312,20 @@ def _get(d: dict, key: str, where: str, coerce, default=_REQUIRED):
     return coerce(d[key], path)
 
 
+def _build(cls, where: str, keys: dict[str, str] | None = None, **kwargs):
+    """``cls(**kwargs)``, with a ValidationError from its ``__post_init__``
+    re-raised as a ScenarioError naming the field; ``keys`` maps an argument
+    to its scenario key where the two names differ."""
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        path = f"{where}.{(keys or {}).get(exc.field, exc.field)}" if exc.field else where
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+_CONVERTER_KEYS = {"r_l": "r_l_ohm", "l": "l_h", "c_pv": "c_pv_f", "v_out": "v_out_v"}
+
+
 def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     doc = _object(doc, "root")
     arr = _get(doc, "array", "", _object)
@@ -370,7 +385,10 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         events.append(TimelineEvent(t=t, pattern=pattern))
 
     conv_doc = _get(doc, "converter", "", _object, {})
-    converter = ConverterParams(
+    converter = _build(
+        ConverterParams,
+        "converter",
+        _CONVERTER_KEYS,
         r_l=_get(conv_doc, "r_l_ohm", "converter", _number, 0.3),
         l=_get(conv_doc, "l_h", "converter", _number, 600e-6),
         c_pv=_get(conv_doc, "c_pv_f", "converter", _number, 100e-6),
@@ -380,7 +398,9 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     ctl_doc = _get(doc, "controller", "", _object, {})
     det_doc = _get(ctl_doc, "detector", "controller", _object, {})
     where = "controller.detector"
-    detector = DetectorConfig(
+    detector = _build(
+        DetectorConfig,
+        where,
         psi_threshold=_get(det_doc, "psi_threshold", where, _number, 0.001),
         dv_arr_threshold=_get(det_doc, "dv_arr_threshold", where, _number, 0.02),
         dv_mod_threshold=_get(det_doc, "dv_mod_threshold", where, _number, 0.02),
@@ -388,7 +408,9 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         periodic_trigger_s=_get(det_doc, "periodic_trigger_s", where, _number, 5.0),
         psi_probe_frac=_get(det_doc, "psi_probe_frac", where, _number, 0.01),
     )
-    controller = ControllerConfig(
+    controller = _build(
+        ControllerConfig,
+        "controller",
         detector=detector,
         po_period_s=_get(ctl_doc, "po_period_s", "controller", _number, 0.02),
         adc_period_s=_get(ctl_doc, "adc_period_s", "controller", _number, 5e-4),
@@ -710,6 +732,13 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
             sample_module=scn.sample_module,
         )
         curve = sweep_curve(spec, 0.01)
+        slope = float(np.max(np.abs(np.diff(curve.i) / np.diff(curve.v))))
+        if slope * dt / conv.c_pv > STEP_NUMBER_MAX:
+            raise ScenarioError(
+                f"array.n_parallel: {scn.n_parallel} strings give timeline[{k}] a slope of "
+                f"{slope:.3g} A/V, and slope*dt_s/c_pv_f = {slope * dt / conv.c_pv:.3g} is "
+                f"above the integrator's {STEP_NUMBER_MAX}; lower dt_s"
+            )
         v_star, p_star = oracle_gmpp(curve)
         windows.append(
             {

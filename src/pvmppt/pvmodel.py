@@ -24,6 +24,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import least_squares
 
+try:
+    from numpy._core.multiarray import interp as _interp
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import interp as _interp
+
 from .solver import SolverError, golden_section_max, solve_decreasing
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -35,7 +40,12 @@ STC_IRRADIANCE = 1.0  # kW/m^2
 
 
 class ValidationError(ValueError):
-    """Input data violates a documented invariant."""
+    """Input data violates a documented invariant; ``field`` names the
+    constructor argument at fault, where there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class CalibrationError(RuntimeError):
@@ -184,7 +194,11 @@ class PvCurve:
         return len(self.v)
 
     def current_at(self, v: float | np.ndarray):
-        return np.interp(v, self.v, self.i, right=0.0)
+        """``np.interp(v, self.v, self.i, right=0.0)``, called on the compiled
+        kernel that ``np.interp`` forwards to: same bits, without its
+        per-call dispatch and ``fp`` checks (the open-loop plant source
+        calls this four times per RK4 step)."""
+        return _interp(v, self.v, self.i, None, 0.0)
 
     def power_at(self, v: float | np.ndarray):
         return v * self.current_at(v)

@@ -421,6 +421,37 @@ class TestPsiWeightedAverage:
             assert psi_arr == pytest.approx(num / den, rel=1e-3)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (DetectorConfig, "power_change_trigger"),
+            (DetectorConfig, "periodic_trigger_s"),
+            (DetectorConfig, "psi_probe_frac"),
+            (ControllerConfig, "settle_s"),
+        ],
+    )
+    def test_negative_or_non_finite_rejected_naming_field(self, cls, name, value):
+        with pytest.raises(ValidationError) as err:
+            cls(**{name: value})
+        assert err.value.field == name
+        cls(**{name: 0.0})  # zero stays legal
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, name",
+        [
+            (DetectorConfig, {"dv_mod_threshold": 0.0}, "dv_mod_threshold"),
+            (ControllerConfig, {"po_step_v": -1.0}, "po_step_v"),
+            (ControllerConfig, {"po_period_s": 1e-4}, "po_period_s"),
+        ],
+    )
+    def test_existing_rules_name_their_field(self, cls, kwargs, name):
+        with pytest.raises(ValidationError) as err:
+            cls(**kwargs)
+        assert err.value.field == name
+
+
 class TestMeasurementValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import pvmppt.converter as converter
 from pvmppt.converter import (
     CommandSegment,
     CommandSignal,
@@ -12,7 +13,11 @@ from pvmppt.converter import (
     ConverterState,
     MeasurementNoise,
     PlantCurve,
+    TraceRecord,
+    _as_current_fn,
+    _command_profile,
     advance,
+    command_value,
     duty_for_voltage,
     run,
     step_ode,
@@ -313,3 +318,156 @@ class TestArraySpecSource:
             assert a.t == b.t
             assert abs(a.v_pv - b.v_pv) < 1e-6
             assert abs(a.i_pv - b.i_pv) < 1e-6
+
+
+def _run_per_step(
+    command, array, params, sample_period=5e-4, dt=5e-6, state0=None, noise=None, rng=None
+):
+    """The open-loop run as it was written before stretches: one ``step_ode``
+    call per step, a fresh ``ConverterState`` after each."""
+    i_of_v = _as_current_fn(array)
+    pieces = _command_profile(command)
+    horizon = sum(p[3] for p in pieces)
+    n_steps = round(horizon / dt)
+    per_sample = max(round(sample_period / dt), 1)
+    if state0 is None:
+        v0 = command_value(pieces, 0.0)
+        state0 = ConverterState(v_pv=v0, i_l=i_of_v(v0), t=0.0)
+    s = state0
+    trace = []
+
+    def record(state, v_cmd, duty):
+        v_meas = state.v_pv
+        i_meas = i_of_v(state.v_pv)
+        if noise is not None and rng is not None:
+            v_meas += rng.uniform(-noise.v_amplitude, noise.v_amplitude)
+            i_meas += rng.uniform(-noise.i_amplitude, noise.i_amplitude)
+        trace.append(TraceRecord(state.t, v_cmd, duty, v_meas, i_meas, v_meas * i_meas))
+
+    for n in range(n_steps):
+        t_mid = (n + 0.5) * dt
+        v_cmd = command_value(pieces, t_mid)
+        duty = duty_for_voltage(v_cmd, params.v_out)
+        if n % per_sample == 0:
+            record(s, command_value(pieces, n * dt), duty)
+        s = step_ode(s, duty, dt, i_of_v, params)
+        s = ConverterState(s.v_pv, s.i_l, t=(n + 1) * dt)
+    if n_steps > 0:
+        v_cmd = command_value(pieces, horizon)
+        record(s, v_cmd, duty_for_voltage(v_cmd, params.v_out))
+    return trace
+
+
+SEG = CommandSegment
+STEP_CMD = CommandSignal(  # the step and ramp of acceptance criterion 3
+    (SEG("hold", 30.0, duration_s=0.02), SEG("hold", 60.0, duration_s=0.1)), v_start=30.0
+)
+RAMP_CMD = CommandSignal(
+    (
+        SEG("hold", 60.0, duration_s=0.005),
+        SEG("ramp", 100.0, rate_v_per_s=4000.0),
+        SEG("hold", 100.0, duration_s=0.01),
+    ),
+    v_start=60.0,
+)
+# a 35-step ramp that ends between two samples of ten steps
+MID_SAMPLE_RAMP_CMD = CommandSignal(
+    (
+        SEG("hold", 60.0, duration_s=1e-4),
+        SEG("ramp", 60.7, rate_v_per_s=4000.0),
+        SEG("hold", 60.7, duration_s=3e-4),
+    ),
+    v_start=60.0,
+)
+# holds that end off the sample grid (14.6 steps per sample rounds to 15)
+OFF_GRID_CMD = CommandSignal(
+    (
+        SEG("hold", 30.0, duration_s=1.23e-3),
+        SEG("hold", 45.0, duration_s=7.7e-4),
+        SEG("ramp", 40.0, rate_v_per_s=20000.0),
+        SEG("hold", 50.0, duration_s=1.1e-3),
+    ),
+    v_start=30.0,
+)
+
+
+class TestRunStretches:
+    """``run`` steps each constant-duty stretch in one call: same records,
+    bit for bit, as one ``step_ode`` call per step."""
+
+    @staticmethod
+    def same(a, b):
+        assert [repr(r) for r in a] == [repr(r) for r in b]
+
+    @pytest.mark.parametrize(
+        "cmd, sample_period",
+        [
+            (STEP_CMD, 5e-5),
+            (RAMP_CMD, 5e-5),
+            (MID_SAMPLE_RAMP_CMD, 5e-5),
+            (OFF_GRID_CMD, 7.3e-5),
+            (OFF_GRID_CMD, 5e-6),
+            (CommandSignal((), v_start=60.0), 5e-4),
+        ],
+        ids=(
+            "step",
+            "ramp",
+            "ramp_ends_mid_sample",
+            "period_off_dt_grid",
+            "sample_every_step",
+            "empty",
+        ),
+    )
+    def test_equals_per_step_loop(self, array_130v_8a, cmd, sample_period):
+        self.same(
+            run(cmd, array_130v_8a, TABLE_PLANT, sample_period=sample_period),
+            _run_per_step(cmd, array_130v_8a, TABLE_PLANT, sample_period=sample_period),
+        )
+
+    def test_noise_with_rng_equals_per_step_loop(self, array_130v_8a):
+        noise = MeasurementNoise(v_amplitude=0.5, i_amplitude=0.05)
+        kw = dict(sample_period=5e-5, noise=noise)
+        self.same(
+            run(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, rng=random.Random(3), **kw),
+            _run_per_step(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, rng=random.Random(3), **kw),
+        )
+
+    def test_array_spec_source_equals_per_step_loop(self, spec_130v_8a):
+        self.same(
+            run(MID_SAMPLE_RAMP_CMD, spec_130v_8a, TABLE_PLANT, sample_period=5e-5),
+            _run_per_step(MID_SAMPLE_RAMP_CMD, spec_130v_8a, TABLE_PLANT, sample_period=5e-5),
+        )
+
+    def test_one_call_per_hold_sample_and_per_ramp_step(self, array_130v_8a, monkeypatch):
+        calls = []
+
+        def counting(s, duty, dt, array, params, n=1):
+            calls.append(n)
+            return step_ode(s, duty, dt, array, params, n)
+
+        monkeypatch.setattr(converter, "step_ode", counting)
+        run(STEP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5)
+        assert calls == [10] * 2400
+        calls.clear()
+        run(RAMP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5)
+        # 100 hold samples, 2000 ramp steps, 200 hold samples
+        assert len(calls) == 2300 and sum(calls) == 5000
+        assert calls[:100] == [10] * 100 and calls[-200:] == [10] * 200
+
+    def test_samples_stamped_from_state0_time(self, array_130v_8a):
+        s0 = ConverterState(v_pv=60.0, i_l=array_130v_8a(60.0), t=1.0)
+        late = run(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5, state0=s0)
+        dt = 5e-6  # 115 steps: samples at steps 0, 10, ..., 110 and the end
+        assert [r.t for r in late] == [1.0 + n * dt for n in range(0, 111, 10)] + [1.0 + 115 * dt]
+        s0_at_zero = ConverterState(v_pv=60.0, i_l=array_130v_8a(60.0))
+        early = run(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5, state0=s0_at_zero)
+        assert [r.v_pv for r in late] == [r.v_pv for r in early]
+
+    def test_noise_without_rng_rejected(self, array_130v_8a):
+        noise = MeasurementNoise(v_amplitude=0.5)
+        with pytest.raises(ValidationError, match="rng"):
+            run(STEP_CMD, array_130v_8a, TABLE_PLANT, noise=noise)
+
+    def test_step_count_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="step count"):
+            step_ode(ConverterState(100.0, 5.0), 0.5, 5e-6, lambda v: 5.0, TABLE_PLANT, 0)

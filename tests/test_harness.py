@@ -470,23 +470,46 @@ class TestCli:
         assert doc["events_total"] >= 2
 
     @pytest.mark.parametrize(
-        "path, value, field",
+        "edits, field",
         [
-            (("controller", "adc_period_s"), 0, "controller.adc_period_s"),
-            (("horizon_s",), float("nan"), "horizon_s"),
-            (("dt_s",), 1e-4, "dt_s"),
-            (("timeline", 1, "t_s"), float("nan"), "timeline[1].t_s"),
-            (("levels",), [1, 2, 3], "levels[0]"),
-            (("converter",), "x", "converter"),
-            (("seed",), "abc", "seed"),
-            (("levels", 0, 0), float("nan"), "levels[0]"),
-            (("levels", 0, 0), 5.0, "timeline[1].levels[0]"),
-            (("v_ref_start_v",), 300, "v_ref_start_v"),
-            (("horizon_s",), 61.0, "horizon_s"),
-            (("converter", "r_l_ohm"), 1e300, "converter.r_l_ohm"),
-            (("converter", "l_h"), 1e-6, "converter.l_h"),
-            (("converter", "c_pv_f"), 1e-6, "converter.c_pv_f"),
-            (("converter", "v_out_v"), 1e308, "converter.v_out_v"),
+            ({("controller", "adc_period_s"): 0}, "controller.adc_period_s"),
+            ({("horizon_s",): float("nan")}, "horizon_s"),
+            ({("dt_s",): 1e-4}, "dt_s"),
+            ({("timeline", 1, "t_s"): float("nan")}, "timeline[1].t_s"),
+            ({("levels",): [1, 2, 3]}, "levels[0]"),
+            ({("converter",): "x"}, "converter"),
+            ({("seed",): "abc"}, "seed"),
+            ({("levels", 0, 0): float("nan")}, "levels[0]"),
+            ({("levels", 0, 0): 5.0}, "timeline[1].levels[0]"),
+            ({("v_ref_start_v",): 300}, "v_ref_start_v"),
+            ({("horizon_s",): 61.0}, "horizon_s"),
+            ({("converter", "r_l_ohm"): 1e300}, "converter.r_l_ohm"),
+            ({("converter", "l_h"): 1e-6}, "converter.l_h"),
+            ({("converter", "c_pv_f"): 1e-6}, "converter.c_pv_f"),
+            ({("converter", "v_out_v"): 1e308}, "converter.v_out_v"),
+            ({("converter", "r_l_ohm"): -0.3}, "converter.r_l_ohm"),
+            ({("controller", "po_step_v"): -1.0}, "controller.po_step_v"),
+            ({("controller", "settle_s"): -0.02}, "controller.settle_s"),
+            (
+                {("controller", "detector", "periodic_trigger_s"): -5.0},
+                "controller.detector.periodic_trigger_s",
+            ),
+            (
+                {("controller", "detector", "power_change_trigger"): -0.03},
+                "controller.detector.power_change_trigger",
+            ),
+            (
+                {("controller", "detector", "psi_probe_frac"): -0.01},
+                "controller.detector.psi_probe_frac",
+            ),
+            (
+                {
+                    ("array", "n_parallel"): 100,
+                    ("timeline", 0, "pattern"): ["5-0-0"] * 100,
+                    ("timeline", 1, "pattern"): (["2-2-1", "1-3-1", "3-2-0"] * 34)[:100],
+                },
+                "array.n_parallel",
+            ),
         ],
         ids=(
             "adc_period_zero",
@@ -504,14 +527,22 @@ class TestCli:
             "inductance_below_envelope",
             "capacitance_below_envelope",
             "link_voltage_above_envelope",
+            "inductor_resistance_negative",
+            "po_step_negative",
+            "settle_negative",
+            "periodic_trigger_negative",
+            "power_change_trigger_negative",
+            "probe_fraction_negative",
+            "strings_beyond_integrator_slope",
         ),
     )
-    def test_out_of_range_timing_rejected(self, tmp_path, capsys, path, value, field):
+    def test_out_of_range_timing_rejected(self, tmp_path, capsys, edits, field):
         doc = json.loads((SCENARIO_DIR / "benchmark_psc1.json").read_text())
-        node = doc
-        for key in path[:-1]:
-            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
-        node[path[-1]] = value
+        for path, value in edits.items():
+            node = doc
+            for key in path[:-1]:
+                node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+            node[path[-1]] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         rc = cli_main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])

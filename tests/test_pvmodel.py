@@ -306,6 +306,26 @@ class TestSweepAndOracle:
         with pytest.raises(ValidationError):
             oracle_gmpp(empty)
 
+    def test_current_at_matches_np_interp(self, nd_module):
+        curve = sweep_curve(two_level_string(nd_module, 4, 2, 2.0), 0.01)
+        voc = float(curve.v[-1])
+        rnd = random.Random(5)
+        scalars = (
+            [rnd.uniform(-1.0, voc + 1.0) for _ in range(2000)]
+            + curve.v.tolist()
+            + [0.0, -0.0, voc, float("nan")]
+        )
+        for v in scalars:
+            got = curve.current_at(v)
+            want = np.interp(v, curve.v, curve.i, right=0.0)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want, equal_nan=True) and repr(got) == repr(want)
+        arr = np.array(scalars)
+        got = curve.current_at(arr)
+        want = np.interp(arr, curve.v, curve.i, right=0.0)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 @pytest.fixture(scope="module")
 def grid_results(nd_module):
