@@ -9,7 +9,6 @@ from .control import (
     ReferenceModel,
     compute_psi,
     controller_tick,
-    detect_psc,
     po_step,
     reads_sample_module,
     scan_step,

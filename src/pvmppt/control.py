@@ -47,11 +47,13 @@ class Mode(str, Enum):
 _GOTO_REF, _TRIM_REF, _GOTO_LO, _GOTO_HI = range(4)
 
 
-def _non_negative(cfg, *names: str) -> None:
+def _finite(cfg, *names: str, zero_ok: bool) -> None:
+    """Reject a non-finite or negative value, and zero unless ``zero_ok``."""
     for name in names:
         value = getattr(cfg, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValidationError(f"{name} must be finite and non-negative, got {value}", name)
+        if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+            kind = "non-negative" if zero_ok else "positive"
+            raise ValidationError(f"{name} must be finite and {kind}, got {value}", name)
 
 
 @dataclass(frozen=True)
@@ -64,20 +66,17 @@ class DetectorConfig:
     power_change_trigger: float = 0.03  # fraction of last power
     periodic_trigger_s: float = 5.0
     psi_probe_frac: float = 0.01  # probe half-width as fraction of V_mpp-arr
-    psi_probe_dv: float | None = None  # absolute override [V]
 
     def probe_dv(self, v_mpp_arr: float) -> float:
-        if self.psi_probe_dv is not None:
-            return self.psi_probe_dv
         return self.psi_probe_frac * v_mpp_arr
 
     def __post_init__(self) -> None:
         for name in ("psi_threshold", "dv_arr_threshold", "dv_mod_threshold"):
             if getattr(self, name) <= 0:
                 raise ValidationError("detector thresholds must be positive", name)
-        if self.psi_probe_dv is not None and self.psi_probe_dv <= 0:
-            raise ValidationError("psi_probe_dv must be positive", "psi_probe_dv")
-        _non_negative(self, "power_change_trigger", "periodic_trigger_s", "psi_probe_frac")
+        # a zero trigger detects on every P&O tick and never lets P&O settle
+        _finite(self, "power_change_trigger", "periodic_trigger_s", zero_ok=False)
+        _finite(self, "psi_probe_frac", zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ class ControllerConfig:
         for name in ("ramp_rate_v_per_s", "po_step_v"):
             if getattr(self, name) <= 0:
                 raise ValidationError("rates and steps must be positive", name)
-        _non_negative(self, "settle_s")
+        _finite(self, "settle_s", zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class ReferenceModel:
     """Controller-side knowledge of the healthy (uniform) array.
 
     Built once from the calibrated plant model at commissioning time:
-    standard-condition MPP voltages, their temperature coefficients, the
+    standard-condition MPP voltages, their shared temperature coefficient, the
     rated open-circuit voltage and short-circuit current used by the
     scan pruning rules, and an optional irradiance-correction table.
     The table rows (one per commissioning temperature) map the measured
@@ -116,8 +115,7 @@ class ReferenceModel:
 
     v_mpp_arr_sc: float
     v_mpp_mod_sc: float
-    rho_arr: float  # fraction per degC, negative
-    rho_mod: float  # fraction per degC, negative
+    rho: float  # MPP voltage fraction per degC, negative
     v_oc_arr_rated: float
     i_sc_rated: float
     i_mpp_arr_sc: float
@@ -126,8 +124,8 @@ class ReferenceModel:
     irr_dv_arr: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rho_arr > 0 or self.rho_mod > 0:
-            raise ValidationError("temperature coefficients must be negative")
+        if self.rho > 0:
+            raise ValidationError("temperature coefficient must be negative")
         if not (len(self.irr_t_rows) == len(self.irr_ln_ratio) == len(self.irr_dv_arr)):
             raise ValidationError("irradiance table rows must match")
 
@@ -167,10 +165,9 @@ def update_references(
     the references is corrected through the commissioning table (the
     shift scales with absolute temperature like the diode voltage).
     """
-    k_arr = 1.0 - abs(ref.rho_arr) * (t_sample_c - 25.0)
-    k_mod = 1.0 - abs(ref.rho_mod) * (t_sample_c - 25.0)
-    v_arr = ref.v_mpp_arr_sc * k_arr
-    v_mod = ref.v_mpp_mod_sc * k_mod
+    k = 1.0 - abs(ref.rho) * (t_sample_c - 25.0)
+    v_arr = ref.v_mpp_arr_sc * k
+    v_mod = ref.v_mpp_mod_sc * k
     if i_arr is not None and ref.irr_t_rows:
         ratio = max(i_arr, 1e-6 * ref.i_mpp_arr_sc) / ref.i_mpp_arr_sc
         ln_r = math.log(ratio)
@@ -219,13 +216,6 @@ def criteria_fired(
         bool(abs(v_local_err) > cfg.dv_arr_threshold),
         bool(abs(v_mod_err) > cfg.dv_mod_threshold),
     )
-
-
-def detect_psc(
-    psi: float, v_local_err: float, v_mod_err: float, cfg: DetectorConfig
-) -> bool:
-    """Partial shading verdict: true iff at least one criterion fires."""
-    return any(criteria_fired(psi, v_local_err, v_mod_err, cfg))
 
 
 @dataclass
@@ -442,18 +432,25 @@ def reads_sample_module(state: ControllerState, t: float) -> bool:
     )
 
 
+def _slew(state: ControllerState, m: Measurement, cfg: ControllerConfig) -> bool:
+    """Move the command one ramp step toward ``slew_target``.  On arrival,
+    clear the target, start the settle time and return True."""
+    dv_cmd = cfg.ramp_rate_v_per_s * cfg.adc_period_s
+    delta = state.slew_target - state.v_ref
+    if abs(delta) > dv_cmd:
+        state.v_ref += math.copysign(dv_cmd, delta)
+        return False
+    state.v_ref = state.slew_target
+    state.slew_target = math.nan
+    state.settle_until = m.t + cfg.settle_s
+    return True
+
+
 def _detect_tick(state: ControllerState, m: Measurement, cfg: ControllerConfig, ref: ReferenceModel) -> None:
     """Advance the detection sequence: reach the reference, trim the
     open-loop offset, read the sample module, probe PSI on both sides."""
-    dv_cmd = cfg.ramp_rate_v_per_s * cfg.adc_period_s
     if not math.isnan(state.slew_target):
-        delta = state.slew_target - state.v_ref
-        if abs(delta) > dv_cmd:
-            state.v_ref += math.copysign(dv_cmd, delta)
-            return
-        state.v_ref = state.slew_target
-        state.slew_target = math.nan
-        state.settle_until = m.t + cfg.settle_s
+        _slew(state, m, cfg)
         return
     if math.isfinite(state.settle_until) and m.t < state.settle_until:
         return
@@ -524,17 +521,9 @@ def controller_tick(
     elif mode in (Mode.SCAN_UP, Mode.SCAN_DOWN):
         scan_step(state, m, ref, cfg.ramp_rate_v_per_s, cfg.adc_period_s)
     elif mode is Mode.SETTLE_TO_BEST:
-        dv_cmd = cfg.ramp_rate_v_per_s * cfg.adc_period_s
         if not math.isnan(state.slew_target):
-            delta = state.slew_target - state.v_ref
-            if abs(delta) > dv_cmd:
-                state.v_ref += math.copysign(dv_cmd, delta)
-            else:
-                state.v_ref = state.slew_target
-                state.slew_target = math.nan
-                state.settle_until = m.t + cfg.settle_s
-                if state.episode is not None:
-                    state.episode.t_arrived = m.t
+            if _slew(state, m, cfg) and state.episode is not None:
+                state.episode.t_arrived = m.t
         elif m.t + 1e-12 >= state.settle_until:
             ep = state.episode
             if ep is not None:

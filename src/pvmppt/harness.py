@@ -214,6 +214,15 @@ class Scenario:
         v_out = conv.v_out
         if self.v_ref_start is not None and not (0.0 <= self.v_ref_start <= v_out):
             raise ScenarioError(f"v_ref_start_v: {self.v_ref_start} outside [0, v_out = {v_out}]")
+        for where, value in (("n_series", self.n_series), ("n_parallel", self.n_parallel)):
+            if value < 1:
+                raise ScenarioError(f"array.{where}: must be at least 1, got {value}")
+        s, j = self.sample_module
+        if not (0 <= s < self.n_parallel and 0 <= j < self.n_series):
+            raise ScenarioError(
+                f"array.sample_module: [{s}, {j}] outside the array of {self.n_parallel} "
+                f"strings x {self.n_series} modules"
+            )
         for k, e in enumerate(self.events):
             for j, level in enumerate(e.pattern.levels):
                 if not (0.0 <= level.irradiance <= STC_IRRADIANCE):
@@ -508,8 +517,7 @@ def build_reference_model(
     return ReferenceModel(
         v_mpp_arr_sc=v_sc,
         v_mpp_mod_sc=v_sc / n_series,
-        rho_arr=rho,
-        rho_mod=rho,
+        rho=rho,
         v_oc_arr_rated=n_series * module_open_circuit_voltage(module, stc),
         i_sc_rated=n_parallel * module_current(module, stc, 0.0),
         i_mpp_arr_sc=i_mpp_sc,
@@ -567,13 +575,18 @@ def _hill_climb(curve: PvCurve, v_start: float) -> float:
     return v_rest
 
 
+def _sample_module_voltage(spec: ArraySpec, v: float) -> float:
+    """Voltage of ``spec.sample_module`` with its string held at ``v``."""
+    s_idx, pos = spec.sample_module
+    i_str = string_current(spec, s_idx, v)
+    return module_voltage(spec.params_at(s_idx, pos), spec.conditions[s_idx][pos], i_str)
+
+
 def detect_pattern(
     spec: ArraySpec,
     ref: ReferenceModel,
     cfg: DetectorConfig = DetectorConfig(),
     s_prior: float | None = None,
-    t_sample_override: float | None = None,
-    curve: PvCurve | None = None,
 ) -> StaticDetection:
     """Evaluate the three detection criteria on the exact array curve.
 
@@ -582,14 +595,9 @@ def detect_pattern(
     from standard conditions); ``None`` assumes steady operation at the
     given pattern and reads the correction current off the curve itself.
     """
-    if curve is None:
-        curve = sweep_curve(spec, 0.01)
+    curve = sweep_curve(spec, 0.01)
     s_idx, pos = spec.sample_module
-    t_s = (
-        t_sample_override
-        if t_sample_override is not None
-        else spec.conditions[s_idx][pos].temperature
-    )
+    t_s = spec.conditions[s_idx][pos].temperature
 
     v_start, _ = update_references(ref, t_s)
     v_rest = _hill_climb(curve, v_start)
@@ -605,11 +613,7 @@ def detect_pattern(
     psi = compute_psi(lo, hi)
 
     dv_arr = (v_rest - v_arr_u) / v_arr_u
-    i_str = string_current(spec, s_idx, v_arr_u)
-    v_samp = module_voltage(
-        spec.params_at(s_idx, pos), spec.conditions[s_idx][pos], i_str
-    )
-    dv_mod = (v_samp - v_mod_u) / v_mod_u
+    dv_mod = (_sample_module_voltage(spec, v_arr_u) - v_mod_u) / v_mod_u
 
     fired = criteria_fired(psi, dv_arr, dv_mod, cfg)
     return StaticDetection(
@@ -722,15 +726,9 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     # per-event plant data
     event_ticks = [round(e.t / adc) for e in scn.events]
     windows = []
+    s_idx, pos = scn.sample_module
     for k, e in enumerate(scn.events):
-        grid = e.pattern.expand(scn.n_series)
-        spec = ArraySpec(
-            n_series=scn.n_series,
-            n_parallel=scn.n_parallel,
-            module=module,
-            conditions=grid,
-            sample_module=scn.sample_module,
-        )
+        spec = base_array_spec(scn, k)
         curve = sweep_curve(spec, 0.01)
         slope = float(np.max(np.abs(np.diff(curve.i) / np.diff(curve.v))))
         if slope * dt / conv.c_pv > STEP_NUMBER_MAX:
@@ -744,10 +742,9 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
             {
                 "event": e,
                 "spec": spec,
-                "curve": curve,
                 "plant": PlantCurve(curve),
                 "oracle": (v_star, p_star),
-                "t_sample": grid[scn.sample_module[0]][scn.sample_module[1]].temperature,
+                "t_sample": spec.conditions[s_idx][pos].temperature,
                 "tick_start": event_ticks[k],
                 "tick_end": event_ticks[k + 1] if k + 1 < len(scn.events) else n_ticks,
             }
@@ -765,7 +762,6 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     cur = windows[0]["plant"]
     t_sample = windows[0]["t_sample"]
     spec_now = windows[0]["spec"]
-    s_idx, pos = scn.sample_module
 
     for tick in range(n_ticks):
         if widx + 1 < len(windows) and tick >= windows[widx + 1]["tick_start"]:
@@ -781,10 +777,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
             v_meas += rng.uniform(-scn.noise.v_amplitude, scn.noise.v_amplitude)
             i_meas = max(i_meas + rng.uniform(-scn.noise.i_amplitude, scn.noise.i_amplitude), 0.0)
         if reads_sample_module(state, t):
-            i_str = string_current(spec_now, s_idx, max(v_meas, 0.0))
-            v_samp = module_voltage(
-                spec_now.params_at(s_idx, pos), spec_now.conditions[s_idx][pos], i_str
-            )
+            v_samp = _sample_module_voltage(spec_now, max(v_meas, 0.0))
         else:
             v_samp = math.nan
         m = Measurement(v=v_meas, i=i_meas, t=t, v_sample_mod=v_samp, t_sample_mod=t_sample)

@@ -103,7 +103,6 @@ class ModuleParams:
     n_cells: int
     v_bypass: float = -0.7  # conducting bypass-diode clamp [V]
     rho_mod: float = -0.00329  # V_mpp fraction per degC, negative
-    current_temp_coeff: float = 0.0  # photocurrent fraction per degC
 
     def __post_init__(self) -> None:
         if self.r_s < 0.0 or self.r_sh <= 0.0 or self.i_o_ref <= 0.0:
@@ -218,7 +217,7 @@ def thermal_voltage(n_cells: int, temperature_c: float) -> float:
 def _env(p: ModuleParams, c: ModuleCondition) -> tuple[float, float, float]:
     """(A*Vt, I_pv, I_o) of a module at its condition."""
     a = p.ideality_a * thermal_voltage(p.n_cells, c.temperature)
-    i_pv = p.i_pv_ref * c.irradiance * (1.0 + p.current_temp_coeff * (c.temperature - T_REF_C))
+    i_pv = p.i_pv_ref * c.irradiance
     t_k = c.temperature + KELVIN_OFFSET
     t0_k = T_REF_C + KELVIN_OFFSET
     exponent = (BAND_GAP_EV * ELECTRON_CHARGE_C / (p.ideality_a * BOLTZMANN_J_PER_K)) * (
@@ -230,6 +229,25 @@ def _env(p: ModuleParams, c: ModuleCondition) -> tuple[float, float, float]:
 
 def _exp(arg: float) -> float:
     return math.exp(min(arg, 500.0))
+
+
+def _bracket(f, center: float) -> tuple[float, float]:
+    """(lo, hi) with f(lo) >= 0 >= f(hi) for a decreasing ``f``, grown
+    outward from ``center`` in doubling steps (80 at most each way)."""
+    width = 1.0 + 0.1 * abs(center)
+    lo, hi = center - width, center + width
+    for _ in range(80):
+        if f(lo) >= 0.0:
+            break
+        lo -= width
+        width *= 2.0
+    width = 1.0 + 0.1 * abs(center)
+    for _ in range(80):
+        if f(hi) <= 0.0:
+            break
+        hi += width
+        width *= 2.0
+    return lo, hi
 
 
 def module_current(p: ModuleParams, c: ModuleCondition, v: float) -> float:
@@ -253,19 +271,7 @@ def module_current(p: ModuleParams, c: ModuleCondition, v: float) -> float:
         return -i_o * p.r_s / a * _exp(x / a) - p.r_s / p.r_sh - 1.0
 
     center = i_pv - i_o * math.expm1(v / a) - v / p.r_sh  # Rs=0 solution
-    width = 1.0 + 0.1 * abs(center)
-    lo, hi = center - width, center + width
-    for _ in range(80):
-        if f(lo) >= 0.0:
-            break
-        lo -= width
-        width *= 2.0
-    width = 1.0 + 0.1 * abs(center)
-    for _ in range(80):
-        if f(hi) <= 0.0:
-            break
-        hi += width
-        width *= 2.0
+    lo, hi = _bracket(f, center)
     scale = max(i_pv, abs(center), 1e-12)
     return solve_decreasing(f, lo, hi, fprime, ftol=1e-12 * scale)
 
@@ -414,20 +420,7 @@ def uniform_array_current(
         x = v + r_s * i
         return -io_arr * r_s / a_arr * _exp(x / a_arr) - r_s / r_sh - 1.0
 
-    center = ipv_arr - io_arr * math.expm1(v / a_arr) - v / r_sh
-    width = 1.0 + 0.1 * abs(center)
-    lo, hi = center - width, center + width
-    for _ in range(80):
-        if f(lo) >= 0.0:
-            break
-        lo -= width
-        width *= 2.0
-    width = 1.0 + 0.1 * abs(center)
-    for _ in range(80):
-        if f(hi) <= 0.0:
-            break
-        hi += width
-        width *= 2.0
+    lo, hi = _bracket(f, ipv_arr - io_arr * math.expm1(v / a_arr) - v / r_sh)
     return max(solve_decreasing(f, lo, hi, fprime, ftol=1e-12 * max(ipv_arr, 1.0)), 0.0)
 
 
@@ -477,18 +470,6 @@ def _string_curve(spec: ArraySpec, string_idx: int) -> tuple[np.ndarray, np.ndar
     return v_sorted[keep], i_sorted[keep]
 
 
-def string_current_batch(spec: ArraySpec, string_idx: int, v: np.ndarray) -> np.ndarray:
-    v_pts, i_pts = _string_curve(spec, string_idx)
-    return np.interp(v, v_pts, i_pts, right=0.0)
-
-
-def array_current_batch(spec: ArraySpec, v: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(np.asarray(v, dtype=float))
-    for s in range(spec.n_parallel):
-        total += string_current_batch(spec, s, v)
-    return np.maximum(total, 0.0)
-
-
 def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
     """Dense P-V sweep from 0 to the array open-circuit voltage."""
     if not (0.0 < v_step <= 0.05):
@@ -501,7 +482,11 @@ def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
     v = np.arange(0.0, voc, v_step)
     if v[-1] < voc:
         v = np.append(v, voc)
-    i = array_current_batch(spec, v)
+    i = np.zeros_like(v)
+    for s in range(spec.n_parallel):
+        v_pts, i_pts = _string_curve(spec, s)
+        i += np.interp(v, v_pts, i_pts, right=0.0)
+    i = np.maximum(i, 0.0)
     i[-1] = 0.0
     return PvCurve(v=v, i=i, p=v * i, v_step=v_step)
 

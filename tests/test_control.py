@@ -15,7 +15,6 @@ from pvmppt.control import (
     compute_psi,
     controller_tick,
     criteria_fired,
-    detect_psc,
     make_controller_state,
     po_step,
     reads_sample_module,
@@ -43,8 +42,7 @@ def simple_ref(**overrides) -> ReferenceModel:
     fields = dict(
         v_mpp_arr_sc=118.0,
         v_mpp_mod_sc=23.6,
-        rho_arr=-0.00329,
-        rho_mod=-0.00329,
+        rho=-0.00329,
         v_oc_arr_rated=148.5,
         i_sc_rated=26.04,
         i_mpp_arr_sc=24.44,
@@ -66,13 +64,13 @@ class TestUpdateReferences:
         assert v_arr == pytest.approx(118.0 * (1.0 - 0.00329 * 10.0))
 
     def test_zero_coefficient_keeps_sc_values(self):
-        ref = simple_ref(rho_arr=0.0, rho_mod=0.0)
+        ref = simple_ref(rho=0.0)
         for t in (-10.0, 25.0, 60.0):
             assert update_references(ref, t) == (118.0, 23.6)
 
     def test_positive_coefficient_rejected(self):
         with pytest.raises(ValidationError):
-            simple_ref(rho_arr=0.001)
+            simple_ref(rho=0.001)
 
     def test_irradiance_correction_lowers_reference_at_low_current(self, ref_3x5):
         full_arr, full_mod = update_references(ref_3x5, 25.0, i_arr=ref_3x5.i_mpp_arr_sc)
@@ -136,21 +134,21 @@ class TestComputePsi:
 
 class TestDetectPsc:
     def test_all_below_thresholds(self):
-        assert detect_psc(0.0005, 0.01, 0.01, DetectorConfig()) is False
+        assert not any(criteria_fired(0.0005, 0.01, 0.01, DetectorConfig()))
 
     @pytest.mark.parametrize(
         "psi,dv_arr,dv_mod",
         [(0.0011, 0.0, 0.0), (0.0, 0.021, 0.0), (0.0, 0.0, -0.021)],
     )
     def test_single_criterion_suffices(self, psi, dv_arr, dv_mod):
-        assert detect_psc(psi, dv_arr, dv_mod, DetectorConfig()) is True
+        assert any(criteria_fired(psi, dv_arr, dv_mod, DetectorConfig()))
 
     def test_fired_flags_match_thresholds(self):
         cfg = DetectorConfig()
         assert criteria_fired(0.002, 0.01, 0.05, cfg) == (True, False, True)
 
     def test_negative_values_use_magnitude(self):
-        assert detect_psc(-0.002, 0.0, 0.0, DetectorConfig()) is True
+        assert any(criteria_fired(-0.002, 0.0, 0.0, DetectorConfig()))
 
 
 class TestPoStep:
@@ -436,7 +434,21 @@ class TestConfigValidation:
         with pytest.raises(ValidationError) as err:
             cls(**{name: value})
         assert err.value.field == name
-        cls(**{name: 0.0})  # zero stays legal
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(DetectorConfig, "psi_probe_frac"), (ControllerConfig, "settle_s")],
+    )
+    def test_zero_stays_legal(self, cls, name):
+        cls(**{name: 0.0})
+
+    @pytest.mark.parametrize("name", ["power_change_trigger", "periodic_trigger_s"])
+    def test_zero_trigger_rejected_naming_field(self, name):
+        # a zero trigger starts a detection on every P&O tick
+        with pytest.raises(ValidationError) as err:
+            DetectorConfig(**{name: 0.0})
+        assert err.value.field == name
+        DetectorConfig(**{name: 1e-3})  # small but positive stays legal
 
     @pytest.mark.parametrize(
         "cls, kwargs, name",

@@ -130,7 +130,7 @@ class TestReferenceModel:
         assert ref_3x5.v_mpp_arr_sc == pytest.approx(5 * ref_3x5.v_mpp_mod_sc, rel=1e-12)
 
     def test_rho_negative_and_plausible(self, ref_3x5):
-        assert -0.005 < ref_3x5.rho_arr < -0.002
+        assert -0.005 < ref_3x5.rho < -0.002
 
     def test_rated_limits(self, ref_3x5):
         assert ref_3x5.v_oc_arr_rated == pytest.approx(5 * 29.7, rel=0.01)
@@ -503,6 +503,17 @@ class TestCli:
                 "controller.detector.psi_probe_frac",
             ),
             (
+                {("controller", "detector", "periodic_trigger_s"): 0.0},
+                "controller.detector.periodic_trigger_s",
+            ),
+            (
+                {("controller", "detector", "power_change_trigger"): 0.0},
+                "controller.detector.power_change_trigger",
+            ),
+            ({("array", "sample_module"): [9, 9]}, "array.sample_module"),
+            ({("array", "n_series"): 0}, "array.n_series"),
+            ({("array", "n_parallel"): 0}, "array.n_parallel"),
+            (
                 {
                     ("array", "n_parallel"): 100,
                     ("timeline", 0, "pattern"): ["5-0-0"] * 100,
@@ -533,6 +544,11 @@ class TestCli:
             "periodic_trigger_negative",
             "power_change_trigger_negative",
             "probe_fraction_negative",
+            "periodic_trigger_zero",
+            "power_change_trigger_zero",
+            "sample_module_outside",
+            "series_count_zero",
+            "parallel_count_zero",
             "strings_beyond_integrator_slope",
         ),
     )

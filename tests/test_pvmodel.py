@@ -16,7 +16,6 @@ from pvmppt.pvmodel import (
     STC,
     ValidationError,
     array_current,
-    array_current_batch,
     array_open_circuit_voltage,
     calibrate_module,
     local_maxima,
@@ -223,12 +222,12 @@ class TestStringAndArray:
                 assert composed == pytest.approx(direct, rel=1e-6, abs=1e-6)
 
     def test_batch_matches_scalar(self, nd_module):
+        # the swept currents against the scalar path at 37 evenly spaced
+        # sweep points, both ends included
         spec = two_level_string(nd_module, 4, 2, 2.0)
-        voc = array_open_circuit_voltage(spec)
-        vs = np.linspace(0.0, voc, 37)
-        batch = array_current_batch(spec, vs)
-        for v, ib in zip(vs, batch):
-            assert abs(array_current(spec, float(v)) - ib) < 1e-4
+        curve = sweep_curve(spec, 0.01)
+        for j in np.linspace(0, len(curve) - 1, 37).round().astype(int):
+            assert abs(array_current(spec, float(curve.v[j])) - curve.i[j]) < 1e-4
 
     def test_aging_override_changes_curve(self, nd_module):
         aged = ModuleParams(
