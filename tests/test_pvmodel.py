@@ -222,8 +222,6 @@ class TestStringAndArray:
                 assert composed == pytest.approx(direct, rel=1e-6, abs=1e-6)
 
     def test_batch_matches_scalar(self, nd_module):
-        # the swept currents against the scalar path at 37 evenly spaced
-        # sweep points, both ends included
         spec = two_level_string(nd_module, 4, 2, 2.0)
         curve = sweep_curve(spec, 0.01)
         for j in np.linspace(0, len(curve) - 1, 37).round().astype(int):
