@@ -10,7 +10,6 @@ from .control import (
     compute_psi,
     controller_tick,
     po_step,
-    reads_sample_module,
     scan_step,
     update_references,
 )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -74,9 +75,11 @@ class DetectorConfig:
         for name in ("psi_threshold", "dv_arr_threshold", "dv_mod_threshold"):
             if getattr(self, name) <= 0:
                 raise ValidationError("detector thresholds must be positive", name)
-        # a zero trigger detects on every P&O tick and never lets P&O settle
-        _finite(self, "power_change_trigger", "periodic_trigger_s", zero_ok=False)
-        _finite(self, "psi_probe_frac", zero_ok=True)
+        # a zero trigger detects on every P&O tick and never lets P&O settle;
+        # a zero probe width puts both PSI probes at one voltage
+        _finite(
+            self, "power_change_trigger", "periodic_trigger_s", "psi_probe_frac", zero_ok=False
+        )
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,11 @@ class ReferenceModel:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One ADC conversion: array terminals plus the instrumented module.
-
-    ``v_sample_mod`` is NaN except on the tick where
-    ``reads_sample_module`` is true: that tick is the only one that
-    consumes it, and the plant is solved for it there alone."""
+    """One ADC conversion: array terminals plus the sample-module temperature."""
 
     v: float
     i: float
     t: float
-    v_sample_mod: float = math.nan
     t_sample_mod: float = 25.0
 
     def __post_init__(self) -> None:
@@ -220,14 +218,42 @@ def criteria_fired(
 
 @dataclass
 class DetectionOutcome:
-    t: float
     psi: float
     dv_arr_ratio: float  # signed
     dv_mod_ratio: float  # signed
     fired: tuple[bool, bool, bool]
     is_psc: bool
+    v_rest: float
     v_mpp_arr_updated: float
     v_mpp_mod_updated: float
+    t: float = math.nan  # controller time of the verdict; NaN for a static one
+
+    def to_dict(self) -> dict:
+        return {
+            "psi_per_v": self.psi,
+            "dv_arr_ratio": self.dv_arr_ratio,
+            "dv_mod_ratio": self.dv_mod_ratio,
+            "criteria_fired": list(self.fired),
+            "psc": self.is_psc,
+            "v_rest_v": self.v_rest,
+            "v_mpp_arr_updated_v": self.v_mpp_arr_updated,
+            "v_mpp_mod_updated_v": self.v_mpp_mod_updated,
+        }
+
+
+def detection_verdict(
+    v_rest: float, v_arr_upd: float, v_mod_upd: float, v_sample: float,
+    probe_lo: tuple[float, float], probe_hi: tuple[float, float], cfg: DetectorConfig,
+    t: float = math.nan,
+) -> DetectionOutcome:
+    """Judge one detection from its readings: the P&O rest voltage, the
+    updated (array, module) MPP references, the sample-module voltage with
+    the array at the array reference, and the two (v, p) PSI probes."""
+    psi = compute_psi(probe_lo, probe_hi)
+    dv_arr = (v_rest - v_arr_upd) / v_arr_upd
+    dv_mod = (v_sample - v_mod_upd) / v_mod_upd
+    fired = criteria_fired(psi, dv_arr, dv_mod, cfg)
+    return DetectionOutcome(psi, dv_arr, dv_mod, fired, any(fired), v_rest, v_arr_upd, v_mod_upd, t)
 
 
 @dataclass
@@ -277,18 +303,16 @@ class ControllerState:
     believed_uic: bool = True
     # detection sequence
     detect_phase: int = -1
-    detect_t0: float = math.nan
     detect_v_rest: float = math.nan
     detect_v_arr_upd: float = math.nan
     detect_v_mod_upd: float = math.nan
-    detect_dv_mod: float = math.nan
+    detect_v_sample: float = math.nan
     detect_center_cmd: float = math.nan
     detect_probe_lo: tuple[float, float] | None = None
     detect_seed: tuple[float, float] | None = None
     slew_target: float = math.nan
     # scan bookkeeping
     scan_floor_v: float = math.nan
-    settle_cmd_offset: float = 0.0
     episode: ScanEpisode | None = None
     episodes: list[ScanEpisode] = field(default_factory=list)
     detections: list[DetectionOutcome] = field(default_factory=list)
@@ -356,8 +380,8 @@ def scan_step(
             if pruned and not at_floor and ep is not None:
                 ep.prunes.append(PruneEvent("down", m.t, m.v, m.i, state.best_p))
             state.mode = Mode.SETTLE_TO_BEST
-            state.settle_cmd_offset = min(max(m.v - state.v_ref, -20.0), 20.0)
-            state.slew_target = max(state.best_v - state.settle_cmd_offset, 0.0)
+            cmd_offset = min(max(m.v - state.v_ref, -20.0), 20.0)
+            state.slew_target = max(state.best_v - cmd_offset, 0.0)
             state.settle_until = math.nan
         else:
             state.v_ref = max(state.v_ref - dv, 0.0)
@@ -365,7 +389,6 @@ def scan_step(
 
 
 def _begin_detection(state: ControllerState, m: Measurement, cfg: ControllerConfig, ref: ReferenceModel) -> None:
-    state.detect_t0 = m.t
     state.detect_v_rest = (
         sum(state.rest_v) / len(state.rest_v) if state.rest_v else m.v
     )
@@ -380,30 +403,16 @@ def _begin_detection(state: ControllerState, m: Measurement, cfg: ControllerConf
 
 
 def _finish_detection(
-    state: ControllerState, m: Measurement, cfg: ControllerConfig, ref: ReferenceModel,
-    probe_hi: tuple[float, float],
+    state: ControllerState, m: Measurement, cfg: ControllerConfig, probe_hi: tuple[float, float]
 ) -> None:
-    det = cfg.detector
-    psi = compute_psi(state.detect_probe_lo, probe_hi)
-    dv_arr = (state.detect_v_rest - state.detect_v_arr_upd) / state.detect_v_arr_upd
-    dv_mod = state.detect_dv_mod
-    fired = criteria_fired(psi, dv_arr, dv_mod, det)
-    is_psc = any(fired)
-    state.detections.append(
-        DetectionOutcome(
-            t=m.t,
-            psi=psi,
-            dv_arr_ratio=dv_arr,
-            dv_mod_ratio=dv_mod,
-            fired=fired,
-            is_psc=is_psc,
-            v_mpp_arr_updated=state.detect_v_arr_upd,
-            v_mpp_mod_updated=state.detect_v_mod_upd,
-        )
+    outcome = detection_verdict(
+        state.detect_v_rest, state.detect_v_arr_upd, state.detect_v_mod_upd, state.detect_v_sample,
+        state.detect_probe_lo, probe_hi, cfg.detector, t=m.t,
     )
+    state.detections.append(outcome)
     state.t_last_detect = m.t
     state.detect_phase = -1
-    if is_psc:
+    if outcome.is_psc:
         state.believed_uic = False
         seed_v, seed_p = state.detect_seed
         state.best_v, state.best_p = seed_v, seed_p
@@ -416,20 +425,6 @@ def _finish_detection(
         state.mode = Mode.PO
         state.last_power = m.p
         state.next_po_t = m.t + cfg.po_period_s
-
-
-def reads_sample_module(state: ControllerState, t: float) -> bool:
-    """True iff the tick at time ``t`` consumes ``Measurement.v_sample_mod``.
-
-    Mirrors the gates of ``_detect_tick``: the trim phase, with no slew
-    pending and the settle time elapsed.  Closed-loop simulations solve
-    the sample module only when this holds and pass NaN otherwise."""
-    return (
-        state.mode is Mode.DETECT_SETTLE
-        and state.detect_phase == _TRIM_REF
-        and math.isnan(state.slew_target)
-        and not (math.isfinite(state.settle_until) and t < state.settle_until)
-    )
 
 
 def _slew(state: ControllerState, m: Measurement, cfg: ControllerConfig) -> bool:
@@ -446,7 +441,10 @@ def _slew(state: ControllerState, m: Measurement, cfg: ControllerConfig) -> bool
     return True
 
 
-def _detect_tick(state: ControllerState, m: Measurement, cfg: ControllerConfig, ref: ReferenceModel) -> None:
+def _detect_tick(
+    state: ControllerState, m: Measurement, cfg: ControllerConfig,
+    read_sample_module: Callable[[], float],
+) -> None:
     """Advance the detection sequence: reach the reference, trim the
     open-loop offset, read the sample module, probe PSI on both sides."""
     if not math.isnan(state.slew_target):
@@ -456,8 +454,7 @@ def _detect_tick(state: ControllerState, m: Measurement, cfg: ControllerConfig, 
         return
     state.settle_until = math.nan
 
-    det = cfg.detector
-    probe_dv = det.probe_dv(state.detect_v_arr_upd)
+    probe_dv = cfg.detector.probe_dv(state.detect_v_arr_upd)
     phase = state.detect_phase
     if phase == _GOTO_REF:
         # one open-loop trim so the measured array voltage lands on the
@@ -465,14 +462,8 @@ def _detect_tick(state: ControllerState, m: Measurement, cfg: ControllerConfig, 
         state.detect_phase = _TRIM_REF
         state.slew_target = max(state.v_ref + (state.detect_v_arr_upd - m.v), 0.0)
     elif phase == _TRIM_REF:
-        if not math.isfinite(m.v_sample_mod):
-            raise ValidationError(
-                "sample-module voltage missing on the trim tick (see reads_sample_module)"
-            )
         state.detect_center_cmd = state.v_ref
-        state.detect_dv_mod = (
-            (m.v_sample_mod - state.detect_v_mod_upd) / state.detect_v_mod_upd
-        )
+        state.detect_v_sample = read_sample_module()
         state.detect_seed = (m.v, m.p)
         state.detect_phase = _GOTO_LO
         state.mode = Mode.DETECT_PROBE
@@ -482,7 +473,7 @@ def _detect_tick(state: ControllerState, m: Measurement, cfg: ControllerConfig, 
         state.detect_phase = _GOTO_HI
         state.slew_target = state.detect_center_cmd + probe_dv
     elif phase == _GOTO_HI:
-        _finish_detection(state, m, cfg, ref, (m.v, m.p))
+        _finish_detection(state, m, cfg, (m.v, m.p))
 
 
 def controller_tick(
@@ -490,12 +481,15 @@ def controller_tick(
     m: Measurement,
     cfg: ControllerConfig,
     ref: ReferenceModel,
+    read_sample_module: Callable[[], float],
 ) -> tuple[float, ControllerState]:
     """Advance the controller by one ADC sample; returns the new command.
 
     P&O acts at its own (slower) cadence; detection and scanning act on
     every sample.  Detection is entered from P&O on a noticeable power
-    change or periodically."""
+    change or periodically.  ``read_sample_module()`` returns the sample
+    module's voltage at the present array voltage; it is called once per
+    detection, on the trim tick that holds the array at its reference."""
     mode = state.mode
     if mode is Mode.PO:
         if m.t + 1e-12 >= state.next_po_t:
@@ -517,7 +511,7 @@ def controller_tick(
                 if state.believed_uic and len(state.rest_i) == state.rest_i.maxlen:
                     state.uic_current = sum(state.rest_i) / len(state.rest_i)
     elif mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE):
-        _detect_tick(state, m, cfg, ref)
+        _detect_tick(state, m, cfg, read_sample_module)
     elif mode in (Mode.SCAN_UP, Mode.SCAN_DOWN):
         scan_step(state, m, ref, cfg.ramp_rate_v_per_s, cfg.adc_period_s)
     elif mode is Mode.SETTLE_TO_BEST:

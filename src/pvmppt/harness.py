@@ -21,15 +21,14 @@ import numpy as np
 from .control import (
     ControllerConfig,
     ControllerState,
+    DetectionOutcome,
     DetectorConfig,
     Measurement,
     Mode,
     ReferenceModel,
-    criteria_fired,
-    compute_psi,
     controller_tick,
+    detection_verdict,
     make_controller_state,
-    reads_sample_module,
     update_references,
 )
 from .converter import (
@@ -371,7 +370,6 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
             r_sh=_get(p, "r_sh_ohm", where, _number),
             n_cells=_get(p, "n_cells", where, _integer),
             v_bypass=_get(p, "v_bypass_v", where, _number, -0.7),
-            rho_mod=_get(p, "rho_mod_frac_per_c", where, _number, -0.00329),
         )
     else:
         raise ScenarioError("module: needs 'datasheet' or 'params'")
@@ -532,30 +530,6 @@ def build_reference_model(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StaticDetection:
-    psi: float
-    dv_arr_ratio: float
-    dv_mod_ratio: float
-    fired: tuple[bool, bool, bool]
-    is_psc: bool
-    v_rest: float
-    v_mpp_arr_updated: float
-    v_mpp_mod_updated: float
-
-    def to_dict(self) -> dict:
-        return {
-            "psi_per_v": self.psi,
-            "dv_arr_ratio": self.dv_arr_ratio,
-            "dv_mod_ratio": self.dv_mod_ratio,
-            "criteria_fired": list(self.fired),
-            "psc": self.is_psc,
-            "v_rest_v": self.v_rest,
-            "v_mpp_arr_updated_v": self.v_mpp_arr_updated,
-            "v_mpp_mod_updated_v": self.v_mpp_mod_updated,
-        }
-
-
 def _hill_climb(curve: PvCurve, v_start: float) -> float:
     """Local MPP voltage a P&O tracker starting at ``v_start`` settles on."""
     j = int(np.clip(np.searchsorted(curve.v, v_start), 1, len(curve.v) - 2))
@@ -587,7 +561,7 @@ def detect_pattern(
     ref: ReferenceModel,
     cfg: DetectorConfig = DetectorConfig(),
     s_prior: float | None = None,
-) -> StaticDetection:
+) -> DetectionOutcome:
     """Evaluate the three detection criteria on the exact array curve.
 
     ``s_prior`` is the last known uniform irradiance fraction used for
@@ -610,22 +584,8 @@ def detect_pattern(
     dv = cfg.probe_dv(v_arr_u)
     lo = (v_arr_u - dv, float(curve.power_at(v_arr_u - dv)))
     hi = (v_arr_u + dv, float(curve.power_at(v_arr_u + dv)))
-    psi = compute_psi(lo, hi)
-
-    dv_arr = (v_rest - v_arr_u) / v_arr_u
-    dv_mod = (_sample_module_voltage(spec, v_arr_u) - v_mod_u) / v_mod_u
-
-    fired = criteria_fired(psi, dv_arr, dv_mod, cfg)
-    return StaticDetection(
-        psi=float(psi),
-        dv_arr_ratio=float(dv_arr),
-        dv_mod_ratio=float(dv_mod),
-        fired=fired,
-        is_psc=any(fired),
-        v_rest=float(v_rest),
-        v_mpp_arr_updated=float(v_arr_u),
-        v_mpp_mod_updated=float(v_mod_u),
-    )
+    v_samp = float(_sample_module_voltage(spec, v_arr_u))
+    return detection_verdict(float(v_rest), v_arr_u, v_mod_u, v_samp, lo, hi, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +723,9 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     t_sample = windows[0]["t_sample"]
     spec_now = windows[0]["spec"]
 
+    def read_sample_module() -> float:
+        return _sample_module_voltage(spec_now, max(v_meas, 0.0))
+
     for tick in range(n_ticks):
         if widx + 1 < len(windows) and tick >= windows[widx + 1]["tick_start"]:
             widx += 1
@@ -776,14 +739,10 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
         if noisy:
             v_meas += rng.uniform(-scn.noise.v_amplitude, scn.noise.v_amplitude)
             i_meas = max(i_meas + rng.uniform(-scn.noise.i_amplitude, scn.noise.i_amplitude), 0.0)
-        if reads_sample_module(state, t):
-            v_samp = _sample_module_voltage(spec_now, max(v_meas, 0.0))
-        else:
-            v_samp = math.nan
-        m = Measurement(v=v_meas, i=i_meas, t=t, v_sample_mod=v_samp, t_sample_mod=t_sample)
+        m = Measurement(v=v_meas, i=i_meas, t=t, t_sample_mod=t_sample)
 
         prev_cmd = cmd_applied
-        new_ref, state = controller_tick(state, m, cfg, ref)
+        new_ref, state = controller_tick(state, m, cfg, ref, read_sample_module)
         slew = state.mode in _RAMP_MODES
         in_scan = state.mode in (Mode.SCAN_UP, Mode.SCAN_DOWN, Mode.SETTLE_TO_BEST)
         trace.append(
@@ -935,25 +894,18 @@ def benchmark_scenario(
     horizon: float = 0.9,
     po_only: bool = False,
     dt: float = 2e-5,
-    prior_pattern: tuple[str, ...] | None = None,
 ) -> Scenario:
     """Shading onset scenario: uniform standard start, one benchmark pattern."""
     from .pvmodel import ND195R1S
 
     start_levels = ((1.0, 25.0), (0.6, 25.0), (0.3, 25.0))
     start = ShadingPattern.parse(["5-0-0"] * 3, start_levels)
-    events = [TimelineEvent(0.0, start)]
-    if prior_pattern is not None:
-        events.append(
-            TimelineEvent(onset_t, ShadingPattern.parse(list(prior_pattern), BENCHMARK_LEVELS))
-        )
-        onset_t = onset_t + 0.45
-        horizon = max(horizon, onset_t + 0.5)
-    events.append(
+    events = [
+        TimelineEvent(0.0, start),
         TimelineEvent(
             onset_t, ShadingPattern.parse(list(BENCHMARK_PATTERNS[pattern_no]), BENCHMARK_LEVELS)
-        )
-    )
+        ),
+    ]
     return Scenario(
         name=f"benchmark-psc{pattern_no}" + ("-po" if po_only else ""),
         n_series=5,

@@ -93,7 +93,7 @@ class ModuleDatasheet:
 
 @dataclass(frozen=True)
 class ModuleParams:
-    """Calibrated single-diode parameters plus thermal constants."""
+    """Calibrated single-diode parameters of one module."""
 
     i_pv_ref: float  # photocurrent at STC [A]
     i_o_ref: float  # diode saturation current at STC [A]
@@ -102,7 +102,6 @@ class ModuleParams:
     r_sh: float  # ohm
     n_cells: int
     v_bypass: float = -0.7  # conducting bypass-diode clamp [V]
-    rho_mod: float = -0.00329  # V_mpp fraction per degC, negative
 
     def __post_init__(self) -> None:
         if self.r_s < 0.0 or self.r_sh <= 0.0 or self.i_o_ref <= 0.0:
@@ -324,13 +323,6 @@ def module_short_circuit_current(p: ModuleParams, c: ModuleCondition) -> float:
     return module_current(p, c, 0.0)
 
 
-def module_mpp(p: ModuleParams, c: ModuleCondition) -> tuple[float, float]:
-    """(v, p) of the module maximum power point at condition ``c``."""
-    voc = module_open_circuit_voltage(p, c)
-    v, pw = golden_section_max(lambda v: v * module_current(p, c, v), 0.0, voc, xtol=1e-5)
-    return v, pw
-
-
 # ---------------------------------------------------------------------------
 # string and array composition
 # ---------------------------------------------------------------------------
@@ -390,38 +382,6 @@ def array_current(spec: ArraySpec, v: float) -> float:
     if v < 0.0:
         raise ValidationError("array voltage must be >= 0")
     return sum(string_current(spec, s, v) for s in range(spec.n_parallel))
-
-
-def uniform_array_current(
-    p: ModuleParams,
-    c: ModuleCondition,
-    n_series: int,
-    n_parallel: int,
-    v: float,
-) -> float:
-    """Array current under uniform conditions via the lumped equivalent.
-
-    Collapses the whole array into one equivalent diode with scaled
-    series/shunt resistances; used to cross-check the per-string
-    composition under uniform conditions.
-    """
-    a, i_pv, i_o = _env(p, c)
-    a_arr = a * n_series
-    r_s = p.r_s * n_series / n_parallel
-    r_sh = p.r_sh * n_series / n_parallel
-    ipv_arr = i_pv * n_parallel
-    io_arr = i_o * n_parallel
-
-    def f(i: float) -> float:
-        x = v + r_s * i
-        return ipv_arr - io_arr * (_exp(x / a_arr) - 1.0) - x / r_sh - i
-
-    def fprime(i: float) -> float:
-        x = v + r_s * i
-        return -io_arr * r_s / a_arr * _exp(x / a_arr) - r_s / r_sh - 1.0
-
-    lo, hi = _bracket(f, ipv_arr - io_arr * math.expm1(v / a_arr) - v / r_sh)
-    return max(solve_decreasing(f, lo, hi, fprime, ftol=1e-12 * max(ipv_arr, 1.0)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +523,6 @@ def calibrate_module(ds: ModuleDatasheet, a_fixed: float = 1.3) -> ModuleParams:
             r_s=float(rs),
             r_sh=float(math.exp(log_rsh)),
             n_cells=ds.n_cells,
-            rho_mod=ds.rho_mod,
         )
 
     # A fixed ideality can make the four conditions jointly unattainable;

@@ -39,12 +39,13 @@ from pvmppt.pvmodel import (
     calibrate_module,
     local_maxima,
     module_current,
-    module_mpp,
     module_open_circuit_voltage,
     oracle_gmpp,
     string_current,
     sweep_curve,
 )
+
+from oracles import module_mpp
 
 B_RAMP_V = 3.2  # frozen ramp-tracking bound, see test_converter.py
 

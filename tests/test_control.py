@@ -2,11 +2,11 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from pvmppt.control import (
+    _TRIM_REF,
     ControllerConfig,
     DetectorConfig,
     Measurement,
@@ -15,9 +15,9 @@ from pvmppt.control import (
     compute_psi,
     controller_tick,
     criteria_fired,
+    detection_verdict,
     make_controller_state,
     po_step,
-    reads_sample_module,
     scan_step,
     update_references,
 )
@@ -151,6 +151,39 @@ class TestDetectPsc:
         assert any(criteria_fired(-0.002, 0.0, 0.0, DetectorConfig()))
 
 
+class TestDetectionVerdict:
+    @pytest.mark.parametrize(
+        "v_rest, v_sample_mod, p_hi",
+        [
+            (120.0, 24.0, 1000.0),  # nothing fires
+            (120.0, 24.0, 1010.0),  # psi
+            (110.0, 24.0, 1000.0),  # dv_arr
+            (120.0, 30.0, 1000.0),  # dv_mod
+            (110.0, 30.0, 900.0),  # all three
+        ],
+    )
+    def test_verdict_from_readings(self, v_rest, v_sample_mod, p_hi):
+        cfg = DetectorConfig()
+        lo, hi = (118.8, 1000.0), (121.2, p_hi)
+        out = detection_verdict(v_rest, 120.0, 24.0, v_sample_mod, lo, hi, cfg, t=0.5)
+        assert out.psi == compute_psi(lo, hi)
+        assert out.dv_arr_ratio == (v_rest - 120.0) / 120.0
+        assert out.dv_mod_ratio == (v_sample_mod - 24.0) / 24.0
+        assert out.fired == criteria_fired(out.psi, out.dv_arr_ratio, out.dv_mod_ratio, cfg)
+        assert out.is_psc == any(out.fired)
+        assert (out.t, out.v_rest, out.v_mpp_arr_updated, out.v_mpp_mod_updated) == (
+            0.5, v_rest, 120.0, 24.0
+        )
+
+    def test_static_verdict_has_no_time_and_prints_eight_keys(self):
+        out = detection_verdict(120.0, 120.0, 24.0, 24.0, (118.8, 1.0), (121.2, 1.0), DetectorConfig())
+        assert math.isnan(out.t)
+        assert list(out.to_dict()) == [
+            "psi_per_v", "dv_arr_ratio", "dv_mod_ratio", "criteria_fired", "psc",
+            "v_rest_v", "v_mpp_arr_updated_v", "v_mpp_mod_updated_v",
+        ]
+
+
 class TestPoStep:
     def make_state(self):
         s = make_controller_state(simple_ref(), ControllerConfig(), v_start=100.0)
@@ -263,28 +296,31 @@ class IdealPlantDriver:
         self.cfg = cfg
         self.state = make_controller_state(ref, cfg)
         self.t = 0.0
+        self.v = 0.0
         self.modes = []
-        self.sample_reads = 0
+        self.sample_reads = []  # (mode, detection phase) at each sample-module read
 
     def measurement(self):
-        v = self.state.v_ref
-        i = float(self.curve.current_at(v))
+        self.v = self.state.v_ref
+        i = float(self.curve.current_at(self.v))
         s_idx, pos = self.spec.sample_module
-        if reads_sample_module(self.state, self.t):
-            self.sample_reads += 1
-            i_str = string_current(self.spec, s_idx, v)
-            v_samp = module_voltage(
-                self.spec.params_at(s_idx, pos), self.spec.conditions[s_idx][pos], i_str
-            )
-        else:
-            v_samp = math.nan
         t_samp = self.spec.conditions[s_idx][pos].temperature
-        return Measurement(v=v, i=i, t=self.t, v_sample_mod=v_samp, t_sample_mod=t_samp)
+        return Measurement(v=self.v, i=i, t=self.t, t_sample_mod=t_samp)
+
+    def read_sample_module(self):
+        self.sample_reads.append((self.state.mode, self.state.detect_phase))
+        s_idx, pos = self.spec.sample_module
+        i_str = string_current(self.spec, s_idx, self.v)
+        return module_voltage(
+            self.spec.params_at(s_idx, pos), self.spec.conditions[s_idx][pos], i_str
+        )
 
     def run(self, seconds):
         n = round(seconds / self.cfg.adc_period_s)
         for _ in range(n):
-            controller_tick(self.state, self.measurement(), self.cfg, self.ref)
+            controller_tick(
+                self.state, self.measurement(), self.cfg, self.ref, self.read_sample_module
+            )
             self.modes.append(self.state.mode)
             self.t += self.cfg.adc_period_s
         return self.state
@@ -312,21 +348,8 @@ class TestControllerTick:
         spec = ArraySpec.uniform(nd_module, 5, 3, sample_module=(0, 2))
         drv = IdealPlantDriver(spec, ref_3x5, cfg)
         drv.run(1.0)
-        assert drv.sample_reads == len(drv.state.detections) >= 2
-
-    def test_missing_sample_readout_on_trim_tick_raises(self, nd_module, ref_3x5):
-        cfg = ControllerConfig(detector=DetectorConfig(periodic_trigger_s=0.3))
-        spec = ArraySpec.uniform(nd_module, 5, 3, sample_module=(0, 2))
-        drv = IdealPlantDriver(spec, ref_3x5, cfg)
-        for _ in range(round(1.0 / cfg.adc_period_s)):
-            if reads_sample_module(drv.state, drv.t):
-                break
-            drv.run(cfg.adc_period_s)
-        else:
-            pytest.fail("detection never reached its trim tick")
-        m = replace(drv.measurement(), v_sample_mod=math.nan)
-        with pytest.raises(ValidationError, match="sample-module"):
-            controller_tick(drv.state, m, cfg, ref_3x5)
+        assert len(drv.sample_reads) == len(drv.state.detections) >= 2
+        assert set(drv.sample_reads) == {(Mode.DETECT_SETTLE, _TRIM_REF)}
 
     def test_po_only_never_leaves_po(self, nd_module, ref_3x5):
         cfg = ControllerConfig(po_only=True, detector=DetectorConfig(periodic_trigger_s=0.1))
@@ -435,12 +458,15 @@ class TestConfigValidation:
             cls(**{name: value})
         assert err.value.field == name
 
-    @pytest.mark.parametrize(
-        "cls, name",
-        [(DetectorConfig, "psi_probe_frac"), (ControllerConfig, "settle_s")],
-    )
+    @pytest.mark.parametrize("cls, name", [(ControllerConfig, "settle_s")])
     def test_zero_stays_legal(self, cls, name):
         cls(**{name: 0.0})
+
+    def test_zero_probe_width_rejected_naming_field(self):
+        # a zero width puts both PSI probes at the same command
+        with pytest.raises(ValidationError) as err:
+            DetectorConfig(psi_probe_frac=0.0)
+        assert err.value.field == "psi_probe_frac"
 
     @pytest.mark.parametrize("name", ["power_change_trigger", "periodic_trigger_s"])
     def test_zero_trigger_rejected_naming_field(self, name):

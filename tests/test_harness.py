@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvmppt.cli import main as cli_main
-from pvmppt.control import Mode
+from pvmppt.control import Mode, controller_tick
 from pvmppt.converter import (
     ConverterState,
     MeasurementNoise,
@@ -278,11 +278,6 @@ class TestClosedLoop:
         assert trace[1].v_pv == pytest.approx(s.v_pv, abs=1e-9)
 
 
-def _eager_readout_gate(state, t):
-    """Eager reference gate: solve the sample module on every detection tick."""
-    return state.mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE)
-
-
 def _emitted_bytes(scn, tmp_path, tag):
     trace, report = run_closed_loop(scn)
     emit_trace(trace, tmp_path / f"{tag}.csv")
@@ -299,11 +294,26 @@ class TestGatedReadout:
         ],
         ids=lambda scn: scn.name,
     )
-    def test_outputs_match_eager_gate(self, scn, tmp_path, monkeypatch):
-        gated = _emitted_bytes(scn, tmp_path, "gated")
-        assert json.loads(gated[1])["events"][-1]["detected"] is True
-        monkeypatch.setattr(harness, "reads_sample_module", _eager_readout_gate)
-        assert _emitted_bytes(scn, tmp_path, "eager") == gated
+    def test_readout_only_on_trim_ticks(self, scn, monkeypatch):
+        read_ticks = []
+
+        def tick(state, m, cfg, ref, read_sample_module):
+            def reader():
+                read_ticks.append(round(m.t / cfg.adc_period_s))
+                return read_sample_module()
+
+            return controller_tick(state, m, cfg, ref, reader)
+
+        monkeypatch.setattr(harness, "controller_tick", tick)
+        trace, report = run_closed_loop(scn)
+        assert report.events[-1].detected is True
+        trims = [
+            k
+            for k in range(1, len(trace))
+            if trace[k - 1].mode == Mode.DETECT_SETTLE.value
+            and trace[k].mode == Mode.DETECT_PROBE.value
+        ]
+        assert read_ticks == trims
 
     @pytest.mark.parametrize(
         "scn",
@@ -503,6 +513,10 @@ class TestCli:
                 "controller.detector.psi_probe_frac",
             ),
             (
+                {("controller", "detector", "psi_probe_frac"): 0.0},
+                "controller.detector.psi_probe_frac",
+            ),
+            (
                 {("controller", "detector", "periodic_trigger_s"): 0.0},
                 "controller.detector.periodic_trigger_s",
             ),
@@ -544,6 +558,7 @@ class TestCli:
             "periodic_trigger_negative",
             "power_change_trigger_negative",
             "probe_fraction_negative",
+            "probe_fraction_zero",
             "periodic_trigger_zero",
             "power_change_trigger_zero",
             "sample_module_outside",

@@ -20,14 +20,14 @@ from pvmppt.pvmodel import (
     calibrate_module,
     local_maxima,
     module_current,
-    module_mpp,
     module_open_circuit_voltage,
     module_voltage,
     oracle_gmpp,
     string_current,
     sweep_curve,
-    uniform_array_current,
 )
+
+from oracles import module_mpp, uniform_array_current
 
 HS = ModuleCondition(1.0, 25.0)
 
