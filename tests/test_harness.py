@@ -45,7 +45,14 @@ from pvmppt.harness import (
     scenario_from_dict,
     benchmark_scenario,
 )
-from pvmppt.pvmodel import ArraySpec, ModuleCondition, string_current, sweep_curve
+from pvmppt.pvmodel import (
+    ND195R1S,
+    ArraySpec,
+    ModuleCondition,
+    calibrate_module,
+    string_current,
+    sweep_curve,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -667,9 +674,48 @@ _PSC1_RUN_DOC = {
 
 
 def test_run_fuzz_document_is_psc1_with_defaults_spelled_out():
+    # psc1 at the fuzz horizon with every optional key left out
+    minimal = copy.deepcopy(_PSC1_DOC)
+    for key in ("converter", "seed", "dt_s"):
+        del minimal[key]
+    del minimal["module"]["datasheet"]["pmax_thermal_coeff_frac_per_c"]
+    minimal["horizon_s"] = 0.32
     assert scenario_from_dict(copy.deepcopy(_PSC1_RUN_DOC)) == scenario_from_dict(
-        {**copy.deepcopy(_PSC1_DOC), "horizon_s": 0.32}
+        {**minimal, "dt_s": 2e-5}
     )
+    assert scenario_from_dict({**copy.deepcopy(_PSC1_RUN_DOC), "dt_s": 5e-6}) == scenario_from_dict(
+        minimal
+    )
+
+
+# psc1 with its module given as the calibrated single-diode parameters (the
+# repr of calibrate_module(ND195R1S)) instead of the datasheet
+_PSC1_PARAMS_DOC = {
+    **_PSC1_DOC,
+    "module": {
+        "params": {
+            "i_pv_ref_a": 8.681265923739051,
+            "i_o_ref_a": 5.544017603266658e-09,
+            "ideality_a": 1.3,
+            "r_s_ohm": 0.2684770425842948,
+            "r_sh_ohm": 99999999.99999982,
+            "n_cells": 42,
+        }
+    },
+}
+
+
+def test_module_params_run_matches_datasheet_twin(tmp_path):
+    scn = scenario_from_dict(copy.deepcopy(_PSC1_PARAMS_DOC))
+    assert scn.datasheet is None and scn.params == calibrate_module(ND195R1S)
+    outputs = []
+    for tag, doc in (("datasheet", _PSC1_DOC), ("params", _PSC1_PARAMS_DOC)):
+        scenario = tmp_path / f"{tag}.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / tag
+        assert cli_main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "trace.csv")])
+    assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
