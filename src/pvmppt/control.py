@@ -47,6 +47,11 @@ class Mode(str, Enum):
 # detection sub-phases (all within DETECT_SETTLE / DETECT_PROBE modes)
 _GOTO_REF, _TRIM_REF, _GOTO_LO, _GOTO_HI = range(4)
 
+# smallest probe half-width, as a fraction of V_mpp-arr: at 1e-9 of ~100 V the
+# two probes still lie ~1e7 float steps apart; near 1e-15 rounding moves PSI
+# by several percent, and below ~1e-16 both probes fall on one voltage
+PSI_PROBE_FRAC_MIN = 1e-9
+
 
 def _finite(cfg, *names: str, zero_ok: bool) -> None:
     """Reject a non-finite or negative value, and zero unless ``zero_ok``."""
@@ -80,6 +85,11 @@ class DetectorConfig:
         _finite(
             self, "power_change_trigger", "periodic_trigger_s", "psi_probe_frac", zero_ok=False
         )
+        if self.psi_probe_frac < PSI_PROBE_FRAC_MIN:
+            raise ValidationError(
+                f"psi_probe_frac {self.psi_probe_frac} below the floor {PSI_PROBE_FRAC_MIN}",
+                "psi_probe_frac",
+            )
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -126,12 +127,14 @@ class ShadingPattern:
             counts.append(row)
         return cls(tuple(counts), lv)
 
-    def expand(self, n_series: int) -> tuple[tuple[ModuleCondition, ...], ...]:
+    def expand(
+        self, n_series: int, *, where: str = "pattern"
+    ) -> tuple[tuple[ModuleCondition, ...], ...]:
         grid = []
         for s, row in enumerate(self.counts):
             if sum(row) != n_series:
                 raise ScenarioError(
-                    f"pattern string {s}: counts sum to {sum(row)}, expected {n_series}"
+                    f"{where}[{s}]: counts sum to {sum(row)}, expected {n_series}"
                 )
             positions: list[ModuleCondition] = []
             for level, n in zip(self.levels, row):
@@ -234,7 +237,7 @@ class Scenario:
                     f"timeline[{k}].pattern: {len(e.pattern.counts)} strings, "
                     f"expected {self.n_parallel}"
                 )
-            e.pattern.expand(self.n_series)
+            e.pattern.expand(self.n_series, where=f"timeline[{k}].pattern")
 
 
 _CAL_CACHE: dict[ModuleDatasheet, ModuleParams] = {}
@@ -309,10 +312,14 @@ def _levels(value, path: str) -> tuple[ModuleCondition, ...]:
     return tuple(levels)
 
 
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
 def _get(d: dict, key: str, where: str, coerce, default=_REQUIRED):
     """``d[key]`` through ``coerce``, which raises a ScenarioError naming the
     field path; ``default`` is returned as is when the key is absent."""
-    path = f"{where}.{key}" if where else key
+    path = _path(where, key)
     if key not in d:
         if default is _REQUIRED:
             raise ScenarioError(f"{path}: missing required field")
@@ -320,23 +327,44 @@ def _get(d: dict, key: str, where: str, coerce, default=_REQUIRED):
     return coerce(d[key], path)
 
 
-def _build(cls, where: str, keys: dict[str, str] | None = None, **kwargs):
-    """``cls(**kwargs)``, with a ValidationError from its ``__post_init__``
-    re-raised as a ScenarioError naming the field; ``keys`` maps an argument
-    to its scenario key where the two names differ."""
+def _only(d: dict, where: str, keys) -> None:
+    """Reject the first key of ``d`` outside ``keys``, naming its path."""
+    for key in d:
+        if key not in keys:
+            raise ScenarioError(f"{_path(where, key)}: unknown field")
+
+
+# coercion by field annotation (a string: the package postpones annotations)
+_COERCE = {"float": _number, "int": _integer, "bool": _flag, "float | None": _number}
+
+
+def _section(doc, where: str, cls, keys: dict[str, str] | None = None, known=(), **given):
+    """``cls(**given, ...)`` with every other field read from the scenario
+    object ``doc`` at path ``where``.
+
+    A field's scenario key is its name, or ``keys[name]`` where the file
+    adds a unit.  An absent key keeps the dataclass default; a key outside
+    these and ``known`` is an error.  A ValidationError from ``cls`` is
+    re-raised as a ScenarioError naming the scenario key."""
+    doc = _object(doc, where or "root")
+    keys = keys or {}
+    read = [f for f in fields(cls) if f.name not in given]
+    _only(doc, where, [keys.get(f.name, f.name) for f in read] + list(known))
+    for f in read:
+        key = keys.get(f.name, f.name)
+        if key in doc or f.default is MISSING:
+            given[f.name] = _get(doc, key, where, _COERCE[f.type])
     try:
-        return cls(**kwargs)
+        return cls(**given)
     except ValidationError as exc:
-        path = f"{where}.{(keys or {}).get(exc.field, exc.field)}" if exc.field else where
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-_CONVERTER_KEYS = {"r_l": "r_l_ohm", "l": "l_h", "c_pv": "c_pv_f", "v_out": "v_out_v"}
+        key = keys.get(exc.field, exc.field)
+        raise ScenarioError(f"{_path(where, key) if key else where}: {exc}") from exc
 
 
 def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     doc = _object(doc, "root")
     arr = _get(doc, "array", "", _object)
+    _only(arr, "array", ("n_series", "n_parallel", "sample_module"))
     n_series = _get(arr, "n_series", "array", _integer)
     n_parallel = _get(arr, "n_parallel", "array", _integer)
     sample = _get(arr, "sample_module", "array", _list, [0, 0])
@@ -345,34 +373,21 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     sample = tuple(_integer(x, f"array.sample_module[{j}]") for j, x in enumerate(sample))
 
     mod = _get(doc, "module", "", _object)
+    _only(mod, "module", ("datasheet", "params"))
+    if len(mod) != 1:
+        raise ScenarioError("module: needs exactly one of 'datasheet' or 'params'")
     datasheet = params = None
     if "datasheet" in mod:
-        d = _get(mod, "datasheet", "module", _object)
-        where = "module.datasheet"
-        datasheet = ModuleDatasheet(
-            p_max=_get(d, "p_max_w", where, _number),
-            v_oc=_get(d, "v_oc_v", where, _number),
-            i_sc=_get(d, "i_sc_a", where, _number),
-            v_mpp=_get(d, "v_mpp_v", where, _number),
-            i_mpp=_get(d, "i_mpp_a", where, _number),
-            pmax_thermal_coeff=_get(d, "pmax_thermal_coeff_frac_per_c", where, _number, -0.0044),
-            rho_mod=_get(d, "rho_mod_frac_per_c", where, _number),
-            n_cells=_get(d, "n_cells", where, _integer),
-        )
-    elif "params" in mod:
-        p = _get(mod, "params", "module", _object)
-        where = "module.params"
-        params = ModuleParams(
-            i_pv_ref=_get(p, "i_pv_ref_a", where, _number),
-            i_o_ref=_get(p, "i_o_ref_a", where, _number),
-            ideality_a=_get(p, "ideality_a", where, _number),
-            r_s=_get(p, "r_s_ohm", where, _number),
-            r_sh=_get(p, "r_sh_ohm", where, _number),
-            n_cells=_get(p, "n_cells", where, _integer),
-            v_bypass=_get(p, "v_bypass_v", where, _number, -0.7),
-        )
+        datasheet = _section(mod["datasheet"], "module.datasheet", ModuleDatasheet, {
+            "p_max": "p_max_w", "v_oc": "v_oc_v", "i_sc": "i_sc_a", "v_mpp": "v_mpp_v",
+            "i_mpp": "i_mpp_a", "rho_mod": "rho_mod_frac_per_c",
+            "pmax_thermal_coeff": "pmax_thermal_coeff_frac_per_c",
+        })
     else:
-        raise ScenarioError("module: needs 'datasheet' or 'params'")
+        params = _section(mod["params"], "module.params", ModuleParams, {
+            "i_pv_ref": "i_pv_ref_a", "i_o_ref": "i_o_ref_a", "r_s": "r_s_ohm",
+            "r_sh": "r_sh_ohm", "v_bypass": "v_bypass_v",
+        })
 
     default_levels = _get(doc, "levels", "", _levels, None)
     timeline = _get(doc, "timeline", "", _list)
@@ -382,6 +397,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     for k, ev in enumerate(timeline):
         where = f"timeline[{k}]"
         ev = _object(ev, where)
+        _only(ev, where, ("t_s", "levels", "pattern"))
         t = _get(ev, "t_s", where, _number)
         levels = _get(ev, "levels", where, _levels, default_levels)
         if levels is None:
@@ -391,64 +407,24 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         )
         events.append(TimelineEvent(t=t, pattern=pattern))
 
-    conv_doc = _get(doc, "converter", "", _object, {})
-    converter = _build(
-        ConverterParams,
-        "converter",
-        _CONVERTER_KEYS,
-        r_l=_get(conv_doc, "r_l_ohm", "converter", _number, 0.3),
-        l=_get(conv_doc, "l_h", "converter", _number, 600e-6),
-        c_pv=_get(conv_doc, "c_pv_f", "converter", _number, 100e-6),
-        v_out=_get(conv_doc, "v_out_v", "converter", _number, 250.0),
+    converter = _section(doc.get("converter", {}), "converter", ConverterParams, {
+        "r_l": "r_l_ohm", "l": "l_h", "c_pv": "c_pv_f", "v_out": "v_out_v",
+    })
+    ctl_doc = _object(doc.get("controller", {}), "controller")
+    detector = _section(ctl_doc.get("detector", {}), "controller.detector", DetectorConfig)
+    controller = _section(
+        ctl_doc, "controller", ControllerConfig, known=("detector",),
+        detector=detector, v_cmd_max=converter.v_out,
     )
-
-    ctl_doc = _get(doc, "controller", "", _object, {})
-    det_doc = _get(ctl_doc, "detector", "controller", _object, {})
-    where = "controller.detector"
-    detector = _build(
-        DetectorConfig,
-        where,
-        psi_threshold=_get(det_doc, "psi_threshold", where, _number, 0.001),
-        dv_arr_threshold=_get(det_doc, "dv_arr_threshold", where, _number, 0.02),
-        dv_mod_threshold=_get(det_doc, "dv_mod_threshold", where, _number, 0.02),
-        power_change_trigger=_get(det_doc, "power_change_trigger", where, _number, 0.03),
-        periodic_trigger_s=_get(det_doc, "periodic_trigger_s", where, _number, 5.0),
-        psi_probe_frac=_get(det_doc, "psi_probe_frac", where, _number, 0.01),
-    )
-    controller = _build(
-        ControllerConfig,
-        "controller",
-        detector=detector,
-        po_period_s=_get(ctl_doc, "po_period_s", "controller", _number, 0.02),
-        adc_period_s=_get(ctl_doc, "adc_period_s", "controller", _number, 5e-4),
-        settle_s=_get(ctl_doc, "settle_s", "controller", _number, 0.02),
-        ramp_rate_v_per_s=_get(ctl_doc, "ramp_rate_v_per_s", "controller", _number, 4000.0),
-        po_step_v=_get(ctl_doc, "po_step_v", "controller", _number, 1.0),
-        po_only=_get(ctl_doc, "po_only", "controller", _flag, False),
-        v_cmd_max=converter.v_out,
-    )
-
-    noise_doc = _get(doc, "noise", "", _object, {})
-    noise = MeasurementNoise(
-        v_amplitude=_get(noise_doc, "v_amplitude_v", "noise", _number, 0.0),
-        i_amplitude=_get(noise_doc, "i_amplitude_a", "noise", _number, 0.0),
-    )
-
-    scn = Scenario(
-        name=str(doc.get("name", name)),
-        n_series=n_series,
-        n_parallel=n_parallel,
-        sample_module=sample,
-        events=tuple(events),
-        horizon_s=_get(doc, "horizon_s", "", _number),
-        datasheet=datasheet,
-        params=params,
-        converter=converter,
-        controller=controller,
-        noise=noise,
-        seed=_get(doc, "seed", "", _integer, 0),
-        dt_s=_get(doc, "dt_s", "", _number, 5e-6),
-        v_ref_start=_get(doc, "v_ref_start_v", "", _number, None),
+    noise = _section(doc.get("noise", {}), "noise", MeasurementNoise, {
+        "v_amplitude": "v_amplitude_v", "i_amplitude": "i_amplitude_a",
+    })
+    scn = _section(
+        doc, "", Scenario, {"v_ref_start": "v_ref_start_v"},
+        ("name", "array", "module", "levels", "timeline", "converter", "controller", "noise"),
+        name=str(doc.get("name", name)), n_series=n_series, n_parallel=n_parallel,
+        sample_module=sample, events=tuple(events), datasheet=datasheet, params=params,
+        converter=converter, controller=controller, noise=noise,
     )
     scn.validate()
     return scn
@@ -974,10 +950,17 @@ def _corpus_worker(args: tuple[int, int]) -> dict:
 
 
 def run_corpus(seed: int, count: int, jobs: int = 1) -> dict:
-    """Run a seeded randomized scenario batch and aggregate the metrics."""
+    """Run a seeded randomized scenario batch and aggregate the metrics.
+
+    At most ``min(jobs, count, os.cpu_count())`` worker processes run: a
+    pool forks all its workers at once, so more would only cost memory."""
+    for where, value in (("count", count), ("jobs", jobs)):
+        if value < 1:
+            raise ValidationError(f"{where} must be at least 1, got {value}", where)
     args = [(seed, i) for i in range(count)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_corpus_worker, args))
     else:
         reports = [_corpus_worker(a) for a in args]

@@ -70,9 +70,9 @@ class ModuleDatasheet:
     i_sc: float
     v_mpp: float
     i_mpp: float
-    pmax_thermal_coeff: float  # fraction per degC, negative
     rho_mod: float  # fraction per degC for V_mpp, negative
     n_cells: int
+    pmax_thermal_coeff: float = -0.0044  # fraction per degC, negative
 
     def validate(self) -> None:
         if not self.p_max > 0.0:

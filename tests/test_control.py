@@ -7,6 +7,7 @@ import pytest
 
 from pvmppt.control import (
     _TRIM_REF,
+    PSI_PROBE_FRAC_MIN,
     ControllerConfig,
     DetectorConfig,
     Measurement,
@@ -462,11 +463,14 @@ class TestConfigValidation:
     def test_zero_stays_legal(self, cls, name):
         cls(**{name: 0.0})
 
-    def test_zero_probe_width_rejected_naming_field(self):
-        # a zero width puts both PSI probes at the same command
+    @pytest.mark.parametrize("value", [0.0, 1e-12, 1e-300])
+    def test_zero_probe_width_rejected_naming_field(self, value):
+        # a zero width puts both PSI probes at the same command, and a width
+        # below the floor lets rounding move or merge them
         with pytest.raises(ValidationError) as err:
-            DetectorConfig(psi_probe_frac=0.0)
+            DetectorConfig(psi_probe_frac=value)
         assert err.value.field == "psi_probe_frac"
+        DetectorConfig(psi_probe_frac=PSI_PROBE_FRAC_MIN)  # the floor itself stays legal
 
     @pytest.mark.parametrize("name", ["power_change_trigger", "periodic_trigger_s"])
     def test_zero_trigger_rejected_naming_field(self, name):

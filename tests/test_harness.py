@@ -131,6 +131,12 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="sum"):
             scenario_from_dict(doc)
 
+    def test_readme_example_loads(self):
+        readme = (SCENARIO_DIR.parent / "README.md").read_text()
+        section = readme.split("\n## Scenario files\n", 1)[1]
+        example = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+        assert scenario_from_dict(json.loads(example)).name == "benchmark-psc1"
+
 
 class TestReferenceModel:
     def test_homogeneous_identity(self, ref_3x5):
@@ -413,6 +419,33 @@ class TestCorpusScenario:
             assert event["pattern"] == w["pattern"]
             assert event["final_power_w"] / event["oracle_power_w"] == w["ratio"]
 
+    def test_pool_never_larger_than_jobs_count_or_cores(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        for cores, count, jobs in ((8, 2, 16), (8, 3, 2), (2, 3, 8), (None, 2, 8), (8, 2, 1)):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+            assert run_corpus(2026, count, jobs)["count"] == count
+        assert sizes == [2, 2, 2]
+
+    def test_pool_and_serial_reports_agree(self):
+        assert run_corpus(2026, 2, jobs=2) == run_corpus(2026, 2, jobs=1)
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path):
@@ -487,6 +520,14 @@ class TestCli:
         assert doc["events_total"] >= 2
 
     @pytest.mark.parametrize(
+        "argv, field",
+        [(["--count", "-3"], "count"), (["--count", "0"], "count"), (["--jobs", "0"], "jobs")],
+    )
+    def test_corpus_rejects_empty_batch_or_pool(self, capsys, argv, field):
+        assert cli_main(["corpus", "--count", "2", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be at least 1")
+
+    @pytest.mark.parametrize(
         "edits, field",
         [
             ({("controller", "adc_period_s"): 0}, "controller.adc_period_s"),
@@ -535,6 +576,16 @@ class TestCli:
             ({("array", "n_series"): 0}, "array.n_series"),
             ({("array", "n_parallel"): 0}, "array.n_parallel"),
             (
+                {("controller", "detector", "psi_probe_frac"): 1e-12},
+                "controller.detector.psi_probe_frac",
+            ),
+            (
+                {("controller", "detector", "psi_probe_frac"): 1e-300},
+                "controller.detector.psi_probe_frac",
+            ),
+            ({("timeline", 1, "pattern"): ["2-2-2", "1-3-1", "3-2-0"]}, "timeline[1].pattern[0]"),
+            ({("module", "params"): {"n_cells": 42}}, "module"),
+            (
                 {
                     ("array", "n_parallel"): 100,
                     ("timeline", 0, "pattern"): ["5-0-0"] * 100,
@@ -571,6 +622,10 @@ class TestCli:
             "sample_module_outside",
             "series_count_zero",
             "parallel_count_zero",
+            "probe_fraction_below_floor",
+            "probe_fraction_tiny",
+            "pattern_counts_off_sum",
+            "module_datasheet_and_params",
             "strings_beyond_integrator_slope",
         ),
     )
@@ -741,3 +796,26 @@ def test_mutated_scenario_runs_or_exits_cleanly(mutations):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = cli_main(["run", "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
     assert rc in (0, 2)
+
+
+def test_misspelled_key_exits_naming_its_path(tmp_path, capsys):
+    """Every object key of the run and params documents, renamed with its last
+    letter doubled, makes ``pvmppt run`` exit 2 with an error naming the key."""
+    params_paths = [p for p in _json_paths(_PSC1_PARAMS_DOC) if p[0] == "module"]
+    bad = []
+    run_paths = list(_json_paths(_PSC1_RUN_DOC))
+    for base, paths in ((_PSC1_RUN_DOC, run_paths), (_PSC1_PARAMS_DOC, params_paths)):
+        for path in paths:
+            if not isinstance(path[-1], str):
+                continue
+            doc = copy.deepcopy(base)
+            node = functools.reduce(operator.getitem, path[:-1], doc)
+            node[path[-1] + path[-1][-1]] = node.pop(path[-1])
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(doc))
+            rc = cli_main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            named = err.removeprefix("error: ").split(": ", 1)[0]
+            if rc != 2 or not err.startswith("error: ") or path[-1] not in named:
+                bad.append((path, rc, err))
+    assert bad == []
