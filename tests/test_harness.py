@@ -478,6 +478,31 @@ class TestCli:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "extra, events",
+        [
+            (
+                [],
+                "event 0: oracle 2884.2 W @ 118.0 V, final 2883.1 W (99.96%), detected=None, scan=-\n"
+                "event 1: oracle 1449.7 W @ 96.9 V, final 1448.6 W (99.93%), detected=True, "
+                "scan=37.5 ms\n",
+            ),
+            (
+                ["--controller", "po"],
+                "event 0: oracle 2884.2 W @ 118.0 V, final 2883.1 W (99.96%), detected=None, scan=-\n"
+                "event 1: oracle 1449.7 W @ 96.9 V, final 1260.6 W (86.96%), detected=None, scan=-\n",
+            ),
+        ],
+        ids=["ramp", "po"],
+    )
+    def test_run_summary_lines(self, tmp_path, capsys, extra, events):
+        out = tmp_path / "out"
+        scenario = str(SCENARIO_DIR / "benchmark_psc1.json")
+        assert cli_main(["run", "--scenario", scenario, "--out", str(out), *extra]) == 0
+        assert capsys.readouterr().out == (
+            f"{events}trace: {out / 'trace.csv'}\nreport: {out / 'report.json'}\n"
+        )
+
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "curve.csv"
         rc = cli_main(
