@@ -43,11 +43,11 @@ def _cmd_run(args) -> int:
     emit_trace(trace, out / "trace.csv")
     emit_report(report, out / "report.json")
     for e in report.events:
+        p_star, p_final, scan = e["oracle_power_w"], e["final_power_w"], e["scan_duration_s"]
         print(
-            f"event {e.index}: oracle {e.oracle_power:.1f} W @ {e.oracle_voltage:.1f} V, "
-            f"final {e.final_power:.1f} W ({100 * e.final_power / e.oracle_power:.2f}%), "
-            f"detected={e.detected}, scan="
-            + (f"{1000 * e.scan_duration_s:.1f} ms" if e.scan_duration_s else "-")
+            f"event {e['index']}: oracle {p_star:.1f} W @ {e['oracle_voltage_v']:.1f} V, "
+            f"final {p_final:.1f} W ({100 * p_final / p_star:.2f}%), "
+            f"detected={e['detected']}, scan=" + (f"{1000 * scan:.1f} ms" if scan else "-")
         )
     print(f"trace: {out / 'trace.csv'}")
     print(f"report: {out / 'report.json'}")

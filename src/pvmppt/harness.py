@@ -570,65 +570,16 @@ def detect_pattern(
 
 
 @dataclass
-class EventReport:
-    index: int
-    t_start: float
-    t_end: float
-    pattern: list[str]
-    levels: list[list[float]]
-    oracle_voltage: float
-    oracle_power: float
-    final_power: float
-    efficiency: float
-    detected: bool | None
-    detection_latency_s: float | None
-    psi: float | None
-    dv_arr_ratio: float | None
-    dv_mod_ratio: float | None
-    scan_duration_s: float | None
-    scan_ticks_up: int
-    scan_ticks_down: int
-    prunes: list[dict]
-    v_e: float | None
-    p_e: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "t_start_s": self.t_start,
-            "t_end_s": self.t_end,
-            "pattern": self.pattern,
-            "levels": self.levels,
-            "oracle_voltage_v": self.oracle_voltage,
-            "oracle_power_w": self.oracle_power,
-            "final_power_w": self.final_power,
-            "efficiency": self.efficiency,
-            "detected": self.detected,
-            "detection_latency_s": self.detection_latency_s,
-            "psi_per_v": self.psi,
-            "dv_arr_ratio": self.dv_arr_ratio,
-            "dv_mod_ratio": self.dv_mod_ratio,
-            "scan_duration_s": self.scan_duration_s,
-            "scan_ticks_up": self.scan_ticks_up,
-            "scan_ticks_down": self.scan_ticks_down,
-            "prunes": self.prunes,
-            "v_e_v": self.v_e,
-            "p_e_w": self.p_e,
-        }
-
-
-@dataclass
 class RunReport:
+    """One run as ``report.json`` holds it: ``events`` are the per-event
+    dicts ``_build_report`` writes, keyed as in the file."""
+
     scenario: str
     seed: int
-    events: list[EventReport]
+    events: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "events": [e.to_dict() for e in self.events],
-        }
+        return {"scenario": self.scenario, "seed": self.seed, "events": self.events}
 
 
 _RAMP_MODES = (
@@ -764,33 +715,33 @@ def _build_report(scn, windows, trace, state: ControllerState, adc: float) -> Ru
         det = next((d for d in state.detections if t0 <= d.t < t1), None)
         ep = next((e for e in state.episodes if t0 <= e.t_start < t1), None)
         events.append(
-            EventReport(
-                index=k,
-                t_start=t0,
-                t_end=t1,
-                pattern=w["event"].pattern.as_strings(),
-                levels=[[c.irradiance, c.temperature] for c in w["event"].pattern.levels],
-                oracle_voltage=v_star,
-                oracle_power=p_star,
-                final_power=final_power,
-                efficiency=eff,
-                detected=det.is_psc if det else None,
-                detection_latency_s=det.t - t0 if det else None,
-                psi=det.psi if det else None,
-                dv_arr_ratio=det.dv_arr_ratio if det else None,
-                dv_mod_ratio=det.dv_mod_ratio if det else None,
-                scan_duration_s=(
+            {
+                "index": k,
+                "t_start_s": t0,
+                "t_end_s": t1,
+                "pattern": w["event"].pattern.as_strings(),
+                "levels": [[c.irradiance, c.temperature] for c in w["event"].pattern.levels],
+                "oracle_voltage_v": v_star,
+                "oracle_power_w": p_star,
+                "final_power_w": final_power,
+                "efficiency": eff,
+                "detected": det.is_psc if det else None,
+                "detection_latency_s": det.t - t0 if det else None,
+                "psi_per_v": det.psi if det else None,
+                "dv_arr_ratio": det.dv_arr_ratio if det else None,
+                "dv_mod_ratio": det.dv_mod_ratio if det else None,
+                "scan_duration_s": (
                     ep.scan_duration_s if ep and math.isfinite(ep.t_arrived) else None
                 ),
-                scan_ticks_up=ep.ticks_up if ep else 0,
-                scan_ticks_down=ep.ticks_down if ep else 0,
-                prunes=[
+                "scan_ticks_up": ep.ticks_up if ep else 0,
+                "scan_ticks_down": ep.ticks_down if ep else 0,
+                "prunes": [
                     {"kind": p.kind, "t_s": p.t, "v_v": p.v, "i_a": p.i, "p_e_w": p.p_e}
                     for p in (ep.prunes if ep else [])
                 ],
-                v_e=ep.v_e if ep else None,
-                p_e=ep.p_e if ep else None,
-            )
+                "v_e_v": ep.v_e if ep else None,
+                "p_e_w": ep.p_e if ep else None,
+            }
         )
     return RunReport(scenario=scn.name, seed=scn.seed, events=events)
 

@@ -235,16 +235,16 @@ def test_criterion_4_detection_verdicts(nd_module, ref_3x5):
 def test_criterion_5_gmppt_accuracy_and_speed(benchmark_runs, corpus):
     for k, (scn, trace, report) in benchmark_runs.items():
         e = report.events[-1]
-        assert e.detected is True, f"PSC{k} not detected"
-        assert e.scan_duration_s is not None and e.scan_duration_s < 0.070, (
-            f"PSC{k} scan {e.scan_duration_s}"
+        assert e["detected"] is True, f"PSC{k} not detected"
+        assert e["scan_duration_s"] is not None and e["scan_duration_s"] < 0.070, (
+            f"PSC{k} scan {e['scan_duration_s']}"
         )
-        assert e.final_power >= 0.99 * e.oracle_power, f"PSC{k} accuracy"
+        assert e["final_power_w"] >= 0.99 * e["oracle_power_w"], f"PSC{k} accuracy"
 
     frac = corpus["fraction_within_1pct"]
     assert frac >= 0.99
     scans = [
-        (k, 1000 * r[2].events[-1].scan_duration_s) for k, r in benchmark_runs.items()
+        (k, 1000 * r[2].events[-1]["scan_duration_s"]) for k, r in benchmark_runs.items()
     ]
     print(
         f"\nACCEPTANCE 5 gmppt: scans {['%d:%.0fms' % s for s in scans]}, "
@@ -259,12 +259,10 @@ def test_criterion_6_pruning_safety(nd_module, benchmark_runs, corpus):
     def replay(events):
         nonlocal checked, violations
         for e in events:
-            prunes = e["prunes"] if isinstance(e, dict) else e.prunes
+            prunes = e["prunes"]
             if not prunes:
                 continue
-            pattern = e["pattern"] if isinstance(e, dict) else e.pattern
-            levels = e["levels"] if isinstance(e, dict) else e.levels
-            pat = ShadingPattern.parse(pattern, levels)
+            pat = ShadingPattern.parse(e["pattern"], e["levels"])
             spec = ArraySpec(5, 3, nd_module, pat.expand(5), sample_module=BENCHMARK_SAMPLE)
             curve = sweep_curve(spec, 0.01)
             bad = prune_violations(curve, prunes)
@@ -339,11 +337,11 @@ def test_criterion_8_detector_miss_fallback(nd_module, ref_3x5):
     trace, report = run_closed_loop(scn)
     assert all(r.mode not in ("scan_up", "scan_down") for r in trace)
     e = report.events[1]
-    assert e.detected is False  # detection ran and correctly stayed quiet
-    assert e.final_power >= 0.99 * e.oracle_power
+    assert e["detected"] is False  # detection ran and correctly stayed quiet
+    assert e["final_power_w"] >= 0.99 * e["oracle_power_w"]
     print(
         f"\nACCEPTANCE 8 miss fallback: criteria quiet, P&O kept "
-        f"{100 * e.final_power / e.oracle_power:.2f}% of oracle -> PASS"
+        f"{100 * e['final_power_w'] / e['oracle_power_w']:.2f}% of oracle -> PASS"
     )
 
 
@@ -353,7 +351,7 @@ def test_criterion_9_po_baseline_failure(nd_module):
     scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7, dt=2e-5, po_only=True)
     trace, report = run_closed_loop(scn)
     e = report.events[-1]
-    deficit = 1.0 - e.final_power / e.oracle_power
+    deficit = 1.0 - e["final_power_w"] / e["oracle_power_w"]
     assert all(r.mode == "po" for r in trace)
     assert deficit >= 0.10
     print(
