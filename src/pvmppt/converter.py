@@ -112,6 +112,12 @@ class MeasurementNoise:
     v_amplitude: float = 0.0
     i_amplitude: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("v_amplitude", "i_amplitude"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError("noise amplitudes must be finite and >= 0", name)
+
 
 @dataclass
 class TraceRecord:

@@ -200,6 +200,15 @@ class Scenario:
             raise ScenarioError("timeline: first event must be at t = 0")
         if times[-1] >= self.horizon_s:
             raise ScenarioError("timeline: events must end before the horizon")
+        # each event window needs two ADC ticks: one row has no energy integral
+        ticks = [round(t / adc) for t in times] + [round(self.horizon_s / adc)]
+        for k in range(len(times)):
+            if ticks[k + 1] - ticks[k] < 2:
+                until = f"timeline[{k + 1}]" if k + 1 < len(times) else "horizon_s"
+                raise ScenarioError(
+                    f"timeline[{k}].t_s: window until {until} spans {ticks[k + 1] - ticks[k]} "
+                    f"x {adc} s ADC ticks, at least 2 needed"
+                )
         if self.datasheet is None and self.params is None:
             raise ScenarioError("module: datasheet or params required")
         conv = self.converter
@@ -283,6 +292,7 @@ def _typed(kind: type, what: str):
 _object = _typed(dict, "an object")
 _list = _typed(list, "a list")
 _flag = _typed(bool, "true or false")
+_text = _typed(str, "a string")
 
 
 def _number(value, path: str) -> float:
@@ -422,7 +432,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     scn = _section(
         doc, "", Scenario, {"v_ref_start": "v_ref_start_v"},
         ("name", "array", "module", "levels", "timeline", "converter", "controller", "noise"),
-        name=str(doc.get("name", name)), n_series=n_series, n_parallel=n_parallel,
+        name=_get(doc, "name", "", _text, name), n_series=n_series, n_parallel=n_parallel,
         sample_module=sample, events=tuple(events), datasheet=datasheet, params=params,
         converter=converter, controller=controller, noise=noise,
     )
@@ -705,12 +715,13 @@ def _build_report(scn, windows, trace, state: ControllerState, adc: float) -> Ru
         ts = np.array([r.t for r in rows])
         ps = np.array([r.p for r in rows])
         v_star, p_star = w["oracle"]
-        eff = float(_trapz(ps, ts) / (p_star * (t1 - t0))) if len(rows) > 1 else 0.0
+        eff = float(_trapz(ps, ts) / (p_star * (t1 - t0)))
 
         tail = max(3 * scn.controller.po_period_s, 0.06)
         tail = min(tail, 0.5 * (t1 - t0))
         tail_mask = ts >= t1 - tail
-        final_power = float(ps[tail_mask].mean()) if tail_mask.any() else float("nan")
+        # a one-tick tail can miss the last row by an ulp of t1 - tail
+        final_power = float(ps[tail_mask].mean()) if tail_mask.any() else float(ps[-1])
 
         det = next((d for d in state.detections if t0 <= d.t < t1), None)
         ep = next((e for e in state.episodes if t0 <= e.t_start < t1), None)

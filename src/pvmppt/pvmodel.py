@@ -37,6 +37,7 @@ BAND_GAP_EV = 1.12
 T_REF_C = 25.0
 KELVIN_OFFSET = 273.15
 STC_IRRADIANCE = 1.0  # kW/m^2
+A_FIXED = 1.3  # diode ideality factor of every datasheet fit
 
 
 class ValidationError(ValueError):
@@ -74,21 +75,20 @@ class ModuleDatasheet:
     n_cells: int
     pmax_thermal_coeff: float = -0.0044  # fraction per degC, negative
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.p_max > 0.0:
-            raise ValidationError("p_max must be positive")
+            raise ValidationError("p_max must be positive", "p_max")
         if not (0.0 < self.v_mpp < self.v_oc):
-            raise ValidationError("require 0 < v_mpp < v_oc")
+            raise ValidationError("require 0 < v_mpp < v_oc", "v_mpp")
         if not (0.0 < self.i_mpp < self.i_sc):
-            raise ValidationError("require 0 < i_mpp < i_sc")
+            raise ValidationError("require 0 < i_mpp < i_sc", "i_mpp")
         if abs(self.p_max - self.v_mpp * self.i_mpp) / self.p_max >= 0.02:
-            raise ValidationError("p_max inconsistent with v_mpp*i_mpp (>2%)")
-        if self.v_mpp * self.i_mpp > 1.05 * self.p_max:
-            raise ValidationError("infeasible datasheet: v_mpp*i_mpp > 1.05*p_max")
-        if self.rho_mod >= 0.0 or self.pmax_thermal_coeff >= 0.0:
-            raise ValidationError("thermal coefficients must be negative")
+            raise ValidationError("p_max inconsistent with v_mpp*i_mpp (>2%)", "p_max")
+        for name in ("rho_mod", "pmax_thermal_coeff"):
+            if getattr(self, name) >= 0.0:
+                raise ValidationError("thermal coefficients must be negative", name)
         if self.n_cells < 1:
-            raise ValidationError("n_cells must be positive")
+            raise ValidationError("n_cells must be positive", "n_cells")
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,6 @@ class PvCurve:
     v: np.ndarray
     i: np.ndarray
     p: np.ndarray
-    v_step: float
 
     def __len__(self) -> int:
         return len(self.v)
@@ -438,7 +437,7 @@ def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
     if voc <= v_step:  # dark array: open-circuit voltage collapses to zero
         v = np.array([0.0, max(voc, v_step)])
         i = np.array([array_current(spec, 0.0), 0.0])
-        return PvCurve(v=v, i=np.maximum(i, 0.0), p=v * i, v_step=v_step)
+        return PvCurve(v=v, i=np.maximum(i, 0.0), p=v * i)
     v = np.arange(0.0, voc, v_step)
     if v[-1] < voc:
         v = np.append(v, voc)
@@ -448,7 +447,7 @@ def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
         i += np.interp(v, v_pts, i_pts, right=0.0)
     i = np.maximum(i, 0.0)
     i[-1] = 0.0
-    return PvCurve(v=v, i=i, p=v * i, v_step=v_step)
+    return PvCurve(v=v, i=i, p=v * i)
 
 
 # ---------------------------------------------------------------------------
@@ -501,25 +500,22 @@ def _dp_dv(p: ModuleParams, c: ModuleCondition, v: float) -> float:
     return i + v * didv
 
 
-def calibrate_module(ds: ModuleDatasheet, a_fixed: float = 1.3) -> ModuleParams:
-    """Fit {I_pv, I_o, Rs, Rsh} to the datasheet at a fixed ideality.
+def calibrate_module(ds: ModuleDatasheet) -> ModuleParams:
+    """Fit {I_pv, I_o, Rs, Rsh} to the datasheet at the fixed ideality ``A_FIXED``.
 
     Enforces the short-circuit, open-circuit and maximum-power points
     plus a vanishing power derivative at the MPP.  Raises
     :class:`CalibrationError` when the converged residuals do not meet
-    the contract, :class:`ValidationError` for an infeasible datasheet.
+    the contract (``ModuleDatasheet`` rejects an infeasible datasheet).
     """
-    ds.validate()
-    if not (1.0 <= a_fixed <= 2.0):
-        raise ValidationError("a_fixed must lie in [1, 2]")
-    a = a_fixed * thermal_voltage(ds.n_cells, T_REF_C)
+    a = A_FIXED * thermal_voltage(ds.n_cells, T_REF_C)
 
     def make(x: np.ndarray) -> ModuleParams:
         ipv, log_io, rs, log_rsh = x
         return ModuleParams(
             i_pv_ref=float(ipv),
             i_o_ref=float(math.exp(log_io)),
-            ideality_a=a_fixed,
+            ideality_a=A_FIXED,
             r_s=float(rs),
             r_sh=float(math.exp(log_rsh)),
             n_cells=ds.n_cells,

@@ -468,6 +468,13 @@ class TestRunStretches:
         with pytest.raises(ValidationError, match="rng"):
             run(STEP_CMD, array_130v_8a, TABLE_PLANT, noise=noise)
 
+    @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["v_amplitude", "i_amplitude"])
+    def test_noise_amplitude_rejected(self, field, value):
+        with pytest.raises(ValidationError) as err:
+            MeasurementNoise(**{field: value})
+        assert err.value.field == field
+
     def test_step_count_below_one_rejected(self):
         with pytest.raises(ValidationError, match="step count"):
             step_ode(ConverterState(100.0, 5.0), 0.5, 5e-6, lambda v: 5.0, TABLE_PLANT, 0)

@@ -205,6 +205,15 @@ class TestClosedLoop:
         assert eff > 0.99
         assert e["final_power_w"] <= e["oracle_power_w"] * 1.001
 
+    def test_two_tick_window_reports_its_last_row(self):
+        # events at ticks 0, 18 and 20: event 1's one-tick tail starts an ulp
+        # after its last row at tick 19
+        scn = benchmark_scenario(1, dt=2e-5)
+        start, onset = scn.events
+        events = (start, replace(onset, t=0.009), replace(start, t=0.01))
+        trace, report = run_closed_loop(replace(scn, events=events, horizon_s=0.05))
+        assert report.events[1]["final_power_w"] == trace[19].p
+
     def test_psc_onset_detects_scans_and_converges(self, psc1_run):
         trace, report = psc1_run
         e = report.events[1]
@@ -447,6 +456,16 @@ class TestCorpusScenario:
         assert run_corpus(2026, 2, jobs=2) == run_corpus(2026, 2, jobs=1)
 
 
+# benchmark_psc1's two events, to build timelines with extra events
+_PSC1_START = {
+    "t_s": 0.0, "pattern": ["5-0-0"] * 3, "levels": [[1.0, 25.0], [0.6, 25.0], [0.3, 25.0]],
+}
+
+
+def _psc1_onset(t_s):
+    return {"t_s": t_s, "pattern": list(BENCHMARK_PATTERNS[1])}
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "out"
@@ -502,6 +521,15 @@ class TestCli:
         assert capsys.readouterr().out == (
             f"{events}trace: {out / 'trace.csv'}\nreport: {out / 'report.json'}\n"
         )
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_report_is_strict_json(self, tmp_path, path):
+        def reject(constant):
+            raise ValueError(f"{constant} in report.json")
+
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        json.loads((out / "report.json").read_text(), parse_constant=reject)
 
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -618,6 +646,25 @@ class TestCli:
                 },
                 "array.n_parallel",
             ),
+            (
+                {
+                    ("horizon_s",): 0.5,
+                    ("timeline",): [_PSC1_START, _psc1_onset(0.3), _psc1_onset(0.3005)],
+                },
+                "timeline[1].t_s",
+            ),
+            (
+                {
+                    ("horizon_s",): 0.5,
+                    ("timeline",): [_PSC1_START, _psc1_onset(0.2999), _psc1_onset(0.3)],
+                },
+                "timeline[1].t_s",
+            ),
+            ({("horizon_s",): 0.30024}, "timeline[1].t_s"),
+            ({("noise", "v_amplitude_v"): -1.0}, "noise.v_amplitude_v"),
+            ({("module", "datasheet", "p_max_w"): -5.0}, "module.datasheet.p_max_w"),
+            ({("module", "datasheet", "v_mpp_v"): 40.0}, "module.datasheet.v_mpp_v"),
+            ({("name",): [1, 2]}, "name"),
         ],
         ids=(
             "adc_period_zero",
@@ -652,6 +699,13 @@ class TestCli:
             "pattern_counts_off_sum",
             "module_datasheet_and_params",
             "strings_beyond_integrator_slope",
+            "one_tick_window",
+            "same_tick_events",
+            "last_window_before_horizon",
+            "noise_amplitude_negative",
+            "datasheet_power_negative",
+            "datasheet_mpp_voltage_above_voc",
+            "name_not_string",
         ),
     )
     def test_out_of_range_timing_rejected(self, tmp_path, capsys, edits, field):

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestCalibration:
                 pmax_thermal_coeff=-0.0044,
                 rho_mod=-0.00329,
                 n_cells=42,
-            ).validate()
+            )
 
     def test_unfittable_curve_shape_raises(self):
         bad = ModuleDatasheet(
@@ -115,9 +116,22 @@ class TestCalibration:
             calibrate_module(bad)
         assert err.value.residuals  # diagnostics carried
 
-    def test_a_fixed_out_of_range(self):
-        with pytest.raises(ValidationError):
-            calibrate_module(ND195R1S, a_fixed=2.5)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_max", -5.0),
+            ("v_mpp", 40.0),
+            ("i_mpp", 9.0),
+            ("p_max", 150.0),
+            ("rho_mod", 0.001),
+            ("pmax_thermal_coeff", 0.0),
+            ("n_cells", 0),
+        ],
+    )
+    def test_datasheet_rejects_at_construction_naming_field(self, field, value):
+        with pytest.raises(ValidationError) as err:
+            replace(ND195R1S, **{field: value})
+        assert err.value.field == field
 
 
 class TestModuleOperations:
@@ -299,7 +313,7 @@ class TestSweepAndOracle:
     def test_oracle_empty_curve_rejected(self, nd_module):
         from pvmppt.pvmodel import PvCurve
 
-        empty = PvCurve(np.array([]), np.array([]), np.array([]), 0.01)
+        empty = PvCurve(np.array([]), np.array([]), np.array([]))
         with pytest.raises(ValidationError):
             oracle_gmpp(empty)
 
