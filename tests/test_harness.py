@@ -466,6 +466,43 @@ def _psc1_onset(t_s):
     return {"t_s": t_s, "pattern": list(BENCHMARK_PATTERNS[1])}
 
 
+# mode -> the modes the next trace row may show
+_NEXT_MODES = {
+    "po": {"po", "detect_settle"},
+    "detect_settle": {"detect_settle", "detect_probe"},
+    "detect_probe": {"detect_probe", "scan_up", "po"},
+    "scan_up": {"scan_up", "scan_down"},
+    "scan_down": {"scan_down", "settle_best"},
+    "settle_best": {"settle_best", "po"},
+}
+
+
+def _trace_violations(path: Path, v_cmd_max: float) -> list[str]:
+    """Rows of a ``trace.csv`` that break a controller invariant: the command
+    leaves ``[0, v_cmd_max]``, the mode changes along an edge the state
+    machine lacks, or the scan incumbent is not the running maximum of the
+    sampled power."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == TRACE_HEADER
+    rows = [dict(zip(TRACE_HEADER.split(","), line.split(","))) for line in lines[1:]]
+    bad = []
+    prev = None
+    for k, row in enumerate(rows, start=1):
+        v_ref = float(row["v_ref"])
+        if not 0.0 <= v_ref <= v_cmd_max:
+            bad.append(f"row {k}: v_ref {v_ref} outside [0, {v_cmd_max}]")
+        if prev is not None:
+            if row["mode"] not in _NEXT_MODES[prev["mode"]]:
+                bad.append(f"row {k}: {prev['mode']} -> {row['mode']}")
+            scanning = ("scan_up", "scan_down")
+            if prev["mode"] in scanning and row["mode"] in scanning:
+                p_e = max(float(prev["p_e"]), float(row["p"]))
+                if float(row["p_e"]) != p_e:
+                    bad.append(f"row {k}: p_e {row['p_e']} is not the running max {p_e}")
+        prev = row
+    return bad
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "out"
@@ -524,12 +561,17 @@ class TestCli:
 
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_report_is_strict_json(self, tmp_path, path):
+        """Every shipped scenario runs to a strict-JSON report and a trace
+        that keeps the controller invariants."""
+
         def reject(constant):
             raise ValueError(f"{constant} in report.json")
 
         out = tmp_path / "out"
         assert cli_main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         json.loads((out / "report.json").read_text(), parse_constant=reject)
+        v_cmd_max = load_scenario(path).controller.v_cmd_max
+        assert _trace_violations(out / "trace.csv", v_cmd_max) == []
 
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "curve.csv"
