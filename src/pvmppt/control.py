@@ -267,29 +267,23 @@ def detection_verdict(
 
 
 @dataclass
-class PruneEvent:
-    kind: str  # "up" (V_oc*I < P_e) | "down" (V*I_sc < P_e)
-    t: float
-    v: float
-    i: float
-    p_e: float
-
-
-@dataclass
 class ScanEpisode:
+    """One global search, from a positive verdict until P&O resumes: the
+    incumbent (V_e, P_e), seeded by the detection's reference reading, the
+    down-leg floor, and each prune as its ``report.json`` dict."""
+
     t_start: float
-    t_end: float = math.nan
+    v_e: float
+    p_e: float
+    floor_v: float  # updated module MPP voltage
     t_arrived: float = math.nan  # command reached V_e
-    v_e: float = math.nan
-    p_e: float = math.nan
     ticks_up: int = 0
     ticks_down: int = 0
-    max_sampled_p: float = 0.0
-    prunes: list[PruneEvent] = field(default_factory=list)
+    prunes: list[dict] = field(default_factory=list)
 
-    @property
-    def scan_duration_s(self) -> float:
-        return self.t_arrived - self.t_start
+    def prune(self, kind: str, m: Measurement) -> None:
+        """Record a leg ended by its bound: "up" (V_oc*I < P_e) or "down" (V*I_sc < P_e)."""
+        self.prunes.append({"kind": kind, "t_s": m.t, "v_v": m.v, "i_a": m.i, "p_e_w": self.p_e})
 
 
 @dataclass
@@ -298,8 +292,6 @@ class ControllerState:
 
     mode: Mode = Mode.PO
     v_ref: float = 0.0
-    best_v: float = math.nan
-    best_p: float = -math.inf
     po_direction: int = 1
     last_power: float = math.nan
     # timers / scheduling
@@ -321,8 +313,7 @@ class ControllerState:
     detect_probe_lo: tuple[float, float] | None = None
     detect_seed: tuple[float, float] | None = None
     slew_target: float = math.nan
-    # scan bookkeeping
-    scan_floor_v: float = math.nan
+    # scan bookkeeping: ``episode`` is set from a positive verdict until P&O resumes
     episode: ScanEpisode | None = None
     episodes: list[ScanEpisode] = field(default_factory=list)
     detections: list[DetectionOutcome] = field(default_factory=list)
@@ -364,34 +355,30 @@ def scan_step(
     applies the search-pruning terminations."""
     p_s = m.p
     ep = state.episode
-    if ep is not None:
-        ep.max_sampled_p = max(ep.max_sampled_p, p_s)
-    if p_s > state.best_p:
-        state.best_v, state.best_p = m.v, p_s
+    if p_s > ep.p_e:
+        ep.v_e, ep.p_e = m.v, p_s
 
     dv = ramp_rate * adc_period
     if state.mode is Mode.SCAN_UP:
-        if ep is not None:
-            ep.ticks_up += 1
+        ep.ticks_up += 1
         at_ceiling = m.v >= ref.v_oc_arr_rated or state.v_ref >= ref.v_oc_arr_rated
-        pruned = ref.v_oc_arr_rated * m.i < state.best_p
+        pruned = ref.v_oc_arr_rated * m.i < ep.p_e
         if at_ceiling or pruned:
-            if pruned and not at_ceiling and ep is not None:
-                ep.prunes.append(PruneEvent("up", m.t, m.v, m.i, state.best_p))
+            if pruned and not at_ceiling:
+                ep.prune("up", m)
             state.mode = Mode.SCAN_DOWN
         else:
             state.v_ref = min(state.v_ref + dv, ref.v_oc_arr_rated)
     elif state.mode is Mode.SCAN_DOWN:
-        if ep is not None:
-            ep.ticks_down += 1
-        at_floor = m.v <= state.scan_floor_v or state.v_ref <= state.scan_floor_v
-        pruned = m.v * ref.i_sc_rated < state.best_p
+        ep.ticks_down += 1
+        at_floor = m.v <= ep.floor_v or state.v_ref <= ep.floor_v
+        pruned = m.v * ref.i_sc_rated < ep.p_e
         if at_floor or pruned:
-            if pruned and not at_floor and ep is not None:
-                ep.prunes.append(PruneEvent("down", m.t, m.v, m.i, state.best_p))
+            if pruned and not at_floor:
+                ep.prune("down", m)
             state.mode = Mode.SETTLE_TO_BEST
             cmd_offset = min(max(m.v - state.v_ref, -20.0), 20.0)
-            state.slew_target = max(state.best_v - cmd_offset, 0.0)
+            state.slew_target = max(ep.v_e - cmd_offset, 0.0)
             state.settle_until = math.nan
         else:
             state.v_ref = max(state.v_ref - dv, 0.0)
@@ -424,10 +411,7 @@ def _finish_detection(
     state.detect_phase = -1
     if outcome.is_psc:
         state.believed_uic = False
-        seed_v, seed_p = state.detect_seed
-        state.best_v, state.best_p = seed_v, seed_p
-        state.scan_floor_v = state.detect_v_mod_upd
-        state.episode = ScanEpisode(t_start=m.t)
+        state.episode = ScanEpisode(m.t, *state.detect_seed, floor_v=state.detect_v_mod_upd)
         state.mode = Mode.SCAN_UP
     else:
         state.believed_uic = True
@@ -526,15 +510,11 @@ def controller_tick(
         scan_step(state, m, ref, cfg.ramp_rate_v_per_s, cfg.adc_period_s)
     elif mode is Mode.SETTLE_TO_BEST:
         if not math.isnan(state.slew_target):
-            if _slew(state, m, cfg) and state.episode is not None:
+            if _slew(state, m, cfg):
                 state.episode.t_arrived = m.t
         elif m.t + 1e-12 >= state.settle_until:
-            ep = state.episode
-            if ep is not None:
-                ep.t_end = m.t
-                ep.v_e, ep.p_e = state.best_v, state.best_p
-                state.episodes.append(ep)
-                state.episode = None
+            state.episodes.append(state.episode)
+            state.episode = None
             state.mode = Mode.PO
             state.last_power = m.p
             state.po_direction = 1

@@ -592,15 +592,6 @@ class RunReport:
         return {"scenario": self.scenario, "seed": self.seed, "events": self.events}
 
 
-_RAMP_MODES = (
-    Mode.DETECT_SETTLE,
-    Mode.DETECT_PROBE,
-    Mode.SCAN_UP,
-    Mode.SCAN_DOWN,
-    Mode.SETTLE_TO_BEST,
-)
-
-
 def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     """Simulate the full controller/converter/array loop over a scenario.
 
@@ -650,7 +641,6 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     state = make_controller_state(ref, cfg, scn.v_ref_start)
     v = state.v_ref
     il = windows[0]["plant"](v)
-    cmd_applied = state.v_ref
 
     v_out = conv.v_out
 
@@ -678,10 +668,10 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
             i_meas = max(i_meas + rng.uniform(-scn.noise.i_amplitude, scn.noise.i_amplitude), 0.0)
         m = Measurement(v=v_meas, i=i_meas, t=t, t_sample_mod=t_sample)
 
-        prev_cmd = cmd_applied
+        prev_cmd = state.v_ref
         new_ref, state = controller_tick(state, m, cfg, ref, read_sample_module)
-        slew = state.mode in _RAMP_MODES
-        in_scan = state.mode in (Mode.SCAN_UP, Mode.SCAN_DOWN, Mode.SETTLE_TO_BEST)
+        slew = state.mode is not Mode.PO
+        ep = state.episode  # set in scan_up, scan_down and settle_best
         trace.append(
             TraceRecord(
                 t=t,
@@ -691,13 +681,12 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
                 i_pv=i_meas,
                 p=v_meas * i_meas,
                 mode=state.mode.value,
-                p_e=state.best_p if in_scan else math.nan,
-                v_e=state.best_v if in_scan else math.nan,
+                p_e=ep.p_e if ep else math.nan,
+                v_e=ep.v_e if ep else math.nan,
             )
         )
-        cmd_applied = new_ref
 
-        # integrate [t, t+adc): command slews linearly in ramp modes
+        # integrate [t, t+adc): command slews linearly in every mode but P&O
         dcmd = (new_ref - prev_cmd) / sub_per_tick if slew else 0.0
         base = prev_cmd if slew else new_ref
         v, il = advance(v, il, base, dcmd, sub_per_tick, dt, cur, conv)
@@ -742,14 +731,11 @@ def _build_report(scn, windows, trace, state: ControllerState, adc: float) -> Ru
                 "dv_arr_ratio": det.dv_arr_ratio if det else None,
                 "dv_mod_ratio": det.dv_mod_ratio if det else None,
                 "scan_duration_s": (
-                    ep.scan_duration_s if ep and math.isfinite(ep.t_arrived) else None
+                    ep.t_arrived - ep.t_start if ep and math.isfinite(ep.t_arrived) else None
                 ),
                 "scan_ticks_up": ep.ticks_up if ep else 0,
                 "scan_ticks_down": ep.ticks_down if ep else 0,
-                "prunes": [
-                    {"kind": p.kind, "t_s": p.t, "v_v": p.v, "i_a": p.i, "p_e_w": p.p_e}
-                    for p in (ep.prunes if ep else [])
-                ],
+                "prunes": ep.prunes if ep else [],
                 "v_e_v": ep.v_e if ep else None,
                 "p_e_w": ep.p_e if ep else None,
             }
