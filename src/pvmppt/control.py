@@ -228,7 +228,7 @@ def criteria_fired(
 
 @dataclass
 class DetectionOutcome:
-    psi: float
+    psi: float | None  # None: the array was dark at the probes, no verdict
     dv_arr_ratio: float  # signed
     dv_mod_ratio: float  # signed
     fired: tuple[bool, bool, bool]
@@ -258,11 +258,17 @@ def detection_verdict(
 ) -> DetectionOutcome:
     """Judge one detection from its readings: the P&O rest voltage, the
     updated (array, module) MPP references, the sample-module voltage with
-    the array at the array reference, and the two (v, p) PSI probes."""
-    psi = compute_psi(probe_lo, probe_hi)
+    the array at the array reference, and the two (v, p) PSI probes.
+
+    A dark array (mean probe power not positive) has no slope to judge: it
+    gets no verdict, ``psi`` None and no criterion fired, so P&O resumes."""
     dv_arr = (v_rest - v_arr_upd) / v_arr_upd
     dv_mod = (v_sample - v_mod_upd) / v_mod_upd
-    fired = criteria_fired(psi, dv_arr, dv_mod, cfg)
+    if 0.5 * (probe_lo[1] + probe_hi[1]) <= 0.0:
+        psi, fired = None, (False, False, False)
+    else:
+        psi = compute_psi(probe_lo, probe_hi)
+        fired = criteria_fired(psi, dv_arr, dv_mod, cfg)
     return DetectionOutcome(psi, dv_arr, dv_mod, fired, any(fired), v_rest, v_arr_upd, v_mod_upd, t)
 
 

@@ -176,6 +176,13 @@ class TestDetectionVerdict:
             0.5, v_rest, 120.0, 24.0
         )
 
+    def test_dark_probes_give_no_verdict(self):
+        # readings that would fire dv_arr and dv_mod, but no probe power
+        out = detection_verdict(110.0, 120.0, 24.0, 0.0, (118.8, 0.0), (121.2, 0.0), DetectorConfig())
+        assert out.psi is None
+        assert out.fired == (False, False, False) and out.is_psc is False
+        assert out.to_dict()["psi_per_v"] is None
+
     def test_static_verdict_has_no_time_and_prints_eight_keys(self):
         out = detection_verdict(120.0, 120.0, 24.0, 24.0, (118.8, 1.0), (121.2, 1.0), DetectorConfig())
         assert math.isnan(out.t)

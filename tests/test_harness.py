@@ -607,6 +607,15 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["psc"] is True
 
+    def test_detect_dark_event_has_no_verdict(self, capsys):
+        rc = cli_main(
+            ["detect", "--scenario", str(SCENARIO_DIR / "dark_onset.json"), "--event-index", "1"]
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["psi_per_v"] is None
+        assert doc["psc"] is False and doc["criteria_fired"] == [False, False, False]
+
     def test_corpus_subcommand(self, tmp_path):
         out = tmp_path / "corpus.json"
         rc = cli_main(["corpus", "--count", "2", "--seed", "7", "--out", str(out)])
