@@ -23,20 +23,10 @@ from .harness import (
 from .pvmodel import CalibrationError, ValidationError, sweep_curve
 
 
-def _apply_overrides(scn, args):
-    ctl = scn.controller
-    if args.ramp_rate is not None:
-        ctl = replace(ctl, ramp_rate_v_per_s=args.ramp_rate)
-    if getattr(args, "controller", None) == "po":
-        ctl = replace(ctl, po_only=True)
-    scn = replace(scn, controller=ctl)
-    if args.seed is not None:
-        scn = replace(scn, seed=args.seed)
-    return scn
-
-
 def _cmd_run(args) -> int:
-    scn = _apply_overrides(load_scenario(args.scenario), args)
+    scn = load_scenario(args.scenario)
+    if args.controller == "po":
+        scn = replace(scn, controller=replace(scn.controller, po_only=True))
     trace, report = run_closed_loop(scn)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,7 +77,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    agg = run_corpus(seed=args.seed if args.seed is not None else 0, count=args.count, jobs=args.jobs)
+    agg = run_corpus(seed=args.seed, count=args.count, jobs=args.jobs)
     if not args.full:
         agg = {k: v for k, v in agg.items() if k != "reports"}
     text = json.dumps(agg, indent=2, sort_keys=True)
@@ -115,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario, write trace.csv and report.json")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_run.add_argument("--ramp-rate", type=float, default=None, help="scan ramp rate [V/s]")
     p_run.add_argument(
         "--controller",
         choices=("ramp", "po"),
