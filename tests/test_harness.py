@@ -573,6 +573,24 @@ class TestCli:
         v_cmd_max = load_scenario(path).controller.v_cmd_max
         assert _trace_violations(out / "trace.csv", v_cmd_max) == []
 
+    @pytest.mark.parametrize("v_out", [100.0, 110.0, 120.0])
+    def test_low_link_voltage_still_scans_to_the_oracle(self, tmp_path, v_out):
+        """A link below the rated V_oc caps every command at ``v_out``: the
+        detection and the scan still finish and P&O resumes at the GMPP."""
+        doc = json.loads((SCENARIO_DIR / "benchmark_psc1.json").read_text())
+        doc["converter"]["v_out_v"] = v_out
+        scenario = tmp_path / "psc1_low_link.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        event = json.loads((out / "report.json").read_text())["events"][1]
+        assert event["detected"] is True
+        assert event["scan_duration_s"] is not None
+        assert event["final_power_w"] >= 0.99 * event["oracle_power_w"]
+        last = (out / "trace.csv").read_text().splitlines()[-1]
+        assert dict(zip(TRACE_HEADER.split(","), last.split(",")))["mode"] == "po"
+        assert _trace_violations(out / "trace.csv", v_out) == []
+
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "curve.csv"
         rc = cli_main(
