@@ -44,9 +44,6 @@ class Mode(str, Enum):
     SETTLE_TO_BEST = "settle_best"
 
 
-# detection sub-phases (all within DETECT_SETTLE / DETECT_PROBE modes)
-_GOTO_REF, _TRIM_REF, _GOTO_LO, _GOTO_HI = range(4)
-
 # smallest probe half-width, as a fraction of V_mpp-arr: at 1e-9 of ~100 V the
 # two probes still lie ~1e7 float steps apart; near 1e-15 rounding moves PSI
 # by several percent, and below ~1e-16 both probes fall on one voltage
@@ -251,25 +248,41 @@ class DetectionOutcome:
         }
 
 
+@dataclass
+class DetectionReadings:
+    """One detection's readings, filled in as its sequence runs: at the
+    trigger, the P&O rest voltage and the updated (array, module) MPP
+    references; once the open-loop trim has landed the array on the array
+    reference, the command there, the sample-module voltage and the (v, p)
+    reading that seeds a scan; then the low (v, p) PSI probe."""
+
+    v_rest: float
+    v_arr_upd: float
+    v_mod_upd: float
+    trimmed: bool = False
+    center_cmd: float = math.nan
+    v_sample: float = math.nan
+    seed: tuple[float, float] | None = None
+    lo: tuple[float, float] | None = None
+
+
 def detection_verdict(
-    v_rest: float, v_arr_upd: float, v_mod_upd: float, v_sample: float,
-    probe_lo: tuple[float, float], probe_hi: tuple[float, float], cfg: DetectorConfig,
-    t: float = math.nan,
+    r: DetectionReadings, probe_hi: tuple[float, float], cfg: DetectorConfig, t: float = math.nan
 ) -> DetectionOutcome:
-    """Judge one detection from its readings: the P&O rest voltage, the
-    updated (array, module) MPP references, the sample-module voltage with
-    the array at the array reference, and the two (v, p) PSI probes.
+    """Judge one detection from its readings and the high (v, p) PSI probe.
 
     A dark array (mean probe power not positive) has no slope to judge: it
     gets no verdict, ``psi`` None and no criterion fired, so P&O resumes."""
-    dv_arr = (v_rest - v_arr_upd) / v_arr_upd
-    dv_mod = (v_sample - v_mod_upd) / v_mod_upd
-    if 0.5 * (probe_lo[1] + probe_hi[1]) <= 0.0:
+    dv_arr = (r.v_rest - r.v_arr_upd) / r.v_arr_upd
+    dv_mod = (r.v_sample - r.v_mod_upd) / r.v_mod_upd
+    if 0.5 * (r.lo[1] + probe_hi[1]) <= 0.0:
         psi, fired = None, (False, False, False)
     else:
-        psi = compute_psi(probe_lo, probe_hi)
+        psi = compute_psi(r.lo, probe_hi)
         fired = criteria_fired(psi, dv_arr, dv_mod, cfg)
-    return DetectionOutcome(psi, dv_arr, dv_mod, fired, any(fired), v_rest, v_arr_upd, v_mod_upd, t)
+    return DetectionOutcome(
+        psi, dv_arr, dv_mod, fired, any(fired), r.v_rest, r.v_arr_upd, r.v_mod_upd, t
+    )
 
 
 @dataclass
@@ -302,23 +315,14 @@ class ControllerState:
     last_power: float = math.nan
     # timers / scheduling
     next_po_t: float = 0.0
-    t_last_detect: float = 0.0
     settle_until: float = math.nan
     # P&O rest estimation (one oscillation cycle)
     rest_v: deque = field(default_factory=lambda: deque(maxlen=4))
     rest_i: deque = field(default_factory=lambda: deque(maxlen=4))
     uic_current: float = math.nan
-    believed_uic: bool = True
-    # detection sequence
-    detect_phase: int = -1
-    detect_v_rest: float = math.nan
-    detect_v_arr_upd: float = math.nan
-    detect_v_mod_upd: float = math.nan
-    detect_v_sample: float = math.nan
-    detect_center_cmd: float = math.nan
-    detect_probe_lo: tuple[float, float] | None = None
-    detect_seed: tuple[float, float] | None = None
-    slew_target: float = math.nan
+    # ``readings`` is set from a trigger until its verdict
+    readings: DetectionReadings | None = None
+    slew_target: float = math.nan  # _slew holds it in [0, v_cmd_max]
     # scan bookkeeping: ``episode`` is set from a positive verdict until P&O resumes
     episode: ScanEpisode | None = None
     episodes: list[ScanEpisode] = field(default_factory=list)
@@ -349,32 +353,31 @@ def po_step(state: ControllerState, m: Measurement, step_v: float) -> Controller
 
 
 def scan_step(
-    state: ControllerState,
-    m: Measurement,
-    ref: ReferenceModel,
-    ramp_rate: float,
-    adc_period: float,
+    state: ControllerState, m: Measurement, ref: ReferenceModel, cfg: ControllerConfig
 ) -> ControllerState:
     """One ramp-scan update at the ADC cadence.
 
     Updates the incumbent (V_e, P_e), advances the ramp command, and
-    applies the search-pruning terminations."""
+    applies the search-pruning terminations.  The up leg ends at the rated
+    open-circuit voltage, or at ``v_cmd_max`` where the link caps the
+    command below it."""
     p_s = m.p
     ep = state.episode
     if p_s > ep.p_e:
         ep.v_e, ep.p_e = m.v, p_s
 
-    dv = ramp_rate * adc_period
+    dv = cfg.ramp_rate_v_per_s * cfg.adc_period_s
     if state.mode is Mode.SCAN_UP:
         ep.ticks_up += 1
-        at_ceiling = m.v >= ref.v_oc_arr_rated or state.v_ref >= ref.v_oc_arr_rated
+        ceiling = min(ref.v_oc_arr_rated, cfg.v_cmd_max)
+        at_ceiling = m.v >= ceiling or state.v_ref >= ceiling
         pruned = ref.v_oc_arr_rated * m.i < ep.p_e
         if at_ceiling or pruned:
             if pruned and not at_ceiling:
                 ep.prune("up", m)
             state.mode = Mode.SCAN_DOWN
         else:
-            state.v_ref = min(state.v_ref + dv, ref.v_oc_arr_rated)
+            state.v_ref = min(state.v_ref + dv, ceiling)
     elif state.mode is Mode.SCAN_DOWN:
         ep.ticks_down += 1
         at_floor = m.v <= ep.floor_v or state.v_ref <= ep.floor_v
@@ -384,23 +387,19 @@ def scan_step(
                 ep.prune("down", m)
             state.mode = Mode.SETTLE_TO_BEST
             cmd_offset = min(max(m.v - state.v_ref, -20.0), 20.0)
-            state.slew_target = max(ep.v_e - cmd_offset, 0.0)
+            state.slew_target = ep.v_e - cmd_offset
             state.settle_until = math.nan
         else:
             state.v_ref = max(state.v_ref - dv, 0.0)
     return state
 
 
-def _begin_detection(state: ControllerState, m: Measurement, cfg: ControllerConfig, ref: ReferenceModel) -> None:
-    state.detect_v_rest = (
-        sum(state.rest_v) / len(state.rest_v) if state.rest_v else m.v
-    )
+def _begin_detection(state: ControllerState, m: Measurement, ref: ReferenceModel) -> None:
+    v_rest = sum(state.rest_v) / len(state.rest_v) if state.rest_v else m.v
     i_corr = state.uic_current if math.isfinite(state.uic_current) else None
     v_arr_u, v_mod_u = update_references(ref, m.t_sample_mod, i_arr=i_corr)
-    state.detect_v_arr_upd = v_arr_u
-    state.detect_v_mod_upd = v_mod_u
-    state.detect_phase = _GOTO_REF
-    state.slew_target = min(v_arr_u, cfg.v_cmd_max)
+    state.readings = DetectionReadings(v_rest, v_arr_u, v_mod_u)
+    state.slew_target = v_arr_u
     state.settle_until = math.nan
     state.mode = Mode.DETECT_SETTLE
 
@@ -408,34 +407,30 @@ def _begin_detection(state: ControllerState, m: Measurement, cfg: ControllerConf
 def _finish_detection(
     state: ControllerState, m: Measurement, cfg: ControllerConfig, probe_hi: tuple[float, float]
 ) -> None:
-    outcome = detection_verdict(
-        state.detect_v_rest, state.detect_v_arr_upd, state.detect_v_mod_upd, state.detect_v_sample,
-        state.detect_probe_lo, probe_hi, cfg.detector, t=m.t,
-    )
+    r, state.readings = state.readings, None
+    outcome = detection_verdict(r, probe_hi, cfg.detector, t=m.t)
     state.detections.append(outcome)
-    state.t_last_detect = m.t
-    state.detect_phase = -1
     if outcome.is_psc:
-        state.believed_uic = False
-        state.episode = ScanEpisode(m.t, *state.detect_seed, floor_v=state.detect_v_mod_upd)
+        state.episode = ScanEpisode(m.t, *r.seed, floor_v=r.v_mod_upd)
         state.mode = Mode.SCAN_UP
     else:
-        state.believed_uic = True
-        state.v_ref = state.detect_center_cmd
+        state.v_ref = r.center_cmd
         state.mode = Mode.PO
         state.last_power = m.p
         state.next_po_t = m.t + cfg.po_period_s
 
 
 def _slew(state: ControllerState, m: Measurement, cfg: ControllerConfig) -> bool:
-    """Move the command one ramp step toward ``slew_target``.  On arrival,
-    clear the target, start the settle time and return True."""
+    """Move the command one ramp step toward ``slew_target``, held in
+    ``[0, v_cmd_max]``.  On arrival, clear the target, start the settle
+    time and return True."""
+    target = min(max(state.slew_target, 0.0), cfg.v_cmd_max)
     dv_cmd = cfg.ramp_rate_v_per_s * cfg.adc_period_s
-    delta = state.slew_target - state.v_ref
+    delta = target - state.v_ref
     if abs(delta) > dv_cmd:
         state.v_ref += math.copysign(dv_cmd, delta)
         return False
-    state.v_ref = state.slew_target
+    state.v_ref = target
     state.slew_target = math.nan
     state.settle_until = m.t + cfg.settle_s
     return True
@@ -446,7 +441,8 @@ def _detect_tick(
     read_sample_module: Callable[[], float],
 ) -> None:
     """Advance the detection sequence: reach the reference, trim the
-    open-loop offset, read the sample module, probe PSI on both sides."""
+    open-loop offset, read the sample module, probe PSI on both sides.
+    The next step is the first reading still missing."""
     if not math.isnan(state.slew_target):
         _slew(state, m, cfg)
         return
@@ -454,25 +450,23 @@ def _detect_tick(
         return
     state.settle_until = math.nan
 
-    probe_dv = cfg.detector.probe_dv(state.detect_v_arr_upd)
-    phase = state.detect_phase
-    if phase == _GOTO_REF:
+    r = state.readings
+    probe_dv = cfg.detector.probe_dv(r.v_arr_upd)
+    if not r.trimmed:
         # one open-loop trim so the measured array voltage lands on the
         # reference despite the r_L*i_L steady-state offset
-        state.detect_phase = _TRIM_REF
-        state.slew_target = max(state.v_ref + (state.detect_v_arr_upd - m.v), 0.0)
-    elif phase == _TRIM_REF:
-        state.detect_center_cmd = state.v_ref
-        state.detect_v_sample = read_sample_module()
-        state.detect_seed = (m.v, m.p)
-        state.detect_phase = _GOTO_LO
+        r.trimmed = True
+        state.slew_target = state.v_ref + (r.v_arr_upd - m.v)
+    elif r.seed is None:
+        r.center_cmd = state.v_ref
+        r.v_sample = read_sample_module()
+        r.seed = (m.v, m.p)
         state.mode = Mode.DETECT_PROBE
-        state.slew_target = max(state.detect_center_cmd - probe_dv, 0.0)
-    elif phase == _GOTO_LO:
-        state.detect_probe_lo = (m.v, m.p)
-        state.detect_phase = _GOTO_HI
-        state.slew_target = state.detect_center_cmd + probe_dv
-    elif phase == _GOTO_HI:
+        state.slew_target = r.center_cmd - probe_dv
+    elif r.lo is None:
+        r.lo = (m.v, m.p)
+        state.slew_target = r.center_cmd + probe_dv
+    else:
         _finish_detection(state, m, cfg, (m.v, m.p))
 
 
@@ -494,26 +488,27 @@ def controller_tick(
     if mode is Mode.PO:
         if m.t + 1e-12 >= state.next_po_t:
             state.next_po_t = m.t + cfg.po_period_s
-            trigger = False
-            if not cfg.po_only:
-                if (
+            last = state.detections[-1] if state.detections else None
+            trigger = not cfg.po_only and (
+                (
                     math.isfinite(state.last_power)
                     and abs(m.p - state.last_power)
                     > cfg.detector.power_change_trigger * max(state.last_power, 1e-9)
-                ):
-                    trigger = True
-                elif m.t - state.t_last_detect >= cfg.detector.periodic_trigger_s:
-                    trigger = True
+                )
+                or m.t - (last.t if last else 0.0) >= cfg.detector.periodic_trigger_s
+            )
             if trigger:
-                _begin_detection(state, m, cfg, ref)
+                _begin_detection(state, m, ref)
             else:
                 po_step(state, m, cfg.po_step_v)
-                if state.believed_uic and len(state.rest_i) == state.rest_i.maxlen:
+                # the rest current is a uniform operating current unless the
+                # last verdict found partial shading
+                if not (last and last.is_psc) and len(state.rest_i) == state.rest_i.maxlen:
                     state.uic_current = sum(state.rest_i) / len(state.rest_i)
     elif mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE):
         _detect_tick(state, m, cfg, read_sample_module)
     elif mode in (Mode.SCAN_UP, Mode.SCAN_DOWN):
-        scan_step(state, m, ref, cfg.ramp_rate_v_per_s, cfg.adc_period_s)
+        scan_step(state, m, ref, cfg)
     elif mode is Mode.SETTLE_TO_BEST:
         if not math.isnan(state.slew_target):
             if _slew(state, m, cfg):

@@ -23,6 +23,7 @@ from .control import (
     ControllerConfig,
     ControllerState,
     DetectionOutcome,
+    DetectionReadings,
     DetectorConfig,
     Measurement,
     Mode,
@@ -568,10 +569,10 @@ def detect_pattern(
     v_arr_u, v_mod_u = update_references(ref, t_s, i_arr=i_corr)
 
     dv = cfg.probe_dv(v_arr_u)
-    lo = (v_arr_u - dv, float(curve.power_at(v_arr_u - dv)))
-    hi = (v_arr_u + dv, float(curve.power_at(v_arr_u + dv)))
     v_samp = float(_sample_module_voltage(spec, v_arr_u))
-    return detection_verdict(float(v_rest), v_arr_u, v_mod_u, v_samp, lo, hi, cfg)
+    lo, hi = ((v, float(curve.power_at(v))) for v in (v_arr_u - dv, v_arr_u + dv))
+    r = DetectionReadings(float(v_rest), v_arr_u, v_mod_u, v_sample=v_samp, lo=lo)
+    return detection_verdict(r, hi, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from pvmppt.control import (
-    _TRIM_REF,
     PSI_PROBE_FRAC_MIN,
     ControllerConfig,
+    DetectionReadings,
     DetectorConfig,
     Measurement,
     Mode,
@@ -166,7 +166,8 @@ class TestDetectionVerdict:
     def test_verdict_from_readings(self, v_rest, v_sample_mod, p_hi):
         cfg = DetectorConfig()
         lo, hi = (118.8, 1000.0), (121.2, p_hi)
-        out = detection_verdict(v_rest, 120.0, 24.0, v_sample_mod, lo, hi, cfg, t=0.5)
+        readings = DetectionReadings(v_rest, 120.0, 24.0, v_sample=v_sample_mod, lo=lo)
+        out = detection_verdict(readings, hi, cfg, t=0.5)
         assert out.psi == compute_psi(lo, hi)
         assert out.dv_arr_ratio == (v_rest - 120.0) / 120.0
         assert out.dv_mod_ratio == (v_sample_mod - 24.0) / 24.0
@@ -178,13 +179,15 @@ class TestDetectionVerdict:
 
     def test_dark_probes_give_no_verdict(self):
         # readings that would fire dv_arr and dv_mod, but no probe power
-        out = detection_verdict(110.0, 120.0, 24.0, 0.0, (118.8, 0.0), (121.2, 0.0), DetectorConfig())
+        readings = DetectionReadings(110.0, 120.0, 24.0, v_sample=0.0, lo=(118.8, 0.0))
+        out = detection_verdict(readings, (121.2, 0.0), DetectorConfig())
         assert out.psi is None
         assert out.fired == (False, False, False) and out.is_psc is False
         assert out.to_dict()["psi_per_v"] is None
 
     def test_static_verdict_has_no_time_and_prints_eight_keys(self):
-        out = detection_verdict(120.0, 120.0, 24.0, 24.0, (118.8, 1.0), (121.2, 1.0), DetectorConfig())
+        readings = DetectionReadings(120.0, 120.0, 24.0, v_sample=24.0, lo=(118.8, 1.0))
+        out = detection_verdict(readings, (121.2, 1.0), DetectorConfig())
         assert math.isnan(out.t)
         assert list(out.to_dict()) == [
             "psi_per_v", "dv_arr_ratio", "dv_mod_ratio", "criteria_fired", "psc",
@@ -238,13 +241,13 @@ class TestScanStep:
 
     def test_best_updates_on_higher_power(self):
         s = self.scan_state()
-        scan_step(s, Measurement(v=120.0, i=14.0, t=0.0), simple_ref(), 4000.0, 5e-4)
+        scan_step(s, Measurement(v=120.0, i=14.0, t=0.0), simple_ref(), ControllerConfig())
         assert s.episode.p_e == pytest.approx(1680.0)
         assert s.episode.v_e == 120.0
 
     def test_up_ramp_advances_by_rate_times_period(self):
         s = self.scan_state()
-        scan_step(s, Measurement(v=118.0, i=13.0, t=0.0), simple_ref(), 4000.0, 5e-4)
+        scan_step(s, Measurement(v=118.0, i=13.0, t=0.0), simple_ref(), ControllerConfig())
         assert s.v_ref == pytest.approx(120.0)
         assert s.mode is Mode.SCAN_UP
 
@@ -252,22 +255,32 @@ class TestScanStep:
         # V_oc_rated * I < P_e: no higher voltage can beat the incumbent
         s = self.scan_state()
         m = Measurement(v=130.0, i=1500.0 / 148.5 * 0.99, t=0.0)
-        scan_step(s, m, simple_ref(), 4000.0, 5e-4)
+        scan_step(s, m, simple_ref(), ControllerConfig())
         assert s.mode is Mode.SCAN_DOWN
         assert s.episode.prunes and s.episode.prunes[0]["kind"] == "up"
 
     def test_up_terminates_at_rated_voc(self):
         s = self.scan_state()
         m = Measurement(v=148.6, i=12.0, t=0.0)
-        scan_step(s, m, simple_ref(), 4000.0, 5e-4)
+        scan_step(s, m, simple_ref(), ControllerConfig())
         assert s.mode is Mode.SCAN_DOWN
         assert not s.episode.prunes  # boundary stop, not a prune
+
+    def test_up_turns_down_at_the_command_cap(self):
+        # a 120 V command cap below the 148.5 V rated V_oc ends the up leg there
+        s = self.scan_state()
+        cfg = ControllerConfig(v_cmd_max=120.0)
+        scan_step(s, Measurement(v=118.0, i=12.0, t=0.0), simple_ref(), cfg)
+        assert s.v_ref == 120.0 and s.mode is Mode.SCAN_UP
+        scan_step(s, Measurement(v=119.0, i=12.0, t=5e-4), simple_ref(), cfg)
+        assert s.v_ref == 120.0 and s.mode is Mode.SCAN_DOWN
+        assert not s.episode.prunes
 
     def test_down_prune_when_floor_current_beats_nothing(self):
         # V * I_sc_rated < P_e: no lower voltage can beat the incumbent
         s = self.scan_state(Mode.SCAN_DOWN)
         m = Measurement(v=1490.0 / 26.04, i=12.0, t=0.0)
-        scan_step(s, m, simple_ref(), 4000.0, 5e-4)
+        scan_step(s, m, simple_ref(), ControllerConfig())
         assert s.mode is Mode.SETTLE_TO_BEST
         assert s.episode.prunes and s.episode.prunes[0]["kind"] == "down"
 
@@ -275,7 +288,7 @@ class TestScanStep:
         s = self.scan_state(Mode.SCAN_DOWN)
         s.episode.p_e = 100.0  # keep the current-bound prune quiet
         m = Measurement(v=22.9, i=5.0, t=0.0)
-        scan_step(s, m, simple_ref(), 4000.0, 5e-4)
+        scan_step(s, m, simple_ref(), ControllerConfig())
         assert s.mode is Mode.SETTLE_TO_BEST
 
     def test_best_power_never_decreases_within_episode(self):
@@ -284,7 +297,7 @@ class TestScanStep:
         best = s.episode.p_e
         for k in range(200):
             m = Measurement(v=rnd.uniform(20, 148), i=rnd.uniform(0, 25), t=k * 5e-4)
-            scan_step(s, m, simple_ref(), 4000.0, 5e-4)
+            scan_step(s, m, simple_ref(), ControllerConfig())
             assert s.episode.p_e >= best
             best = s.episode.p_e
             if s.mode is Mode.SETTLE_TO_BEST:
@@ -303,7 +316,7 @@ class IdealPlantDriver:
         self.t = 0.0
         self.v = 0.0
         self.modes = []
-        self.sample_reads = []  # (mode, detection phase) at each sample-module read
+        self.sample_reads = []  # (mode, trimmed, seed) at each sample-module read
 
     def measurement(self):
         self.v = self.state.v_ref
@@ -313,7 +326,8 @@ class IdealPlantDriver:
         return Measurement(v=self.v, i=i, t=self.t, t_sample_mod=t_samp)
 
     def read_sample_module(self):
-        self.sample_reads.append((self.state.mode, self.state.detect_phase))
+        r = self.state.readings
+        self.sample_reads.append((self.state.mode, r.trimmed, r.seed))
         s_idx, pos = self.spec.sample_module
         i_str = string_current(self.spec, s_idx, self.v)
         return module_voltage(
@@ -354,7 +368,7 @@ class TestControllerTick:
         drv = IdealPlantDriver(spec, ref_3x5, cfg)
         drv.run(1.0)
         assert len(drv.sample_reads) == len(drv.state.detections) >= 2
-        assert set(drv.sample_reads) == {(Mode.DETECT_SETTLE, _TRIM_REF)}
+        assert set(drv.sample_reads) == {(Mode.DETECT_SETTLE, True, None)}
 
     def test_po_only_never_leaves_po(self, nd_module, ref_3x5):
         cfg = ControllerConfig(po_only=True, detector=DetectorConfig(periodic_trigger_s=0.1))
