@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pvmodel import ArraySpec, PvCurve, ValidationError, sweep_curve
+from .pvmodel import PvCurve, ValidationError
 
 MAX_DT = 2e-5  # stability margin at the reference plant parameters
 MAX_DUTY = 0.99
@@ -168,14 +168,6 @@ def PlantCurve(curve: PvCurve, h: float = 0.01) -> Callable[[float], float]:
     return plant_current
 
 
-def _as_current_fn(array) -> Callable[[float], float]:
-    if isinstance(array, ArraySpec):
-        return PlantCurve(sweep_curve(array, 0.01))
-    if callable(array):
-        return array
-    raise ValidationError("array must be an ArraySpec or a current function i(v)")
-
-
 def advance(
     v: float, il: float, w0: float, dw: float, n_sub: int, dt: float, i_of_v, params: ConverterParams
 ) -> tuple[float, float]:
@@ -216,17 +208,16 @@ def step_ode(
     s: ConverterState,
     duty: float,
     dt: float,
-    array,
+    i_of_v: Callable[[float], float],
     params: ConverterParams = ConverterParams(),
     n: int = 1,
 ) -> ConverterState:
     """``n`` RK4 steps of the averaged plant at a fixed duty.
 
-    ``array`` is the PV source: an :class:`ArraySpec` (swept on every call;
-    pass the closure ``PlantCurve(sweep_curve(spec, 0.01))`` to step it
-    repeatedly) or any callable ``i(v)``.  The duty is held exactly, so one
-    call of ``n`` steps gives the same ``v_pv`` and ``i_l`` bits as ``n``
-    calls of one step.
+    ``i_of_v`` is the PV source's current at a voltage, e.g.
+    ``PlantCurve(sweep_curve(spec, 0.01))``.  The duty is held exactly, so
+    one call of ``n`` steps gives the same ``v_pv`` and ``i_l`` bits as
+    ``n`` calls of one step.
     """
     if dt > MAX_DT:
         raise ValidationError(f"dt {dt} above stability margin {MAX_DT}")
@@ -234,9 +225,7 @@ def step_ode(
         raise ValidationError(f"duty {duty} outside [0, {MAX_DUTY}]")
     if n < 1:
         raise ValidationError(f"step count {n} below 1")
-    v, il = advance(
-        s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, n, dt, _as_current_fn(array), params
-    )
+    v, il = advance(s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, n, dt, i_of_v, params)
     return ConverterState(v_pv=v, i_l=il, t=s.t + n * dt)
 
 
@@ -282,7 +271,7 @@ def _held_until(pieces, t: float) -> float:
 
 def run(
     command: CommandSignal,
-    array,
+    i_of_v: Callable[[float], float],
     params: ConverterParams = ConverterParams(),
     sample_period: float = 5e-4,
     dt: float = 5e-6,
@@ -304,7 +293,6 @@ def run(
     if noise is not None and rng is None:
         raise ValidationError("measurement noise needs an rng")
     command.validate_against(params.v_out)
-    i_of_v = _as_current_fn(array)
     pieces = _command_profile(command)
     horizon = sum(p[3] for p in pieces)
     n_steps = round(horizon / dt)

@@ -14,7 +14,6 @@ from pvmppt.converter import (
     MeasurementNoise,
     PlantCurve,
     TraceRecord,
-    _as_current_fn,
     _command_profile,
     advance,
     command_value,
@@ -284,8 +283,8 @@ class TestPlantCurve:
         assert plant(v_top) == 0.0
 
 
-class TestArraySpecSource:
-    """An ArraySpec plant is swept once per run and read through PlantCurve."""
+class TestSampledCurveSource:
+    """A swept curve read through PlantCurve drives the plant like the scalar model."""
 
     CMD = CommandSignal(
         (
@@ -296,17 +295,9 @@ class TestArraySpecSource:
         v_start=60.0,
     )
 
-    @staticmethod
-    def states(trace):
-        return [(r.t, r.v_pv, r.i_pv) for r in trace]
-
-    def test_spec_runs_on_its_sampled_curve(self, spec_130v_8a):
-        plant = PlantCurve(sweep_curve(spec_130v_8a, 0.01))
-        via_spec = run(self.CMD, spec_130v_8a, TABLE_PLANT, sample_period=5e-5)
-        assert self.states(via_spec) == self.states(run(self.CMD, plant, TABLE_PLANT, sample_period=5e-5))
-
     def test_sampled_curve_tracks_scalar_source(self, spec_130v_8a):
-        sampled = run(self.CMD, spec_130v_8a, TABLE_PLANT, sample_period=5e-5)
+        plant = PlantCurve(sweep_curve(spec_130v_8a, 0.01))
+        sampled = run(self.CMD, plant, TABLE_PLANT, sample_period=5e-5)
         scalar = run(
             self.CMD,
             lambda v: array_current(spec_130v_8a, max(v, 0.0)),
@@ -321,11 +312,10 @@ class TestArraySpecSource:
 
 
 def _run_per_step(
-    command, array, params, sample_period=5e-4, dt=5e-6, state0=None, noise=None, rng=None
+    command, i_of_v, params, sample_period=5e-4, dt=5e-6, state0=None, noise=None, rng=None
 ):
     """The open-loop run as it was written before stretches: one ``step_ode``
     call per step, a fresh ``ConverterState`` after each."""
-    i_of_v = _as_current_fn(array)
     pieces = _command_profile(command)
     horizon = sum(p[3] for p in pieces)
     n_steps = round(horizon / dt)
@@ -432,18 +422,19 @@ class TestRunStretches:
             _run_per_step(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, rng=random.Random(3), **kw),
         )
 
-    def test_array_spec_source_equals_per_step_loop(self, spec_130v_8a):
+    def test_plant_curve_source_equals_per_step_loop(self, spec_130v_8a):
+        plant = PlantCurve(sweep_curve(spec_130v_8a, 0.01))
         self.same(
-            run(MID_SAMPLE_RAMP_CMD, spec_130v_8a, TABLE_PLANT, sample_period=5e-5),
-            _run_per_step(MID_SAMPLE_RAMP_CMD, spec_130v_8a, TABLE_PLANT, sample_period=5e-5),
+            run(MID_SAMPLE_RAMP_CMD, plant, TABLE_PLANT, sample_period=5e-5),
+            _run_per_step(MID_SAMPLE_RAMP_CMD, plant, TABLE_PLANT, sample_period=5e-5),
         )
 
     def test_one_call_per_hold_sample_and_per_ramp_step(self, array_130v_8a, monkeypatch):
         calls = []
 
-        def counting(s, duty, dt, array, params, n=1):
+        def counting(s, duty, dt, i_of_v, params, n=1):
             calls.append(n)
-            return step_ode(s, duty, dt, array, params, n)
+            return step_ode(s, duty, dt, i_of_v, params, n)
 
         monkeypatch.setattr(converter, "step_ode", counting)
         run(STEP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5)
