@@ -34,9 +34,10 @@ def _cmd_run(args) -> int:
     emit_report(report, out / "report.json")
     for e in report.events:
         p_star, p_final, scan = e["oracle_power_w"], e["final_power_w"], e["scan_duration_s"]
+        share = f"{100 * p_final / p_star:.2f}%" if p_star > 0.0 else "-"
         print(
             f"event {e['index']}: oracle {p_star:.1f} W @ {e['oracle_voltage_v']:.1f} V, "
-            f"final {p_final:.1f} W ({100 * p_final / p_star:.2f}%), "
+            f"final {p_final:.1f} W ({share}), "
             f"detected={e['detected']}, scan=" + (f"{1000 * scan:.1f} ms" if scan else "-")
         )
     print(f"trace: {out / 'trace.csv'}")

@@ -705,7 +705,8 @@ def _build_report(scn, windows, trace, state: ControllerState, adc: float) -> Ru
         ts = np.array([r.t for r in rows])
         ps = np.array([r.p for r in rows])
         v_star, p_star = w["oracle"]
-        eff = float(_trapz(ps, ts) / (p_star * (t1 - t0)))
+        # a dark window has no oracle power to measure against
+        eff = float(_trapz(ps, ts) / (p_star * (t1 - t0))) if p_star > 0.0 else None
 
         tail = max(3 * scn.controller.po_period_s, 0.06)
         tail = min(tail, 0.5 * (t1 - t0))

@@ -434,10 +434,11 @@ def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
     if not (0.0 < v_step <= 0.05):
         raise ValidationError("v_step must lie in (0, 0.05] V")
     voc = array_open_circuit_voltage(spec)
-    if voc <= v_step:  # dark array: open-circuit voltage collapses to zero
+    if voc <= v_step:
+        # dark array: an open-circuit voltage this low means a photocurrent of
+        # the order of the bisection residue, so the curve carries no current
         v = np.array([0.0, max(voc, v_step)])
-        i = np.array([array_current(spec, 0.0), 0.0])
-        return PvCurve(v=v, i=np.maximum(i, 0.0), p=v * i)
+        return PvCurve(v=v, i=np.zeros(2), p=np.zeros(2))
     v = np.arange(0.0, voc, v_step)
     if v[-1] < voc:
         v = np.append(v, voc)

@@ -634,6 +634,16 @@ class TestCli:
         assert doc["psi_per_v"] is None
         assert doc["psc"] is False and doc["criteria_fired"] == [False, False, False]
 
+    def test_run_dark_event_has_no_efficiency(self, tmp_path, capsys):
+        # a dark array carries no current, so its oracle is exactly 0 W
+        out = tmp_path / "out"
+        scenario = str(SCENARIO_DIR / "dark_onset.json")
+        assert cli_main(["run", "--scenario", scenario, "--out", str(out)]) == 0
+        line = "event 1: oracle 0.0 W @ 0.0 V, final 0.0 W (-), detected=False, scan=-\n"
+        assert line in capsys.readouterr().out
+        event = json.loads((out / "report.json").read_text())["events"][1]
+        assert event["oracle_power_w"] == 0.0 and event["efficiency"] is None
+
     def test_corpus_subcommand(self, tmp_path):
         out = tmp_path / "corpus.json"
         rc = cli_main(["corpus", "--count", "2", "--seed", "7", "--out", str(out)])
