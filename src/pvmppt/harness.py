@@ -540,7 +540,7 @@ def _sample_module_voltage(spec: ArraySpec, v: float) -> float:
     """Voltage of ``spec.sample_module`` with its string held at ``v``."""
     s_idx, pos = spec.sample_module
     i_str = string_current(spec, s_idx, v)
-    return module_voltage(spec.params_at(s_idx, pos), spec.conditions[s_idx][pos], i_str)
+    return module_voltage(spec.module, spec.conditions[s_idx][pos], i_str)
 
 
 def detect_pattern(

@@ -134,9 +134,7 @@ class ArraySpec:
     """Ns x Np array topology with per-module conditions.
 
     ``conditions[s][j]`` is the condition of module ``j`` (front to back)
-    in string ``s``.  ``overrides`` optionally replaces the electrical
-    parameters of individual modules (aging experiments); the array is
-    homogeneous by default.
+    in string ``s``; every module has the electrical parameters ``module``.
     """
 
     n_series: int
@@ -144,7 +142,6 @@ class ArraySpec:
     module: ModuleParams
     conditions: tuple[tuple[ModuleCondition, ...], ...]
     sample_module: tuple[int, int] = (0, 0)
-    overrides: dict[tuple[int, int], ModuleParams] | None = None
 
     def __post_init__(self) -> None:
         if self.n_series < 1 or self.n_parallel < 1:
@@ -156,10 +153,6 @@ class ArraySpec:
         s, j = self.sample_module
         if not (0 <= s < self.n_parallel and 0 <= j < self.n_series):
             raise ValidationError("sample_module index outside the array")
-        if self.overrides:
-            for (os_, oj) in self.overrides:
-                if not (0 <= os_ < self.n_parallel and 0 <= oj < self.n_series):
-                    raise ValidationError("override index outside the array")
 
     @classmethod
     def uniform(
@@ -172,11 +165,6 @@ class ArraySpec:
     ) -> "ArraySpec":
         grid = tuple(tuple(condition for _ in range(n_series)) for _ in range(n_parallel))
         return cls(n_series, n_parallel, module, grid, sample_module)
-
-    def params_at(self, string_idx: int, pos: int) -> ModuleParams:
-        if self.overrides and (string_idx, pos) in self.overrides:
-            return self.overrides[(string_idx, pos)]
-        return self.module
 
 
 @dataclass(frozen=True)
@@ -331,11 +319,10 @@ def _string_groups(
     spec: ArraySpec, string_idx: int
 ) -> list[tuple[ModuleParams, ModuleCondition, int]]:
     """Distinct (params, condition) groups of one string with counts."""
-    groups: dict[tuple[ModuleParams, ModuleCondition], int] = {}
-    for j in range(spec.n_series):
-        key = (spec.params_at(string_idx, j), spec.conditions[string_idx][j])
-        groups[key] = groups.get(key, 0) + 1
-    return [(p, c, n) for (p, c), n in groups.items()]
+    groups: dict[ModuleCondition, int] = {}
+    for c in spec.conditions[string_idx]:
+        groups[c] = groups.get(c, 0) + 1
+    return [(spec.module, c, n) for c, n in groups.items()]
 
 
 def string_open_circuit_voltage(spec: ArraySpec, string_idx: int) -> float:

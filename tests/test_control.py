@@ -330,9 +330,7 @@ class IdealPlantDriver:
         self.sample_reads.append((self.state.mode, r.trimmed, r.seed))
         s_idx, pos = self.spec.sample_module
         i_str = string_current(self.spec, s_idx, self.v)
-        return module_voltage(
-            self.spec.params_at(s_idx, pos), self.spec.conditions[s_idx][pos], i_str
-        )
+        return module_voltage(self.spec.module, self.spec.conditions[s_idx][pos], i_str)
 
     def run(self, seconds):
         n = round(seconds / self.cfg.adc_period_s)

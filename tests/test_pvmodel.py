@@ -241,21 +241,6 @@ class TestStringAndArray:
         for j in np.linspace(0, len(curve) - 1, 37).round().astype(int):
             assert abs(array_current(spec, float(curve.v[j])) - curve.i[j]) < 1e-4
 
-    def test_aging_override_changes_curve(self, nd_module):
-        aged = ModuleParams(
-            i_pv_ref=nd_module.i_pv_ref * 0.9,
-            i_o_ref=nd_module.i_o_ref,
-            ideality_a=nd_module.ideality_a,
-            r_s=nd_module.r_s,
-            r_sh=nd_module.r_sh,
-            n_cells=nd_module.n_cells,
-        )
-        base = ArraySpec.uniform(nd_module, 5, 1)
-        spec = ArraySpec(
-            5, 1, nd_module, base.conditions, overrides={(0, 2): aged}
-        )
-        assert array_current(spec, 60.0) < array_current(base, 60.0)
-
 
 class TestSweepAndOracle:
     def test_uniform_curve_single_peak(self, nd_module):
