@@ -1,23 +1,29 @@
-"""Independent physics used only to cross-check the package in the tests.
+"""Independent physics and solvers used only to cross-check the package in
+the tests.
 
-Neither function runs in the simulator: the module MPP is found by a
-golden-section search over the scalar single-diode solution, and the
-uniform array current collapses the whole array into one lumped diode
-instead of composing strings.
+None of these runs in the simulator: the module MPP is found by a
+golden-section search over the scalar single-diode solution, the uniform
+array current collapses the whole array into one lumped diode instead of
+composing strings, and the datasheet fit is solved by scipy instead of the
+package's own Levenberg–Marquardt.
 """
 
 import math
 
+from scipy.optimize import least_squares
+
 from pvmppt.pvmodel import (
     ModuleCondition,
+    ModuleDatasheet,
     ModuleParams,
     _bracket,
     _env,
     _exp,
+    _fit_problem,
     module_current,
     module_open_circuit_voltage,
 )
-from pvmppt.solver import golden_section_max, solve_decreasing
+from pvmppt.solver import SolverError, golden_section_max, solve_decreasing
 
 
 def module_mpp(p: ModuleParams, c: ModuleCondition) -> tuple[float, float]:
@@ -57,3 +63,22 @@ def uniform_array_current(
 
     lo, hi = _bracket(f, ipv_arr - io_arr * math.expm1(v / a_arr) - v / r_sh)
     return max(solve_decreasing(f, lo, hi, fprime, ftol=1e-12 * max(ipv_arr, 1.0)), 0.0)
+
+
+def scipy_fit(ds: ModuleDatasheet) -> ModuleParams:
+    """The datasheet fit of ``pvmodel._fit_problem`` solved by scipy's
+    trust-region ``least_squares``, with the same starts and early exit."""
+    residuals, make, starts, lower, upper = _fit_problem(ds)
+    best = None
+    for x0 in starts:
+        try:
+            sol = least_squares(
+                residuals, x0, bounds=(lower, upper), xtol=1e-14, ftol=1e-14, gtol=1e-14
+            )
+        except (SolverError, ValueError):  # ValidationError, or x0 outside the bounds
+            continue
+        if best is None or sol.cost < best.cost:
+            best = sol
+        if sol.cost < 1e-18:
+            break
+    return make(best.x)

@@ -2,11 +2,11 @@
 shipped scenario files.
 
 A change that claims to keep behaviour must keep these SHA-256 digests.  They
-were recorded with numpy 2.4.6 and scipy 1.17.1 on Python 3.11.7.  The module
-fit behind every scenario runs through scipy's ``least_squares`` and ends on
-its ``r_sh`` bound, so another scipy release may move the fitted bits and with
-them every digest; a mismatch on another environment is a finding about that
-environment, not a reason to re-record.
+were recorded with numpy 2.4.6 on Python 3.11.7.  Every shipped scenario runs
+on the built-in ND195R1S module, whose fit is pinned as the literals
+``pvmodel.ND195R1S_PARAMS``, so the digests depend on those literals and not
+on any solver release; a mismatch on another environment is a finding about
+that environment, not a reason to re-record.
 """
 
 import hashlib

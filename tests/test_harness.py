@@ -7,6 +7,9 @@ import io
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -518,6 +521,25 @@ class TestCli:
         assert rc == 0
         assert (out / "trace.csv").exists()
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("run", [False, True], ids=["import", "run_psc1"])
+    def test_cli_process_never_imports_scipy(self, tmp_path, run):
+        # the built-in module is pinned and other datasheets are fitted
+        # in-house, so neither a bare import nor a whole run loads scipy
+        code = "import sys\nimport pvmppt.cli\n"
+        if run:
+            scenario = SCENARIO_DIR / "benchmark_psc1.json"
+            argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+            code += f"assert pvmppt.cli.main({argv!r}) == 0\n"
+        code += "print('scipy' in sys.modules)\n"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_run_po_baseline_flag(self, tmp_path):
         out = tmp_path / "po"

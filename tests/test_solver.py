@@ -1,11 +1,13 @@
-"""Property tests for the scalar root finder and golden-section search."""
+"""Tests for the scalar root finder, golden-section search and bounded
+Levenberg–Marquardt."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvmppt.solver import SolverError, golden_section_max, solve_decreasing
+from pvmppt.solver import SolverError, bounded_lm, golden_section_max, solve_decreasing
 
 
 @given(
@@ -52,3 +54,37 @@ def test_golden_section_finds_unimodal_peak(peak, width):
     x, fx = golden_section_max(f, peak - 10.0, peak + 10.0, xtol=1e-4)
     assert abs(x - peak) < 1e-3
     assert fx == pytest.approx(f(x))
+
+
+def _rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def test_bounded_lm_interior_optimum():
+    x, cost = bounded_lm(_rosenbrock, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0])
+    assert x == pytest.approx([1.0, 1.0], rel=1e-10)
+    assert cost < 1e-24
+
+
+def test_bounded_lm_optimum_on_a_bound():
+    # the unconstrained optimum (1, 1) lies outside x0 <= 0.5; on that edge
+    # the cost 50*(x1 - x0**2)**2 + 0.5*(1 - x0)**2 is least at (0.5, 0.25)
+    x, cost = bounded_lm(_rosenbrock, [-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0])
+    assert x[0] == 0.5
+    assert x[1] == pytest.approx(0.25, rel=1e-10)
+    assert cost == pytest.approx(0.125, rel=1e-10)
+
+
+@given(target=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_bounded_lm_clamps_a_linear_fit_to_the_box(target):
+    # cost 0.5*|x - target|^2: its box-constrained minimiser is the clip
+    t = np.array(target)
+    x, _ = bounded_lm(lambda x: x - t, [0.0, 0.0, 0.0], [-1.0] * 3, [1.0] * 3)
+    assert x == pytest.approx(np.clip(t, -1.0, 1.0), abs=1e-9)
+    assert np.all((-1.0 <= x) & (x <= 1.0))
+
+
+def test_bounded_lm_rejects_a_start_outside_the_box():
+    with pytest.raises(ValueError):
+        bounded_lm(_rosenbrock, [-1.2, 3.0], [-2.0, -2.0], [2.0, 2.0])
