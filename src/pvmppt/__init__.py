@@ -46,9 +46,7 @@ from .pvmodel import (
     PvCurve,
     STC,
     ValidationError,
-    array_current,
     calibrate_module,
-    local_maxima,
     module_current,
     module_voltage,
     oracle_gmpp,

@@ -15,7 +15,6 @@ runs and the closed loop).  The inductor current is clamped at zero
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +24,7 @@ from .pvmodel import PvCurve, ValidationError
 
 MAX_DT = 2e-5  # stability margin at the reference plant parameters
 MAX_DUTY = 0.99
+DT = 5e-6  # s, the open-loop RK4 step of :func:`run`
 
 # Plant envelope in which RK4 at MAX_DT is stable.  Linearised, the plant's
 # inductor pole and LC resonance give the step numbers r_l*MAX_DT/l and
@@ -62,7 +62,6 @@ class ConverterParams:
 class ConverterState:
     v_pv: float
     i_l: float
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -141,12 +140,14 @@ def duty_for_voltage(v_ref: float, v_out: float) -> float:
     return min(1.0 - v_ref / v_out, MAX_DUTY)
 
 
-def PlantCurve(curve: PvCurve, h: float = 0.01) -> Callable[[float], float]:
+def PlantCurve(curve: PvCurve) -> Callable[[float], float]:
     """Uniform-grid current lookup of a swept curve: the plant's current source.
 
-    Returns a plain closure ``i(v)`` over the grid list: the RK4 kernel
-    calls it four times per sub-step, so it holds its state in cells, not
+    The grid step is 0.01 V, the step the closed loop sweeps at.  Returns
+    a plain closure ``i(v)`` over the grid list: the RK4 kernel calls it
+    four times per sub-step, so it holds its state in cells, not
     attributes."""
+    h = 0.01
     voc = float(curve.v[-1])
     grid = np.arange(0.0, voc + 2 * h, h)
     vals = np.interp(grid, curve.v, curve.i, right=0.0)
@@ -226,7 +227,7 @@ def step_ode(
     if n < 1:
         raise ValidationError(f"step count {n} below 1")
     v, il = advance(s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, n, dt, i_of_v, params)
-    return ConverterState(v_pv=v, i_l=il, t=s.t + n * dt)
+    return ConverterState(v_pv=v, i_l=il)
 
 
 def _command_profile(
@@ -274,68 +275,49 @@ def run(
     i_of_v: Callable[[float], float],
     params: ConverterParams = ConverterParams(),
     sample_period: float = 5e-4,
-    dt: float = 5e-6,
-    state0: ConverterState | None = None,
-    noise: MeasurementNoise | None = None,
-    rng: random.Random | None = None,
 ) -> list[TraceRecord]:
     """Integrate the plant over an open-loop command and sample it.
 
-    Step ``n`` covers ``[n*dt, (n+1)*dt)`` at the duty of the command at
-    its midpoint; a stretch of steps that share one duty up to the next
-    sample is one :func:`step_ode` call.  Sample ``n`` is stamped
-    ``state0.t + n*dt``.  Measurements are instantaneous state reads;
-    optional uniform sensor noise (drawn from ``rng``, which it requires)
-    perturbs the recorded voltage/current only, never the state.
+    The plant starts at the command's value at ``t = 0`` with the
+    source's current in the inductor.  Step ``n`` covers
+    ``[n*DT, (n+1)*DT)`` at the duty of the command at its midpoint; a
+    stretch of steps that share one duty up to the next sample is one
+    :func:`step_ode` call.  Sample ``n`` is stamped ``n*DT``.
+    Measurements are instantaneous state reads.
     """
-    if sample_period < dt:
-        raise ValidationError("sample_period must be >= dt")
-    if noise is not None and rng is None:
-        raise ValidationError("measurement noise needs an rng")
+    if sample_period < DT:
+        raise ValidationError(f"sample_period must be >= the {DT} s step")
     command.validate_against(params.v_out)
     pieces = _command_profile(command)
     horizon = sum(p[3] for p in pieces)
-    n_steps = round(horizon / dt)
-    per_sample = max(round(sample_period / dt), 1)
+    n_steps = round(horizon / DT)
+    per_sample = max(round(sample_period / DT), 1)
 
-    if state0 is None:
-        v0 = command_value(pieces, 0.0)
-        state0 = ConverterState(v_pv=v0, i_l=i_of_v(v0), t=0.0)
-    s = state0
+    v0 = command_value(pieces, 0.0)
+    s = ConverterState(v_pv=v0, i_l=i_of_v(v0))
 
     trace: list[TraceRecord] = []
 
     def record(n: int, v_pv: float, v_cmd: float, duty: float) -> None:
-        v_meas = v_pv
-        i_meas = i_of_v(v_pv)
-        if noise is not None:
-            v_meas += rng.uniform(-noise.v_amplitude, noise.v_amplitude)
-            i_meas += rng.uniform(-noise.i_amplitude, noise.i_amplitude)
+        i_pv = i_of_v(v_pv)
         trace.append(
-            TraceRecord(
-                t=state0.t + n * dt,
-                v_ref=v_cmd,
-                duty=duty,
-                v_pv=v_meas,
-                i_pv=i_meas,
-                p=v_meas * i_meas,
-            )
+            TraceRecord(t=n * DT, v_ref=v_cmd, duty=duty, v_pv=v_pv, i_pv=i_pv, p=v_pv * i_pv)
         )
 
     n = 0
     while n < n_steps:
-        t_mid = (n + 0.5) * dt
+        t_mid = (n + 0.5) * DT
         duty = duty_for_voltage(command_value(pieces, t_mid), params.v_out)
         if n % per_sample == 0:
-            record(n, s.v_pv, command_value(pieces, n * dt), duty)
+            record(n, s.v_pv, command_value(pieces, n * DT), duty)
         # extend the stretch over the steps up to the next sample whose
         # midpoints the command holds at this duty
         end = min(n - n % per_sample + per_sample, n_steps)
         t_held = _held_until(pieces, t_mid)
         m = n + 1
-        while m < end and (m + 0.5) * dt < t_held:
+        while m < end and (m + 0.5) * DT < t_held:
             m += 1
-        s = step_ode(s, duty, dt, i_of_v, params, m - n)
+        s = step_ode(s, duty, DT, i_of_v, params, m - n)
         n = m
     if n_steps > 0:
         v_cmd = command_value(pieces, horizon)

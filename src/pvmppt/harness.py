@@ -48,6 +48,7 @@ from .converter import (
     duty_for_voltage,
 )
 from .pvmodel import (
+    ND195R1S,
     STC_IRRADIANCE,
     ArraySpec,
     ModuleCondition,
@@ -56,11 +57,14 @@ from .pvmodel import (
     PvCurve,
     ValidationError,
     calibrate_module,
+    module_current,
+    module_open_circuit_voltage,
     module_voltage,
     oracle_gmpp,
     string_current,
     sweep_curve,
 )
+from .solver import golden_section_max
 
 TRACE_HEADER = "t,v_ref,duty,v_pv,i_pv,p,mode,p_e,v_e"
 
@@ -224,6 +228,11 @@ class Scenario:
                     f"converter.{where}: {value} outside the plant envelope {envelope}"
                 )
         v_out = conv.v_out
+        if self.controller.v_cmd_max != v_out:
+            raise ScenarioError(
+                f"controller.v_cmd_max: {self.controller.v_cmd_max} V must equal "
+                f"converter.v_out_v = {v_out} V, the link that caps the command"
+            )
         if self.v_ref_start is not None and not (0.0 <= self.v_ref_start <= v_out):
             raise ScenarioError(f"v_ref_start_v: {self.v_ref_start} outside [0, v_out = {v_out}]")
         for where, value in (("n_series", self.n_series), ("n_parallel", self.n_parallel)):
@@ -250,15 +259,8 @@ class Scenario:
             e.pattern.expand(self.n_series, where=f"timeline[{k}].pattern")
 
 
-_CAL_CACHE: dict[ModuleDatasheet, ModuleParams] = {}
-
-
 def resolve_module(scn: Scenario) -> ModuleParams:
-    if scn.params is not None:
-        return scn.params
-    if scn.datasheet not in _CAL_CACHE:
-        _CAL_CACHE[scn.datasheet] = calibrate_module(scn.datasheet)
-    return _CAL_CACHE[scn.datasheet]
+    return scn.params if scn.params is not None else calibrate_module(scn.datasheet)
 
 
 def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
@@ -497,8 +499,6 @@ def build_reference_model(
         dv_rows.append(tuple(float(dvs[j]) for j in order))
 
     stc = ModuleCondition(1.0, 25.0)
-    from .pvmodel import module_current, module_open_circuit_voltage
-
     return ReferenceModel(
         v_mpp_arr_sc=v_sc,
         v_mpp_mod_sc=v_sc / n_series,
@@ -530,8 +530,6 @@ def _hill_climb(curve: PvCurve, v_start: float) -> float:
             break
     lo = curve.v[max(j - 1, 0)]
     hi = curve.v[min(j + 1, len(p) - 1)]
-    from .solver import golden_section_max
-
     v_rest, _ = golden_section_max(lambda v: float(curve.power_at(v)), lo, hi, xtol=1e-3)
     return v_rest
 
@@ -609,7 +607,8 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     sub_per_tick = round(adc / dt)
     n_ticks = round(scn.horizon_s / adc)
 
-    noisy = scn.noise.v_amplitude > 0.0 or scn.noise.i_amplitude > 0.0
+    nv, ni = scn.noise.v_amplitude, scn.noise.i_amplitude
+    noisy = nv > 0.0 or ni > 0.0
     rng = random.Random(scn.seed)
 
     # per-event plant data
@@ -642,55 +641,47 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     state = make_controller_state(ref, cfg, scn.v_ref_start)
     v = state.v_ref
     il = windows[0]["plant"](v)
-
     v_out = conv.v_out
-
     trace: list[TraceRecord] = []
-    widx = 0
-    cur = windows[0]["plant"]
-    t_sample = windows[0]["t_sample"]
-    spec_now = windows[0]["spec"]
 
     def read_sample_module() -> float:
-        return _sample_module_voltage(spec_now, max(v_meas, 0.0))
+        return _sample_module_voltage(w["spec"], max(v_meas, 0.0))
 
-    for tick in range(n_ticks):
-        if widx + 1 < len(windows) and tick >= windows[widx + 1]["tick_start"]:
-            widx += 1
-            cur = windows[widx]["plant"]
-            t_sample = windows[widx]["t_sample"]
-            spec_now = windows[widx]["spec"]
-        t = tick * adc
+    for w in windows:
+        cur = w["plant"]
+        t_sample = w["t_sample"]
+        for tick in range(w["tick_start"], w["tick_end"]):
+            t = tick * adc
 
-        v_meas = v
-        i_meas = cur(v)
-        if noisy:
-            v_meas += rng.uniform(-scn.noise.v_amplitude, scn.noise.v_amplitude)
-            i_meas = max(i_meas + rng.uniform(-scn.noise.i_amplitude, scn.noise.i_amplitude), 0.0)
-        m = Measurement(v=v_meas, i=i_meas, t=t, t_sample_mod=t_sample)
+            v_meas = v
+            i_meas = cur(v)
+            if noisy:
+                v_meas += rng.uniform(-nv, nv)
+                i_meas = max(i_meas + rng.uniform(-ni, ni), 0.0)
+            m = Measurement(v=v_meas, i=i_meas, t=t, t_sample_mod=t_sample)
 
-        prev_cmd = state.v_ref
-        new_ref, state = controller_tick(state, m, cfg, ref, read_sample_module)
-        slew = state.mode is not Mode.PO
-        ep = state.episode  # set in scan_up, scan_down and settle_best
-        trace.append(
-            TraceRecord(
-                t=t,
-                v_ref=new_ref,
-                duty=duty_for_voltage(min(new_ref, v_out), v_out),
-                v_pv=v_meas,
-                i_pv=i_meas,
-                p=v_meas * i_meas,
-                mode=state.mode.value,
-                p_e=ep.p_e if ep else math.nan,
-                v_e=ep.v_e if ep else math.nan,
+            prev_cmd = state.v_ref
+            new_ref, state = controller_tick(state, m, cfg, ref, read_sample_module)
+            slew = state.mode is not Mode.PO
+            ep = state.episode  # set in scan_up, scan_down and settle_best
+            trace.append(
+                TraceRecord(
+                    t=t,
+                    v_ref=new_ref,
+                    duty=duty_for_voltage(new_ref, v_out),
+                    v_pv=v_meas,
+                    i_pv=i_meas,
+                    p=v_meas * i_meas,
+                    mode=state.mode.value,
+                    p_e=ep.p_e if ep else math.nan,
+                    v_e=ep.v_e if ep else math.nan,
+                )
             )
-        )
 
-        # integrate [t, t+adc): command slews linearly in every mode but P&O
-        dcmd = (new_ref - prev_cmd) / sub_per_tick if slew else 0.0
-        base = prev_cmd if slew else new_ref
-        v, il = advance(v, il, base, dcmd, sub_per_tick, dt, cur, conv)
+            # integrate [t, t+adc): command slews linearly in every mode but P&O
+            dcmd = (new_ref - prev_cmd) / sub_per_tick if slew else 0.0
+            base = prev_cmd if slew else new_ref
+            v, il = advance(v, il, base, dcmd, sub_per_tick, dt, cur, conv)
 
     report = _build_report(scn, windows, trace, state, adc)
     return trace, report
@@ -745,11 +736,12 @@ def _build_report(scn, windows, trace, state: ControllerState, adc: float) -> Ru
     return RunReport(scenario=scn.name, seed=scn.seed, events=events)
 
 
-def prune_violations(curve: PvCurve, prunes: list[dict], rel_tol: float = 1e-6) -> list[dict]:
+def prune_violations(curve: PvCurve, prunes: list[dict]) -> list[dict]:
     """Replay pruning decisions against the oracle curve.
 
     Returns the prune events whose skipped voltage region contains a
-    true power above the incumbent best at prune time."""
+    true power more than 1e-6 relative above the incumbent best at prune
+    time."""
     bad = []
     for p in prunes:
         if p["kind"] == "up":
@@ -759,7 +751,7 @@ def prune_violations(curve: PvCurve, prunes: list[dict], rel_tol: float = 1e-6) 
         if not mask.any():
             continue
         skipped_max = float(curve.p[mask].max())
-        if skipped_max > p["p_e_w"] * (1.0 + rel_tol):
+        if skipped_max > p["p_e_w"] * (1.0 + 1e-6):
             bad.append({**p, "skipped_max_w": skipped_max})
     return bad
 
@@ -819,11 +811,8 @@ def benchmark_scenario(
     onset_t: float = 0.3,
     horizon: float = 0.9,
     po_only: bool = False,
-    dt: float = 2e-5,
 ) -> Scenario:
     """Shading onset scenario: uniform standard start, one benchmark pattern."""
-    from .pvmodel import ND195R1S
-
     start_levels = ((1.0, 25.0), (0.6, 25.0), (0.3, 25.0))
     start = ShadingPattern.parse(["5-0-0"] * 3, start_levels)
     events = [
@@ -841,15 +830,13 @@ def benchmark_scenario(
         horizon_s=horizon,
         datasheet=ND195R1S,
         seed=0,
-        dt_s=dt,
+        dt_s=2e-5,
         controller=ControllerConfig(po_only=po_only),
     )
 
 
 def random_scenario(seed: int, index: int) -> Scenario:
     """One randomized corpus scenario on the 3x5 reference array."""
-    from .pvmodel import ND195R1S
-
     rnd = random.Random((seed << 20) ^ index)
     s0 = rnd.uniform(0.5, 1.0)
     t0 = rnd.uniform(15.0, 45.0)

@@ -362,13 +362,6 @@ def array_open_circuit_voltage(spec: ArraySpec) -> float:
     return max(string_open_circuit_voltage(spec, s) for s in range(spec.n_parallel))
 
 
-def array_current(spec: ArraySpec, v: float) -> float:
-    """Total array current: the sum of independent string currents."""
-    if v < 0.0:
-        raise ValidationError("array voltage must be >= 0")
-    return sum(string_current(spec, s, v) for s in range(spec.n_parallel))
-
-
 # ---------------------------------------------------------------------------
 # vectorized sweep
 # ---------------------------------------------------------------------------
@@ -461,19 +454,6 @@ def oracle_gmpp(curve: PvCurve) -> tuple[float, float]:
     return float(v_star), float(p_star)
 
 
-def local_maxima(curve: PvCurve, min_power: float = 1e-6) -> list[tuple[float, float]]:
-    """All interior local maxima of the swept P-V curve, refined."""
-    p = curve.p
-    peaks = []
-    for j in range(1, len(p) - 1):
-        if p[j] > p[j - 1] and p[j] >= p[j + 1] and p[j] > min_power:
-            v_star, p_star = golden_section_max(
-                lambda v: float(curve.power_at(v)), curve.v[j - 1], curve.v[j + 1], xtol=1e-3
-            )
-            peaks.append((v_star, max(p_star, float(p[j]))))
-    return peaks
-
-
 # ---------------------------------------------------------------------------
 # datasheet calibration
 # ---------------------------------------------------------------------------
@@ -561,6 +541,7 @@ def _fit_datasheet(ds: ModuleDatasheet) -> ModuleParams:
     return make(best[0])
 
 
+@lru_cache(maxsize=None)
 def calibrate_module(ds: ModuleDatasheet) -> ModuleParams:
     """Fit {I_pv, I_o, Rs, Rsh} to the datasheet at the fixed ideality ``A_FIXED``.
 
@@ -569,7 +550,8 @@ def calibrate_module(ds: ModuleDatasheet) -> ModuleParams:
     ``ND195R1S`` returns its pinned fit ``ND195R1S_PARAMS``; any other
     datasheet is fitted by :func:`_fit_datasheet`.  Raises
     :class:`CalibrationError` when the result does not meet the contract
-    (``ModuleDatasheet`` rejects an infeasible datasheet).
+    (``ModuleDatasheet`` rejects an infeasible datasheet).  A result is
+    cached per datasheet for the life of the process.
     """
     params = ND195R1S_PARAMS if ds == ND195R1S else _fit_datasheet(ds)
     res = _datasheet_residuals(ds, params)

@@ -28,22 +28,24 @@ class SolverError(RuntimeError):
         self.f_hi = f_hi
 
 
+_ROOT_XTOL = 1e-13  # bracket width, relative to its magnitude
+_ROOT_MAX_ITER = 200
+
+
 def solve_decreasing(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     fprime: Callable[[float], float] | None = None,
-    xtol: float = 1e-13,
     ftol: float = 0.0,
-    max_iter: int = 200,
 ) -> float:
     """Find the root of a strictly decreasing ``f`` on ``[lo, hi]``.
 
     Requires ``f(lo) >= 0 >= f(hi)``.  Newton steps are taken when a
     derivative is supplied and the step stays inside the bracket;
     otherwise the bracket is bisected, so convergence is guaranteed.
-    ``xtol`` is relative to the bracket magnitude; ``ftol`` is an
-    absolute bound on the residual (0 disables it).
+    Stops when the bracket is within 1e-13 of its magnitude or, with
+    ``ftol`` above 0, when the residual is within ``ftol``.
     """
     f_lo = f(lo)
     f_hi = f(hi)
@@ -56,13 +58,13 @@ def solve_decreasing(
 
     x = 0.5 * (lo + hi)
     fx = f(x)
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         if fx > 0.0:
             lo = x
         else:
             hi = x
         scale = max(abs(lo), abs(hi), 1.0)
-        if hi - lo <= xtol * scale or (ftol > 0.0 and abs(fx) <= ftol):
+        if hi - lo <= _ROOT_XTOL * scale or (ftol > 0.0 and abs(fx) <= ftol):
             return x
 
         x_new = None

@@ -1,11 +1,18 @@
 """Independent physics and solvers used only to cross-check the package in
 the tests.
 
-None of these runs in the simulator: the module MPP is found by a
-golden-section search over the scalar single-diode solution, the uniform
-array current collapses the whole array into one lumped diode instead of
-composing strings, and the datasheet fit is solved by scipy instead of the
-package's own Levenberg–Marquardt.
+None of these runs in the simulator:
+
+- the module MPP is found by a golden-section search over the scalar
+  single-diode solution;
+- the array current sums the strings' scalar root-finding solutions
+  instead of reading the swept curve;
+- the uniform array current collapses the whole array into one lumped
+  diode instead of composing strings;
+- the local maxima refine every peak of a swept curve, not only the
+  global one;
+- the datasheet fit is solved by scipy instead of the package's own
+  Levenberg–Marquardt.
 """
 
 import math
@@ -13,15 +20,19 @@ import math
 from scipy.optimize import least_squares
 
 from pvmppt.pvmodel import (
+    ArraySpec,
     ModuleCondition,
     ModuleDatasheet,
     ModuleParams,
+    PvCurve,
+    ValidationError,
     _bracket,
     _env,
     _exp,
     _fit_problem,
     module_current,
     module_open_circuit_voltage,
+    string_current,
 )
 from pvmppt.solver import SolverError, golden_section_max, solve_decreasing
 
@@ -31,6 +42,26 @@ def module_mpp(p: ModuleParams, c: ModuleCondition) -> tuple[float, float]:
     voc = module_open_circuit_voltage(p, c)
     v, pw = golden_section_max(lambda v: v * module_current(p, c, v), 0.0, voc, xtol=1e-5)
     return v, pw
+
+
+def array_current(spec: ArraySpec, v: float) -> float:
+    """Total array current: the sum of independent string currents."""
+    if v < 0.0:
+        raise ValidationError("array voltage must be >= 0")
+    return sum(string_current(spec, s, v) for s in range(spec.n_parallel))
+
+
+def local_maxima(curve: PvCurve) -> list[tuple[float, float]]:
+    """All interior local maxima above 1e-6 W of the swept P-V curve, refined."""
+    p = curve.p
+    peaks = []
+    for j in range(1, len(p) - 1):
+        if p[j] > p[j - 1] and p[j] >= p[j + 1] and p[j] > 1e-6:
+            v_star, p_star = golden_section_max(
+                lambda v: float(curve.power_at(v)), curve.v[j - 1], curve.v[j + 1], xtol=1e-3
+            )
+            peaks.append((v_star, max(p_star, float(p[j]))))
+    return peaks
 
 
 def uniform_array_current(

@@ -37,7 +37,6 @@ from pvmppt.pvmodel import (
     STC,
     array_open_circuit_voltage,
     calibrate_module,
-    local_maxima,
     module_current,
     module_open_circuit_voltage,
     oracle_gmpp,
@@ -45,7 +44,7 @@ from pvmppt.pvmodel import (
     sweep_curve,
 )
 
-from oracles import module_mpp
+from oracles import local_maxima, module_mpp
 
 B_RAMP_V = 3.2  # frozen ramp-tracking bound, see test_converter.py
 
@@ -75,7 +74,7 @@ def _passes_band(ours: float, table: float, threshold: float) -> bool:
 def benchmark_runs(nd_module):
     runs = {}
     for k in range(1, 6):
-        scn = benchmark_scenario(k, onset_t=0.25, horizon=0.7, dt=2e-5)
+        scn = benchmark_scenario(k, onset_t=0.25, horizon=0.7)
         runs[k] = (scn, *run_closed_loop(scn))
     return runs
 
@@ -330,7 +329,7 @@ def test_criterion_8_detector_miss_fallback(nd_module, ref_3x5):
     det = detect_pattern(spec, ref_3x5, DetectorConfig(), s_prior=1.0)
     assert det.is_psc is False, "construction must evade all three criteria"
 
-    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7, dt=2e-5)
+    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7)
     events = list(scn.events)
     events[1] = replace(events[1], pattern=pat)
     scn = replace(scn, events=tuple(events), name="detector-miss")
@@ -348,7 +347,7 @@ def test_criterion_8_detector_miss_fallback(nd_module, ref_3x5):
 def test_criterion_9_po_baseline_failure(nd_module):
     # pattern found by search over the five: the pure P&O tracker rests
     # on the high-voltage local peak of pattern 1 and forfeits >= 10%
-    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7, dt=2e-5, po_only=True)
+    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7, po_only=True)
     trace, report = run_closed_loop(scn)
     e = report.events[-1]
     deficit = 1.0 - e["final_power_w"] / e["oracle_power_w"]

@@ -31,12 +31,13 @@ from pvmppt.pvmodel import (
     ArraySpec,
     ModuleCondition,
     ValidationError,
-    array_current,
     module_voltage,
     oracle_gmpp,
     string_current,
     sweep_curve,
 )
+
+from oracles import array_current
 
 
 def simple_ref(**overrides) -> ReferenceModel:

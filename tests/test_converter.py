@@ -1,7 +1,5 @@
 """Averaged boost converter tests: statics, dynamics, command handling."""
 
-import random
-
 import numpy as np
 import pytest
 
@@ -25,10 +23,11 @@ from pvmppt.pvmodel import (
     ArraySpec,
     ModuleDatasheet,
     ValidationError,
-    array_current,
     calibrate_module,
     sweep_curve,
 )
+
+from oracles import array_current
 
 # tracking-error bound for a 4000 V/s ramp on the reference plant, frozen
 # from a dt/10 (5e-7 s) integration of the same model: max|v_pv - v_ref|
@@ -213,7 +212,7 @@ class TestRun:
     def test_sample_period_below_dt_rejected(self, array_130v_8a):
         cmd = CommandSignal((CommandSegment("hold", 60.0, duration_s=0.01),), v_start=60.0)
         with pytest.raises(ValidationError):
-            run(cmd, array_130v_8a, TABLE_PLANT, sample_period=1e-6, dt=5e-6)
+            run(cmd, array_130v_8a, TABLE_PLANT, sample_period=1e-6)
 
     def test_constant_current_equilibrium_matches_algebra(self):
         i_const = 4.0
@@ -223,17 +222,6 @@ class TestRun:
         v_expected = (1.0 - last.duty) * 250.0 + TABLE_PLANT.r_l * i_const
         assert last.v_pv == pytest.approx(v_expected, rel=1e-6)
         assert trace[-2].v_pv == pytest.approx(v_expected, rel=1e-6)
-
-    def test_measurement_noise_only_touches_readings(self, array_130v_8a):
-        cmd = CommandSignal((CommandSegment("hold", 60.0, duration_s=0.02),), v_start=60.0)
-        noise = MeasurementNoise(v_amplitude=0.5, i_amplitude=0.05)
-        t1 = run(cmd, array_130v_8a, TABLE_PLANT, noise=noise, rng=random.Random(1))
-        t2 = run(cmd, array_130v_8a, TABLE_PLANT, noise=noise, rng=random.Random(1))
-        t3 = run(cmd, array_130v_8a, TABLE_PLANT)
-        assert [r.v_pv for r in t1] == [r.v_pv for r in t2]  # seeded determinism
-        assert any(a.v_pv != b.v_pv for a, b in zip(t1, t3))  # noise visible
-        # final state (through the clean dynamics) agrees despite noise
-        assert t1[-1].t == t3[-1].t
 
     def test_bad_segment_kinds_rejected(self):
         with pytest.raises(ValidationError):
@@ -311,40 +299,33 @@ class TestSampledCurveSource:
             assert abs(a.i_pv - b.i_pv) < 1e-6
 
 
-def _run_per_step(
-    command, i_of_v, params, sample_period=5e-4, dt=5e-6, state0=None, noise=None, rng=None
-):
+def _run_per_step(command, i_of_v, params, sample_period=5e-4):
     """The open-loop run as it was written before stretches: one ``step_ode``
     call per step, a fresh ``ConverterState`` after each."""
+    dt = 5e-6
     pieces = _command_profile(command)
     horizon = sum(p[3] for p in pieces)
     n_steps = round(horizon / dt)
     per_sample = max(round(sample_period / dt), 1)
-    if state0 is None:
-        v0 = command_value(pieces, 0.0)
-        state0 = ConverterState(v_pv=v0, i_l=i_of_v(v0), t=0.0)
-    s = state0
+    v0 = command_value(pieces, 0.0)
+    s = ConverterState(v_pv=v0, i_l=i_of_v(v0))
     trace = []
 
-    def record(state, v_cmd, duty):
+    def record(n, state, v_cmd, duty):
         v_meas = state.v_pv
         i_meas = i_of_v(state.v_pv)
-        if noise is not None and rng is not None:
-            v_meas += rng.uniform(-noise.v_amplitude, noise.v_amplitude)
-            i_meas += rng.uniform(-noise.i_amplitude, noise.i_amplitude)
-        trace.append(TraceRecord(state.t, v_cmd, duty, v_meas, i_meas, v_meas * i_meas))
+        trace.append(TraceRecord(n * dt, v_cmd, duty, v_meas, i_meas, v_meas * i_meas))
 
     for n in range(n_steps):
         t_mid = (n + 0.5) * dt
         v_cmd = command_value(pieces, t_mid)
         duty = duty_for_voltage(v_cmd, params.v_out)
         if n % per_sample == 0:
-            record(s, command_value(pieces, n * dt), duty)
+            record(n, s, command_value(pieces, n * dt), duty)
         s = step_ode(s, duty, dt, i_of_v, params)
-        s = ConverterState(s.v_pv, s.i_l, t=(n + 1) * dt)
     if n_steps > 0:
         v_cmd = command_value(pieces, horizon)
-        record(s, v_cmd, duty_for_voltage(v_cmd, params.v_out))
+        record(n_steps, s, v_cmd, duty_for_voltage(v_cmd, params.v_out))
     return trace
 
 
@@ -414,14 +395,6 @@ class TestRunStretches:
             _run_per_step(cmd, array_130v_8a, TABLE_PLANT, sample_period=sample_period),
         )
 
-    def test_noise_with_rng_equals_per_step_loop(self, array_130v_8a):
-        noise = MeasurementNoise(v_amplitude=0.5, i_amplitude=0.05)
-        kw = dict(sample_period=5e-5, noise=noise)
-        self.same(
-            run(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, rng=random.Random(3), **kw),
-            _run_per_step(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, rng=random.Random(3), **kw),
-        )
-
     def test_plant_curve_source_equals_per_step_loop(self, spec_130v_8a):
         plant = PlantCurve(sweep_curve(spec_130v_8a, 0.01))
         self.same(
@@ -444,20 +417,6 @@ class TestRunStretches:
         # 100 hold samples, 2000 ramp steps, 200 hold samples
         assert len(calls) == 2300 and sum(calls) == 5000
         assert calls[:100] == [10] * 100 and calls[-200:] == [10] * 200
-
-    def test_samples_stamped_from_state0_time(self, array_130v_8a):
-        s0 = ConverterState(v_pv=60.0, i_l=array_130v_8a(60.0), t=1.0)
-        late = run(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5, state0=s0)
-        dt = 5e-6  # 115 steps: samples at steps 0, 10, ..., 110 and the end
-        assert [r.t for r in late] == [1.0 + n * dt for n in range(0, 111, 10)] + [1.0 + 115 * dt]
-        s0_at_zero = ConverterState(v_pv=60.0, i_l=array_130v_8a(60.0))
-        early = run(MID_SAMPLE_RAMP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5, state0=s0_at_zero)
-        assert [r.v_pv for r in late] == [r.v_pv for r in early]
-
-    def test_noise_without_rng_rejected(self, array_130v_8a):
-        noise = MeasurementNoise(v_amplitude=0.5)
-        with pytest.raises(ValidationError, match="rng"):
-            run(STEP_CMD, array_130v_8a, TABLE_PLANT, noise=noise)
 
     @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
     @pytest.mark.parametrize("field", ["v_amplitude", "i_amplitude"])

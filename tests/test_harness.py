@@ -61,7 +61,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def short_psc1(**overrides):
-    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7, dt=2e-5)
+    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7)
     return replace(scn, **overrides) if overrides else scn
 
 
@@ -134,6 +134,18 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="sum"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_benchmark_files_equal_the_builtin_patterns(self, k):
+        assert benchmark_scenario(k) == load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json")
+
+    def test_command_cap_split_from_the_link_rejected(self):
+        # a 110 V link under the loader's 250 V cap: the controller would
+        # command up to 132 V and the plant would run above the link
+        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
+        split = replace(scn, converter=replace(scn.converter, v_out=110.0))
+        with pytest.raises(ScenarioError, match=r"controller\.v_cmd_max.*converter\.v_out_v"):
+            run_closed_loop(split)
+
     def test_readme_example_loads(self):
         readme = (SCENARIO_DIR.parent / "README.md").read_text()
         section = readme.split("\n## Scenario files\n", 1)[1]
@@ -194,7 +206,7 @@ class TestStaticDetection:
 
 class TestClosedLoop:
     def test_uniform_only_scenario(self):
-        scn = benchmark_scenario(1, dt=2e-5)
+        scn = benchmark_scenario(1)
         scn = replace(scn, events=scn.events[:1], horizon_s=0.5, name="uniform")
         trace, report = run_closed_loop(scn)
         assert all(r.mode not in ("scan_up", "scan_down") for r in trace)
@@ -211,7 +223,7 @@ class TestClosedLoop:
     def test_two_tick_window_reports_its_last_row(self):
         # events at ticks 0, 18 and 20: event 1's one-tick tail starts an ulp
         # after its last row at tick 19
-        scn = benchmark_scenario(1, dt=2e-5)
+        scn = benchmark_scenario(1)
         start, onset = scn.events
         events = (start, replace(onset, t=0.009), replace(start, t=0.01))
         trace, report = run_closed_loop(replace(scn, events=events, horizon_s=0.05))
@@ -296,7 +308,7 @@ class TestClosedLoop:
         trace, _ = run_closed_loop(scn)
         v0 = trace[0].v_pv
         cmd = trace[0].v_ref
-        s = ConverterState(v_pv=v0, i_l=plant(v0), t=0.0)
+        s = ConverterState(v_pv=v0, i_l=plant(v0))
         duty = duty_for_voltage(cmd, scn.converter.v_out)
         for _ in range(round(scn.controller.adc_period_s / scn.dt_s)):
             s = step_ode(s, duty, scn.dt_s, plant, scn.converter)
@@ -457,6 +469,13 @@ class TestCorpusScenario:
 
     def test_pool_and_serial_reports_agree(self):
         assert run_corpus(2026, 2, jobs=2) == run_corpus(2026, 2, jobs=1)
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_drawn_scenario_trace_keeps_controller_invariants(self, tmp_path, index):
+        scn = random_scenario(2026, index)
+        trace, _ = run_closed_loop(scn)
+        emit_trace(trace, tmp_path / "trace.csv")
+        assert _trace_violations(tmp_path / "trace.csv", scn.controller.v_cmd_max) == []
 
 
 # benchmark_psc1's two events, to build timelines with extra events

@@ -17,10 +17,8 @@ from pvmppt.pvmodel import (
     ND195R1S_PARAMS,
     STC,
     ValidationError,
-    array_current,
     array_open_circuit_voltage,
     calibrate_module,
-    local_maxima,
     module_current,
     module_open_circuit_voltage,
     module_voltage,
@@ -30,7 +28,7 @@ from pvmppt.pvmodel import (
 )
 from pvmppt.pvmodel import _datasheet_residuals, _fit_datasheet
 
-from oracles import module_mpp, scipy_fit, uniform_array_current
+from oracles import array_current, local_maxima, module_mpp, scipy_fit, uniform_array_current
 
 HS = ModuleCondition(1.0, 25.0)
 
