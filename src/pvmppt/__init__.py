@@ -18,7 +18,6 @@ from .converter import (
     CommandSignal,
     ConverterParams,
     ConverterState,
-    MeasurementNoise,
     TraceRecord,
     duty_for_voltage,
     step_ode,

@@ -104,20 +104,6 @@ class CommandSignal:
             raise ValidationError("command start voltage outside [0, v_out]")
 
 
-@dataclass(frozen=True)
-class MeasurementNoise:
-    """Zero-mean uniform sensor noise amplitudes (0 disables)."""
-
-    v_amplitude: float = 0.0
-    i_amplitude: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("v_amplitude", "i_amplitude"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError("noise amplitudes must be finite and >= 0", name)
-
-
 @dataclass
 class TraceRecord:
     """One sampling instant of the simulated plant."""

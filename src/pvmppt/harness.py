@@ -41,7 +41,6 @@ from .converter import (
     STEP_NUMBER_MAX,
     V_OUT_MAX,
     ConverterParams,
-    MeasurementNoise,
     PlantCurve,
     TraceRecord,
     advance,
@@ -70,16 +69,7 @@ TRACE_HEADER = "t,v_ref,duty,v_pv,i_pv,p,mode,p_e,v_e"
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-# benchmark array: 3 strings of 5 modules, three (irradiance, temp) levels,
-# patterns given as per-string level counts, sample module mid first string
-BENCHMARK_LEVELS = ((0.9, 35.0), (0.6, 30.0), (0.3, 25.0))
-BENCHMARK_PATTERNS = {
-    1: ("2-2-1", "1-3-1", "3-2-0"),
-    2: ("5-0-0", "3-1-1", "3-2-0"),
-    3: ("0-1-4", "0-0-5", "1-1-3"),
-    4: ("1-1-3", "1-1-3", "1-0-4"),
-    5: ("1-1-3", "5-0-0", "4-0-1"),
-}
+# sample module of the 3x5 reference array: mid first string
 BENCHMARK_SAMPLE = (0, 2)
 
 # longest accepted run: 46x the longest corpus horizon (1.3 s) and 12
@@ -169,8 +159,7 @@ class Scenario:
     params: ModuleParams | None = None
     converter: ConverterParams = ConverterParams()
     controller: ControllerConfig = ControllerConfig()
-    noise: MeasurementNoise = MeasurementNoise()
-    seed: int = 0
+    seed: int = 0  # a label copied to report.json; the run draws nothing
     dt_s: float = 5e-6
     v_ref_start: float | None = None
 
@@ -429,15 +418,12 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         ctl_doc, "controller", ControllerConfig, known=("detector",),
         detector=detector, v_cmd_max=converter.v_out,
     )
-    noise = _section(doc.get("noise", {}), "noise", MeasurementNoise, {
-        "v_amplitude": "v_amplitude_v", "i_amplitude": "i_amplitude_a",
-    })
     scn = _section(
         doc, "", Scenario, {"v_ref_start": "v_ref_start_v"},
-        ("name", "array", "module", "levels", "timeline", "converter", "controller", "noise"),
+        ("name", "array", "module", "levels", "timeline", "converter", "controller"),
         name=_get(doc, "name", "", _text, name), n_series=n_series, n_parallel=n_parallel,
         sample_module=sample, events=tuple(events), datasheet=datasheet, params=params,
-        converter=converter, controller=controller, noise=noise,
+        converter=converter, controller=controller,
     )
     scn.validate()
     return scn
@@ -594,7 +580,7 @@ class RunReport:
 def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     """Simulate the full controller/converter/array loop over a scenario.
 
-    Deterministic given the scenario seed.  The trace is sampled at the
+    Deterministic given the scenario.  The trace is sampled at the
     ADC cadence; the report is computed per shading-event window against
     the brute-force oracle of that window's curve."""
     scn.validate()
@@ -606,10 +592,6 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     adc = cfg.adc_period_s
     sub_per_tick = round(adc / dt)
     n_ticks = round(scn.horizon_s / adc)
-
-    nv, ni = scn.noise.v_amplitude, scn.noise.i_amplitude
-    noisy = nv > 0.0 or ni > 0.0
-    rng = random.Random(scn.seed)
 
     # per-event plant data
     event_ticks = [round(e.t / adc) for e in scn.events]
@@ -645,7 +627,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     trace: list[TraceRecord] = []
 
     def read_sample_module() -> float:
-        return _sample_module_voltage(w["spec"], max(v_meas, 0.0))
+        return _sample_module_voltage(w["spec"], v)
 
     for w in windows:
         cur = w["plant"]
@@ -653,12 +635,8 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
         for tick in range(w["tick_start"], w["tick_end"]):
             t = tick * adc
 
-            v_meas = v
-            i_meas = cur(v)
-            if noisy:
-                v_meas += rng.uniform(-nv, nv)
-                i_meas = max(i_meas + rng.uniform(-ni, ni), 0.0)
-            m = Measurement(v=v_meas, i=i_meas, t=t, t_sample_mod=t_sample)
+            i = cur(v)
+            m = Measurement(v=v, i=i, t=t, t_sample_mod=t_sample)
 
             prev_cmd = state.v_ref
             new_ref, state = controller_tick(state, m, cfg, ref, read_sample_module)
@@ -669,9 +647,9 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
                     t=t,
                     v_ref=new_ref,
                     duty=duty_for_voltage(new_ref, v_out),
-                    v_pv=v_meas,
-                    i_pv=i_meas,
-                    p=v_meas * i_meas,
+                    v_pv=v,
+                    i_pv=i,
+                    p=v * i,
                     mode=state.mode.value,
                     p_e=ep.p_e if ep else math.nan,
                     v_e=ep.v_e if ep else math.nan,
@@ -802,37 +780,8 @@ def emit_report(report: RunReport, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# canonical scenarios and randomized corpus
+# randomized corpus
 # ---------------------------------------------------------------------------
-
-
-def benchmark_scenario(
-    pattern_no: int,
-    onset_t: float = 0.3,
-    horizon: float = 0.9,
-    po_only: bool = False,
-) -> Scenario:
-    """Shading onset scenario: uniform standard start, one benchmark pattern."""
-    start_levels = ((1.0, 25.0), (0.6, 25.0), (0.3, 25.0))
-    start = ShadingPattern.parse(["5-0-0"] * 3, start_levels)
-    events = [
-        TimelineEvent(0.0, start),
-        TimelineEvent(
-            onset_t, ShadingPattern.parse(list(BENCHMARK_PATTERNS[pattern_no]), BENCHMARK_LEVELS)
-        ),
-    ]
-    return Scenario(
-        name=f"benchmark-psc{pattern_no}" + ("-po" if po_only else ""),
-        n_series=5,
-        n_parallel=3,
-        sample_module=BENCHMARK_SAMPLE,
-        events=tuple(events),
-        horizon_s=horizon,
-        datasheet=ND195R1S,
-        seed=0,
-        dt_s=2e-5,
-        controller=ControllerConfig(po_only=po_only),
-    )
 
 
 def random_scenario(seed: int, index: int) -> Scenario:

@@ -522,23 +522,40 @@ def _fit_problem(ds: ModuleDatasheet):
     return residuals, make, starts, lower, upper
 
 
+def _check_contract(ds: ModuleDatasheet, params: ModuleParams) -> None:
+    """Raise :class:`CalibrationError` unless ``params`` meets the datasheet
+    within the calibration contract: short- and open-circuit current within
+    0.5% of ``i_sc``, MPP power within 2%, and dP/dV at the MPP within 1% of
+    ``p_max / v_mpp``."""
+    res = _datasheet_residuals(ds, params)
+    ok = (
+        abs(res[0]) < 0.005
+        and abs(res[1]) < 0.005
+        and abs(module_current(params, STC, ds.v_mpp) * ds.v_mpp - ds.p_max) < 0.02 * ds.p_max
+        and abs(_dp_dv(params, STC, ds.v_mpp)) < 0.01 * ds.p_max / ds.v_mpp
+    )
+    if not ok:
+        raise CalibrationError("fit converged outside tolerance", tuple(float(r) for r in res))
+
+
 def _fit_datasheet(ds: ModuleDatasheet) -> ModuleParams:
     """Least-squares fit of :func:`_fit_problem` by :func:`bounded_lm`: the
-    lowest cost over the starts, stopping early at a cost below 1e-18."""
+    fit from the first start that meets :func:`_check_contract`.  When none
+    does, raises the contract failure of the last start fitted."""
     residuals, make, starts, lower, upper = _fit_problem(ds)
-    best = None
+    failure = CalibrationError("all fit attempts failed", ())
     for x0 in starts:
         try:
-            x, cost = bounded_lm(residuals, x0, lower, upper)
+            x, _ = bounded_lm(residuals, x0, lower, upper)
         except (SolverError, ValueError):  # ValidationError, or x0 outside the bounds
             continue
-        if best is None or cost < best[1]:
-            best = (x, cost)
-        if cost < 1e-18:
-            break
-    if best is None:
-        raise CalibrationError("all fit attempts failed", ())
-    return make(best[0])
+        params = make(x)
+        try:
+            _check_contract(ds, params)
+            return params
+        except CalibrationError as exc:
+            failure = exc
+    raise failure
 
 
 @lru_cache(maxsize=None)
@@ -553,17 +570,10 @@ def calibrate_module(ds: ModuleDatasheet) -> ModuleParams:
     (``ModuleDatasheet`` rejects an infeasible datasheet).  A result is
     cached per datasheet for the life of the process.
     """
-    params = ND195R1S_PARAMS if ds == ND195R1S else _fit_datasheet(ds)
-    res = _datasheet_residuals(ds, params)
-    ok = (
-        abs(res[0]) < 0.005
-        and abs(res[1]) < 0.005
-        and abs(module_current(params, STC, ds.v_mpp) * ds.v_mpp - ds.p_max) < 0.02 * ds.p_max
-        and abs(_dp_dv(params, STC, ds.v_mpp)) < 0.01 * ds.p_max / ds.v_mpp
-    )
-    if not ok:
-        raise CalibrationError("fit converged outside tolerance", tuple(float(r) for r in res))
-    return params
+    if ds == ND195R1S:
+        _check_contract(ds, ND195R1S_PARAMS)
+        return ND195R1S_PARAMS
+    return _fit_datasheet(ds)
 
 
 ND195R1S = ModuleDatasheet(

@@ -21,12 +21,14 @@ from scipy.optimize import least_squares
 
 from pvmppt.pvmodel import (
     ArraySpec,
+    CalibrationError,
     ModuleCondition,
     ModuleDatasheet,
     ModuleParams,
     PvCurve,
     ValidationError,
     _bracket,
+    _check_contract,
     _env,
     _exp,
     _fit_problem,
@@ -98,9 +100,9 @@ def uniform_array_current(
 
 def scipy_fit(ds: ModuleDatasheet) -> ModuleParams:
     """The datasheet fit of ``pvmodel._fit_problem`` solved by scipy's
-    trust-region ``least_squares``, with the same starts and early exit."""
+    trust-region ``least_squares``, under the same rule: the fit from the
+    first start that meets the calibration contract, else the last fit."""
     residuals, make, starts, lower, upper = _fit_problem(ds)
-    best = None
     for x0 in starts:
         try:
             sol = least_squares(
@@ -108,8 +110,10 @@ def scipy_fit(ds: ModuleDatasheet) -> ModuleParams:
             )
         except (SolverError, ValueError):  # ValidationError, or x0 outside the bounds
             continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if sol.cost < 1e-18:
-            break
-    return make(best.x)
+        params = make(sol.x)
+        try:
+            _check_contract(ds, params)
+            return params
+        except CalibrationError:
+            pass
+    return params

@@ -7,6 +7,7 @@ summary lines.  Tolerances are fixed here, not calibrated elsewhere.
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +21,14 @@ from pvmppt.converter import (
 )
 from pvmppt.harness import (
     ShadingPattern,
-    BENCHMARK_LEVELS,
-    BENCHMARK_PATTERNS,
     BENCHMARK_SAMPLE,
+    base_array_spec,
     detect_pattern,
+    load_scenario,
     prune_violations,
     random_scenario,
     run_closed_loop,
     run_corpus,
-    benchmark_scenario,
 )
 from pvmppt.pvmodel import (
     ArraySpec,
@@ -47,6 +47,7 @@ from pvmppt.pvmodel import (
 from oracles import local_maxima, module_mpp
 
 B_RAMP_V = 3.2  # frozen ramp-tracking bound, see test_converter.py
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 # expected detection-criteria magnitudes per benchmark pattern:
 # (PSI [1/V], |dV_arr|/V_arr, dV_mod/V_mod)
@@ -70,11 +71,18 @@ def _passes_band(ours: float, table: float, threshold: float) -> bool:
     return abs(ours) <= threshold
 
 
+def psc_onset(k: int):
+    """``benchmark_psc{k}.json`` with its onset at 0.25 s and a 0.7 s horizon."""
+    scn = load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json")
+    start, onset = scn.events
+    return replace(scn, horizon_s=0.7, events=(start, replace(onset, t=0.25)))
+
+
 @pytest.fixture(scope="module")
 def benchmark_runs(nd_module):
     runs = {}
     for k in range(1, 6):
-        scn = benchmark_scenario(k, onset_t=0.25, horizon=0.7)
+        scn = psc_onset(k)
         runs[k] = (scn, *run_closed_loop(scn))
     return runs
 
@@ -200,8 +208,7 @@ def test_criterion_4_detection_verdicts(nd_module, ref_3x5):
     cfg = DetectorConfig()
     lines = []
     for k in range(1, 6):
-        pat = ShadingPattern.parse(list(BENCHMARK_PATTERNS[k]), BENCHMARK_LEVELS)
-        spec = ArraySpec(5, 3, nd_module, pat.expand(5), sample_module=BENCHMARK_SAMPLE)
+        spec = base_array_spec(load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json"), 1)
         det = detect_pattern(spec, ref_3x5, cfg, s_prior=1.0)
         assert det.is_psc is True, f"PSC{k} verdict"
         ours = (det.psi, det.dv_arr_ratio, det.dv_mod_ratio)
@@ -329,7 +336,7 @@ def test_criterion_8_detector_miss_fallback(nd_module, ref_3x5):
     det = detect_pattern(spec, ref_3x5, DetectorConfig(), s_prior=1.0)
     assert det.is_psc is False, "construction must evade all three criteria"
 
-    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7)
+    scn = psc_onset(1)
     events = list(scn.events)
     events[1] = replace(events[1], pattern=pat)
     scn = replace(scn, events=tuple(events), name="detector-miss")
@@ -347,7 +354,8 @@ def test_criterion_8_detector_miss_fallback(nd_module, ref_3x5):
 def test_criterion_9_po_baseline_failure(nd_module):
     # pattern found by search over the five: the pure P&O tracker rests
     # on the high-voltage local peak of pattern 1 and forfeits >= 10%
-    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7, po_only=True)
+    scn = psc_onset(1)
+    scn = replace(scn, controller=replace(scn.controller, po_only=True))
     trace, report = run_closed_loop(scn)
     e = report.events[-1]
     deficit = 1.0 - e["final_power_w"] / e["oracle_power_w"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +25,10 @@ from pvmppt.control import (
 )
 from pvmppt.harness import (
     ShadingPattern,
+    base_array_spec,
     build_reference_model,
     detect_pattern,
+    load_scenario,
 )
 from pvmppt.pvmodel import (
     ArraySpec,
@@ -38,6 +41,8 @@ from pvmppt.pvmodel import (
 )
 
 from oracles import array_current
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def simple_ref(**overrides) -> ReferenceModel:
@@ -377,15 +382,12 @@ class TestControllerTick:
         assert set(drv.modes) == {Mode.PO}
 
     def test_shading_onset_full_mode_sequence(self, nd_module, ref_3x5):
-        from pvmppt.harness import BENCHMARK_LEVELS, BENCHMARK_PATTERNS
-
         cfg = ControllerConfig()
         uniform = ArraySpec.uniform(nd_module, 5, 3, sample_module=(0, 2))
         drv = IdealPlantDriver(uniform, ref_3x5, cfg)
         drv.run(0.2)
         assert drv.state.mode is Mode.PO
-        pat = ShadingPattern.parse(list(BENCHMARK_PATTERNS[1]), BENCHMARK_LEVELS)
-        drv.spec = ArraySpec(5, 3, nd_module, pat.expand(5), sample_module=(0, 2))
+        drv.spec = base_array_spec(load_scenario(SCENARIO_DIR / "benchmark_psc1.json"), 1)
         drv.curve = sweep_curve(drv.spec, 0.01)
         drv.run(0.5)
 
@@ -408,14 +410,11 @@ class TestControllerTick:
 
     def test_scan_episode_tick_budget(self, nd_module, ref_3x5):
         # liveness: both ramp legs fit in the worst-case tick budget
-        from pvmppt.harness import BENCHMARK_LEVELS, BENCHMARK_PATTERNS
-
         cfg = ControllerConfig()
         uniform = ArraySpec.uniform(nd_module, 5, 3, sample_module=(0, 2))
         drv = IdealPlantDriver(uniform, ref_3x5, cfg)
         drv.run(0.2)
-        pat = ShadingPattern.parse(list(BENCHMARK_PATTERNS[4]), BENCHMARK_LEVELS)
-        drv.spec = ArraySpec(5, 3, nd_module, pat.expand(5), sample_module=(0, 2))
+        drv.spec = base_array_spec(load_scenario(SCENARIO_DIR / "benchmark_psc4.json"), 1)
         drv.curve = sweep_curve(drv.spec, 0.01)
         drv.run(0.6)
         ep = drv.state.episodes[-1]

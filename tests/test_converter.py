@@ -9,7 +9,6 @@ from pvmppt.converter import (
     CommandSignal,
     ConverterParams,
     ConverterState,
-    MeasurementNoise,
     PlantCurve,
     TraceRecord,
     _command_profile,
@@ -417,13 +416,6 @@ class TestRunStretches:
         # 100 hold samples, 2000 ramp steps, 200 hold samples
         assert len(calls) == 2300 and sum(calls) == 5000
         assert calls[:100] == [10] * 100 and calls[-200:] == [10] * 200
-
-    @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
-    @pytest.mark.parametrize("field", ["v_amplitude", "i_amplitude"])
-    def test_noise_amplitude_rejected(self, field, value):
-        with pytest.raises(ValidationError) as err:
-            MeasurementNoise(**{field: value})
-        assert err.value.field == field
 
     def test_step_count_below_one_rejected(self):
         with pytest.raises(ValidationError, match="step count"):

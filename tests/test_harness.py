@@ -23,7 +23,6 @@ from pvmppt.cli import main as cli_main
 from pvmppt.control import Mode, controller_tick
 from pvmppt.converter import (
     ConverterState,
-    MeasurementNoise,
     PlantCurve,
     duty_for_voltage,
     step_ode,
@@ -32,8 +31,6 @@ from pvmppt import harness
 from pvmppt.harness import (
     ScenarioError,
     ShadingPattern,
-    BENCHMARK_LEVELS,
-    BENCHMARK_PATTERNS,
     TRACE_HEADER,
     base_array_spec,
     build_reference_model,
@@ -46,7 +43,6 @@ from pvmppt.harness import (
     run_closed_loop,
     run_corpus,
     scenario_from_dict,
-    benchmark_scenario,
 )
 from pvmppt.pvmodel import (
     ND195R1S,
@@ -58,11 +54,16 @@ from pvmppt.pvmodel import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+# benchmark_psc1.json's shading levels and onset pattern
+PSC1_LEVELS = ((0.9, 35.0), (0.6, 30.0), (0.3, 25.0))
+PSC1_PATTERN = ["2-2-1", "1-3-1", "3-2-0"]
 
 
 def short_psc1(**overrides):
-    scn = benchmark_scenario(1, onset_t=0.25, horizon=0.7)
-    return replace(scn, **overrides) if overrides else scn
+    """benchmark_psc1 with its onset at 0.25 s and a 0.7 s horizon."""
+    scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
+    start, onset = scn.events
+    return replace(scn, horizon_s=0.7, events=(start, replace(onset, t=0.25)), **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,7 @@ def psc1_run():
 
 class TestShadingPattern:
     def test_parse_and_expand(self):
-        pat = ShadingPattern.parse(["2-2-1", "1-3-1", "3-2-0"], BENCHMARK_LEVELS)
+        pat = ShadingPattern.parse(PSC1_PATTERN, PSC1_LEVELS)
         grid = pat.expand(5)
         assert len(grid) == 3 and all(len(row) == 5 for row in grid)
         assert grid[0][0].irradiance == 0.9
@@ -80,22 +81,22 @@ class TestShadingPattern:
         assert grid[0][4].irradiance == 0.3
 
     def test_degenerate_uniform_string(self):
-        pat = ShadingPattern.parse(["5-0-0"], BENCHMARK_LEVELS)
+        pat = ShadingPattern.parse(["5-0-0"], PSC1_LEVELS)
         grid = pat.expand(5)
         assert all(c == ModuleCondition(0.9, 35.0) for c in grid[0])
 
     def test_count_sum_mismatch(self):
-        pat = ShadingPattern.parse(["2-2-2"], BENCHMARK_LEVELS)
+        pat = ShadingPattern.parse(["2-2-2"], PSC1_LEVELS)
         with pytest.raises(ScenarioError, match="sum"):
             pat.expand(5)
 
     def test_bad_token(self):
         with pytest.raises(ScenarioError, match="dash-separated"):
-            ShadingPattern.parse(["2-x-1"], BENCHMARK_LEVELS)
+            ShadingPattern.parse(["2-x-1"], PSC1_LEVELS)
 
     def test_level_arity_mismatch(self):
         with pytest.raises(ScenarioError, match="levels"):
-            ShadingPattern.parse(["2-3"], BENCHMARK_LEVELS)
+            ShadingPattern.parse(["2-3"], PSC1_LEVELS)
 
 
 class TestScenarioFiles:
@@ -104,7 +105,7 @@ class TestScenarioFiles:
         assert scn.n_series == 5 and scn.n_parallel == 3
         assert scn.sample_module == (0, 2)
         assert len(scn.events) == 2
-        assert scn.events[1].pattern.as_strings() == list(BENCHMARK_PATTERNS[1])
+        assert scn.events[1].pattern.as_strings() == PSC1_PATTERN
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
@@ -133,10 +134,6 @@ class TestScenarioFiles:
         doc["timeline"][1]["pattern"] = ["2-2-2", "1-3-1", "3-2-0"]
         with pytest.raises(ScenarioError, match="sum"):
             scenario_from_dict(doc)
-
-    @pytest.mark.parametrize("k", range(1, 6))
-    def test_benchmark_files_equal_the_builtin_patterns(self, k):
-        assert benchmark_scenario(k) == load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json")
 
     def test_command_cap_split_from_the_link_rejected(self):
         # a 110 V link under the loader's 250 V cap: the controller would
@@ -198,15 +195,14 @@ class TestStaticDetection:
 
     def test_benchmark_patterns_all_detected(self, nd_module, ref_3x5):
         for k in range(1, 6):
-            pat = ShadingPattern.parse(list(BENCHMARK_PATTERNS[k]), BENCHMARK_LEVELS)
-            spec = ArraySpec(5, 3, nd_module, pat.expand(5), sample_module=(0, 2))
+            spec = base_array_spec(load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json"), 1)
             det = detect_pattern(spec, ref_3x5, s_prior=1.0)
             assert det.is_psc is True, f"pattern {k} missed"
 
 
 class TestClosedLoop:
     def test_uniform_only_scenario(self):
-        scn = benchmark_scenario(1)
+        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
         scn = replace(scn, events=scn.events[:1], horizon_s=0.5, name="uniform")
         trace, report = run_closed_loop(scn)
         assert all(r.mode not in ("scan_up", "scan_down") for r in trace)
@@ -223,7 +219,7 @@ class TestClosedLoop:
     def test_two_tick_window_reports_its_last_row(self):
         # events at ticks 0, 18 and 20: event 1's one-tick tail starts an ulp
         # after its last row at tick 19
-        scn = benchmark_scenario(1)
+        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
         start, onset = scn.events
         events = (start, replace(onset, t=0.009), replace(start, t=0.01))
         trace, report = run_closed_loop(replace(scn, events=events, horizon_s=0.05))
@@ -286,14 +282,6 @@ class TestClosedLoop:
             reports.append(rp.read_bytes())
         assert traces[0] == traces[1]
         assert reports[0] == reports[1]
-
-    def test_noise_is_seeded_and_visible(self):
-        noisy = short_psc1(noise=MeasurementNoise(v_amplitude=0.2, i_amplitude=0.02))
-        t1, _ = run_closed_loop(noisy)
-        t2, _ = run_closed_loop(noisy)
-        t3, _ = run_closed_loop(replace(noisy, seed=99))
-        assert [r.v_pv for r in t1] == [r.v_pv for r in t2]
-        assert [r.v_pv for r in t1] != [r.v_pv for r in t3]
 
     def test_misaligned_adc_rejected(self):
         scn = short_psc1(dt_s=3e-5)  # 5e-4 / 3e-5 is not an integer
@@ -485,7 +473,7 @@ _PSC1_START = {
 
 
 def _psc1_onset(t_s):
-    return {"t_s": t_s, "pattern": list(BENCHMARK_PATTERNS[1])}
+    return {"t_s": t_s, "pattern": list(PSC1_PATTERN)}
 
 
 # mode -> the modes the next trace row may show
@@ -781,7 +769,7 @@ class TestCli:
                 "timeline[1].t_s",
             ),
             ({("horizon_s",): 0.30024}, "timeline[1].t_s"),
-            ({("noise", "v_amplitude_v"): -1.0}, "noise.v_amplitude_v"),
+            ({("noise",): {"v_amplitude_v": 0.0, "i_amplitude_a": 0.0}}, "noise"),
             ({("module", "datasheet", "p_max_w"): -5.0}, "module.datasheet.p_max_w"),
             ({("module", "datasheet", "v_mpp_v"): 40.0}, "module.datasheet.v_mpp_v"),
             ({("name",): [1, 2]}, "name"),
@@ -822,7 +810,7 @@ class TestCli:
             "one_tick_window",
             "same_tick_events",
             "last_window_before_horizon",
-            "noise_amplitude_negative",
+            "noise_section",
             "datasheet_power_negative",
             "datasheet_mpp_voltage_above_voc",
             "name_not_string",
@@ -902,8 +890,8 @@ def test_mutated_scenario_exits_cleanly(mutations):
     assert rc in (0, 2)
 
 
-# psc1 on a short horizon, with the optional controller and noise sections
-# written out at their defaults so that the fuzzer mutates their fields too
+# psc1 on a short horizon, with the optional controller section written
+# out at its defaults so that the fuzzer mutates its fields too
 _PSC1_RUN_DOC = {
     **_PSC1_DOC,
     "horizon_s": 0.32,
@@ -923,7 +911,6 @@ _PSC1_RUN_DOC = {
             "psi_probe_frac": 0.01,
         },
     },
-    "noise": {"v_amplitude_v": 0.0, "i_amplitude_a": 0.0},
 }
 
 

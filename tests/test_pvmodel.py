@@ -3,10 +3,13 @@
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pvmppt import pvmodel
+from pvmppt.harness import base_array_spec, load_scenario
 from pvmppt.pvmodel import (
     ND195R1S,
     ArraySpec,
@@ -27,10 +30,12 @@ from pvmppt.pvmodel import (
     sweep_curve,
 )
 from pvmppt.pvmodel import _datasheet_residuals, _fit_datasheet
+from pvmppt.solver import bounded_lm
 
 from oracles import array_current, local_maxima, module_mpp, scipy_fit, uniform_array_current
 
 HS = ModuleCondition(1.0, 25.0)
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def two_level_string(module, n_series, n_shaded, ir, t=25.0):
@@ -169,6 +174,23 @@ class TestCalibration:
         calibrate_module(ds)  # within contract
         for name in _FITTED:
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9), name
+
+    @pytest.mark.parametrize(
+        "ds, fits",
+        [(ND195R1S, 1), (MODULE_156W, 1), (MODULE_3W, 2)],
+        ids=["ND195R1S", "156W", "3W"],
+    )
+    def test_fit_stops_at_the_first_start_within_contract(self, monkeypatch, ds, fits):
+        # the 3 W module's first start lies outside the box, so it reaches start 2
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return bounded_lm(*args, **kwargs)
+
+        monkeypatch.setattr(pvmodel, "bounded_lm", counting)
+        _fit_datasheet(ds)
+        assert len(calls) == fits
 
     @pytest.mark.parametrize(
         "field, value",
@@ -341,10 +363,7 @@ class TestSweepAndOracle:
 
     def test_oracle_golden_benchmark_psc3(self, nd_module):
         # frozen output of this oracle at 0.01 V resolution (determinism guard)
-        from pvmppt.harness import ShadingPattern, BENCHMARK_LEVELS, BENCHMARK_PATTERNS
-
-        pat = ShadingPattern.parse(list(BENCHMARK_PATTERNS[3]), BENCHMARK_LEVELS)
-        spec = ArraySpec(5, 3, nd_module, pat.expand(5), sample_module=(0, 2))
+        spec = base_array_spec(load_scenario(SCENARIO_DIR / "benchmark_psc3.json"), 1)
         v_star, p_star = oracle_gmpp(sweep_curve(spec, 0.01))
         assert v_star == pytest.approx(119.450000, abs=1e-5)
         assert p_star == pytest.approx(886.675119, rel=1e-6)
