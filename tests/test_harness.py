@@ -57,6 +57,16 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # benchmark_psc1.json's shading levels and onset pattern
 PSC1_LEVELS = ((0.9, 35.0), (0.6, 30.0), (0.3, 25.0))
 PSC1_PATTERN = ["2-2-1", "1-3-1", "3-2-0"]
+# the five benchmark onset patterns of the paper, all over PSC1_LEVELS,
+# each after a uniform start on the first of START_LEVELS
+BENCHMARK_PATTERNS = {
+    1: PSC1_PATTERN,
+    2: ["5-0-0", "3-1-1", "3-2-0"],
+    3: ["0-1-4", "0-0-5", "1-1-3"],
+    4: ["1-1-3", "1-1-3", "1-0-4"],
+    5: ["1-1-3", "5-0-0", "4-0-1"],
+}
+START_LEVELS = ((1.0, 25.0), (0.6, 25.0), (0.3, 25.0))
 
 
 def short_psc1(**overrides):
@@ -106,6 +116,17 @@ class TestScenarioFiles:
         assert scn.sample_module == (0, 2)
         assert len(scn.events) == 2
         assert scn.events[1].pattern.as_strings() == PSC1_PATTERN
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_benchmark_file_holds_the_paper_pattern(self, k):
+        scn = load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json")
+        assert scn.name == f"benchmark-psc{k}"
+        assert (scn.n_series, scn.n_parallel, scn.sample_module) == (5, 3, (0, 2))
+        assert scn.datasheet == ND195R1S
+        start, onset = scn.events
+        assert (start.t, onset.t, scn.horizon_s) == (0.0, 0.3, 0.9)
+        assert start.pattern == ShadingPattern.parse(["5-0-0"] * 3, START_LEVELS)
+        assert onset.pattern == ShadingPattern.parse(BENCHMARK_PATTERNS[k], PSC1_LEVELS)
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
@@ -282,6 +303,13 @@ class TestClosedLoop:
             reports.append(rp.read_bytes())
         assert traces[0] == traces[1]
         assert reports[0] == reports[1]
+
+    def test_seed_only_labels_the_report(self, psc1_run):
+        trace, report = psc1_run
+        trace_b, report_b = run_closed_loop(short_psc1(seed=4051))
+        assert trace_b == trace
+        assert report_b.seed == 4051 and report.seed != 4051
+        assert replace(report_b, seed=report.seed) == report
 
     def test_misaligned_adc_rejected(self):
         scn = short_psc1(dt_s=3e-5)  # 5e-4 / 3e-5 is not an integer

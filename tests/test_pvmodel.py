@@ -29,7 +29,7 @@ from pvmppt.pvmodel import (
     string_current,
     sweep_curve,
 )
-from pvmppt.pvmodel import _datasheet_residuals, _fit_datasheet
+from pvmppt.pvmodel import _check_contract, _datasheet_residuals, _fit_datasheet
 from pvmppt.solver import bounded_lm
 
 from oracles import array_current, local_maxima, module_mpp, scipy_fit, uniform_array_current
@@ -136,6 +136,25 @@ class TestCalibration:
                 rho_mod=-0.00329,
                 n_cells=42,
             )
+
+    def test_contract_accepts_the_pinned_fit(self):
+        _check_contract(ND195R1S, ND195R1S_PARAMS)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(i_pv_ref=ND195R1S_PARAMS.i_pv_ref * 1.01),  # short circuit 1% high
+            dict(r_s=ND195R1S_PARAMS.r_s + 0.005),  # dP/dV at the MPP 2.4%
+            dict(i_o_ref=ND195R1S_PARAMS.i_o_ref * 1.1),  # open circuit 3.6% of i_sc
+            dict(ideality_a=1.2),  # MPP power 18% low
+        ],
+        ids=["short_circuit", "mpp_slope", "open_circuit", "mpp_power"],
+    )
+    def test_contract_rejects_params_off_the_datasheet(self, change):
+        params = replace(ND195R1S_PARAMS, **change)
+        with pytest.raises(CalibrationError) as err:
+            _check_contract(ND195R1S, params)
+        assert err.value.residuals == tuple(_datasheet_residuals(ND195R1S, params))
 
     def test_unfittable_curve_shape_raises(self):
         bad = ModuleDatasheet(
