@@ -10,12 +10,25 @@ open loop by a voltage command translated to a duty cycle.  The averaged
 integrated with fixed-step RK4 (:func:`advance`, shared by the open-loop
 runs and the closed loop).  The inductor current is clamped at zero
 (ideal diode, discontinuous-conduction guard).
+
+When the current source is a :func:`PlantCurve` table, :func:`advance`
+runs its sub-steps in ``_rk4.c``, a plain-C copy of the Python loop.  The
+first such call compiles it with ``cc`` into the user's cache
+(``$XDG_CACHE_HOME/pvmppt``, by default ``~/.cache/pvmppt``) and accepts it
+only if it gives the Python loop's bits on a fixed probe.  Without a
+compiler, or if anything in that fails, the Python loop runs, silently and
+with the same results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import random
 from dataclasses import dataclass
+from pathlib import Path
+from types import FunctionType
 from typing import Callable
 
 import numpy as np
@@ -129,15 +142,25 @@ def duty_for_voltage(v_ref: float, v_out: float) -> float:
 def PlantCurve(curve: PvCurve) -> Callable[[float], float]:
     """Uniform-grid current lookup of a swept curve: the plant's current source.
 
-    The grid step is 0.01 V, the step the closed loop sweeps at.  Returns
-    a plain closure ``i(v)`` over the grid list: the RK4 kernel calls it
-    four times per sub-step, so it holds its state in cells, not
-    attributes."""
+    The grid step is 0.01 V, the step the closed loop sweeps at."""
     h = 0.01
     voc = float(curve.v[-1])
     grid = np.arange(0.0, voc + 2 * h, h)
     vals = np.interp(grid, curve.v, curve.i, right=0.0)
     vals[grid >= voc] = 0.0
+    return _grid_source(vals, h)
+
+
+def _grid_source(vals: np.ndarray, h: float) -> Callable[[float], float]:
+    """Linear interpolation in ``vals``, sampled every ``h`` volts from 0 V:
+    ``vals[0]`` at or below 0 V and zero from the next-to-last sample up.
+
+    Returns a plain closure ``i(v)`` over the samples as a list: the Python
+    RK4 loop calls it four times per sub-step, so it holds its state in
+    cells.  Its one attribute, ``table = (vals, h, v_top, i_short)``, is
+    what the compiled kernel reads."""
+    vals = np.array(vals, dtype=np.float64)
+    vals.flags.writeable = False
     il = vals.tolist()
     v_top = (len(il) - 2) * h
     i_short = il[0]
@@ -152,7 +175,13 @@ def PlantCurve(curve: PvCurve) -> Callable[[float], float]:
         fr = x - j
         return il[j] + (il[j + 1] - il[j]) * fr
 
+    plant_current.table = (vals, h, v_top, i_short)
     return plant_current
+
+
+def _plant_constants(params: ConverterParams) -> tuple[float, float, float, float]:
+    """``(1/c_pv, 1/l, r_l, w_floor)``, as both RK4 kernels take them."""
+    return 1.0 / params.c_pv, 1.0 / params.l, params.r_l, (1.0 - MAX_DUTY) * params.v_out
 
 
 def advance(
@@ -163,11 +192,31 @@ def advance(
     The output-side voltage ``w = (1 - D)*v_out`` slews linearly: step ``k``
     holds ``w0 + dw*(k + 0.5)``, floored at ``(1 - MAX_DUTY)*v_out`` (a NaN
     goes to the floor).  Both states are clamped at zero after every step.
+
+    A :func:`PlantCurve` source runs in the compiled kernel when it loads;
+    every other source, and any call the kernel declines, runs the Python
+    loop, which gives the same bits.
     """
-    inv_c = 1.0 / params.c_pv
-    inv_l = 1.0 / params.l
-    r_l = params.r_l
-    w_floor = (1.0 - MAX_DUTY) * params.v_out
+    # Only PlantCurve's closures carry a table.  Testing the type first
+    # spares other sources a failed attribute lookup, which on a bound
+    # method (the open-loop benchmark's source) raises and catches an
+    # AttributeError inside getattr, ~1 us per call.
+    table = getattr(i_of_v, "table", None) if type(i_of_v) is FunctionType else None
+    if table is not None:
+        kernel = _native_rk4()
+        if kernel is not None:
+            out = kernel(v, il, w0, dw, n_sub, dt, table, params)
+            if out is not None:
+                return out
+    return _python_advance(v, il, w0, dw, n_sub, dt, i_of_v, params)
+
+
+def _python_advance(
+    v: float, il: float, w0: float, dw: float, n_sub: int, dt: float, i_of_v, params: ConverterParams
+) -> tuple[float, float]:
+    """The RK4 loop of :func:`advance` in Python: the reference that
+    ``_rk4.c`` copies line for line, and the fallback."""
+    inv_c, inv_l, r_l, w_floor = _plant_constants(params)
     for k in range(n_sub):
         x = w0 + dw * (k + 0.5)
         w = x if x > w_floor else w_floor
@@ -189,6 +238,155 @@ def advance(
         if v < 0.0:
             v = 0.0
     return v, il
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel: built on first use, checked against the Python loop
+# ---------------------------------------------------------------------------
+
+_RK4_SOURCE = Path(__file__).with_name("_rk4.c")
+# -ffp-contract=off keeps a*b + c from fusing into one FMA (GCC's default on
+# aarch64), which rounds once instead of twice; -ffast-math would reorder.
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+# The fixed probe a loaded kernel must match bit for bit: 100 seeded cases
+# on a 14-sample table (v_top 8.4 V) and the reference plant (duty floor
+# 2.5 V).  They reach v <= 0, v >= v_top and w at the floor, and their
+# 0.1 ms steps move the state so far per step that one rounding changed in
+# the loop (a fused multiply-add, a reordered sum) shows in the bits.
+_PROBE_TABLE = (tuple(8.0 - 0.6 * k / 7 - 0.05 * (k % 3) for k in range(12)) + (0.0, 0.0), 0.7)
+
+
+def _probe_cases() -> list[tuple[float, float, float, float, int, float]]:
+    """``(v, il, w0, dw, n_sub, dt)`` of the probe."""
+    rnd = random.Random(2018)
+    return [
+        (
+            rnd.uniform(-0.5, 9.5),
+            rnd.uniform(0.0, 12.0),
+            rnd.uniform(0.0, 20.0),
+            rnd.uniform(-0.5, 0.5),
+            rnd.randint(1, 8),
+            1e-4,
+        )
+        for _ in range(100)
+    ]
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/pvmppt`` (``~/.cache/pvmppt`` by default), created
+    with mode 0700; None if it cannot be made or others can write to it."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
+        d = root / "pvmppt"
+        d.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = d.stat()
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        return None
+    return d
+
+
+def _compile(cc: str, source: bytes, out: Path) -> None:
+    """Compile ``source`` to the shared object ``out``: into a temporary name
+    in the same directory, then renamed over ``out`` in one step, so that
+    processes building at once never load a half-written file."""
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(prefix=out.name + ".", suffix=".tmp", dir=out.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *_CC_FLAGS, "-x", "c", "-", "-o", tmp],
+            input=source,
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _native_rk4():
+    """The compiled kernel as ``kernel(v, il, w0, dw, n_sub, dt, table,
+    params) -> (v, il) | None``, or None when it cannot be had.
+
+    Built once per source, flags and machine, named by their sha256, and
+    kept in :func:`_cache_dir`; a warm cache runs no compiler.  When that
+    directory cannot be used, the kernel is built in a private temporary
+    directory for this process alone.  A kernel that does not give the
+    Python loop's bits on the probe is refused."""
+    import ctypes
+    import hashlib
+    import platform
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which("cc") if os.name == "posix" else None
+    if cc is None:
+        return None
+    try:
+        source = _RK4_SOURCE.read_bytes()
+    except OSError:
+        return None
+    key = hashlib.sha256(source + " ".join(_CC_FLAGS).encode() + platform.machine().encode())
+    name = f"_rk4-{key.hexdigest()[:24]}.so"
+    try:
+        cache = _cache_dir()
+        if cache is not None:
+            path = cache / name
+            if not path.exists():
+                _compile(cc, source, path)
+            lib = ctypes.CDLL(str(path))
+        else:
+            with tempfile.TemporaryDirectory(prefix="pvmppt-") as private:
+                path = Path(private) / name
+                _compile(cc, source, path)
+                lib = ctypes.CDLL(str(path))
+        fn = lib.pvmppt_rk4_advance
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+
+    class Plant(ctypes.Structure):  # struct plant in _rk4.c
+        _fields_ = [("tab", ctypes.c_void_p), ("n", ctypes.c_long)] + [
+            (f, ctypes.c_double) for f in ("h", "v_top", "i_short", "inv_c", "inv_l", "r_l", "w_floor")
+        ]
+
+    state_t = ctypes.c_double * 2
+    fn.restype = ctypes.c_int
+    fn.argtypes = (state_t, ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_double,
+                   ctypes.POINTER(Plant))
+    # The closed loop calls with one table and one plant for a whole window,
+    # so the struct is built once per pair; the tuple holds the table, and
+    # with it the samples the struct points at, alive.
+    last = [(None, None, None)]
+
+    def kernel(v, il, w0, dw, n_sub, dt, table, params):
+        seen_table, seen_params, plant = last[0]
+        if table is not seen_table or params is not seen_params:
+            vals, h, v_top, i_short = table
+            plant = Plant(vals.ctypes.data, len(vals), h, v_top, i_short, *_plant_constants(params))
+            last[0] = (table, params, plant)
+        state = state_t(v, il)
+        try:
+            declined = fn(state, w0, dw, n_sub, dt, plant)
+        except ctypes.ArgumentError:  # let the Python loop reject it in its own words
+            return None
+        return None if declined else (state[0], state[1])
+
+    params = ConverterParams()
+    plant = _grid_source(*_PROBE_TABLE)
+    for case in _probe_cases():
+        if kernel(*case, plant.table, params) != _python_advance(*case, plant, params):
+            return None
+    return kernel
 
 
 def step_ode(

@@ -26,7 +26,6 @@ from pvmppt.harness import (
     detect_pattern,
     load_scenario,
     prune_violations,
-    random_scenario,
     run_closed_loop,
     run_corpus,
 )
@@ -35,11 +34,9 @@ from pvmppt.pvmodel import (
     ModuleCondition,
     ModuleDatasheet,
     STC,
-    array_open_circuit_voltage,
     calibrate_module,
     module_current,
     module_open_circuit_voltage,
-    oracle_gmpp,
     string_current,
     sweep_curve,
 )

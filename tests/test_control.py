@@ -26,8 +26,6 @@ from pvmppt.control import (
 from pvmppt.harness import (
     ShadingPattern,
     base_array_spec,
-    build_reference_model,
-    detect_pattern,
     load_scenario,
 )
 from pvmppt.pvmodel import (

@@ -1,19 +1,22 @@
 """Golden digests: the bytes ``pvmppt run`` and ``pvmppt detect`` write for the
 shipped scenario files.
 
-A change that claims to keep behaviour must keep these SHA-256 digests.  They
-were recorded with numpy 2.4.6 on Python 3.11.7.  Every shipped scenario runs
-on the built-in ND195R1S module, whose fit is pinned as the literals
+A change that claims to keep behaviour must keep these SHA-256 digests, on
+both RK4 paths: the compiled kernel and the Python loop.  They were recorded
+with numpy 2.4.6 on Python 3.11.7.  Every shipped scenario runs on the
+built-in ND195R1S module, whose fit is pinned as the literals
 ``pvmodel.ND195R1S_PARAMS``, so the digests depend on those literals and not
 on any solver release; a mismatch on another environment is a finding about
 that environment, not a reason to re-record.
 """
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
 
+import pvmppt.converter as converter
 from pvmppt.cli import main as cli_main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -62,6 +65,17 @@ DETECT_DIGESTS = {
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(autouse=True, params=["native", "python"])
+def rk4_path(request, monkeypatch):
+    """Every digest holds with the compiled RK4 kernel and with the Python loop."""
+    if request.param == "python":
+        monkeypatch.setattr(converter, "_native_rk4", lambda: None)
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler on the path")
+    else:
+        assert converter._native_rk4() is not None
 
 
 @pytest.mark.parametrize(

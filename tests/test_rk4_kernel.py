@@ -1,0 +1,290 @@
+"""The compiled RK4 kernel (``src/pvmppt/_rk4.c``) against the Python loop.
+
+The kernel must give the Python loop's bits, or decline so that the Python
+loop runs.  These tests skip only when no C compiler is on the path; with
+one, a kernel that does not load is a failure.
+"""
+
+import math
+import os
+import shutil
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pvmppt.converter as converter
+from pvmppt.converter import ConverterParams, PlantCurve, _grid_source, _python_advance, advance
+from pvmppt.pvmodel import ArraySpec, ModuleDatasheet, calibrate_module, sweep_curve
+
+HAVE_CC = shutil.which("cc") is not None
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on the path")
+PLANT = ConverterParams()  # w_floor 2.5 V
+W_FLOOR = (1.0 - converter.MAX_DUTY) * PLANT.v_out
+SRC = Path(converter.__file__).resolve().parent.parent
+
+
+def _bits(pair) -> bytes:
+    """The exact bits of ``(v, il)``: tells -0.0 from 0.0 and compares NaNs."""
+    return struct.pack("<2d", *pair)
+
+
+def _outcome(fn, *args):
+    """``fn``'s result as bits, or the type and message of what it raised."""
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # the two paths must raise the same thing
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if not HAVE_CC:
+        pytest.skip("no C compiler on the path")
+    got = converter._native_rk4()
+    assert got is not None, "a C compiler is present but the kernel did not load"
+    return got
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty user cache for the undecorated loader."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "pvmppt"
+
+
+@pytest.fixture(scope="module")
+def psc_like_plant():
+    """A swept 5x1 string of the 156 W module, as the closed loop builds its plant."""
+    module = calibrate_module(
+        ModuleDatasheet(
+            p_max=156.0,
+            v_oc=26.0,
+            i_sc=8.0,
+            v_mpp=20.8,
+            i_mpp=7.5,
+            pmax_thermal_coeff=-0.0044,
+            rho_mod=-0.0033,
+            n_cells=42,
+        )
+    )
+    return PlantCurve(sweep_curve(ArraySpec.uniform(module, 5, 1), 0.01))
+
+
+def _both(kernel, plant, *case):
+    """(native bits or None when declined, Python bits)."""
+    native = kernel(*case, plant.table, PLANT)
+    return (None if native is None else _bits(native)), _bits(_python_advance(*case, plant, PLANT))
+
+
+class TestBitIdentity:
+    @needs_cc
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        vals=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=40),
+        h=st.sampled_from([0.01, 0.25, 1.0, 3.7]),
+        v=st.floats(-5.0, 160.0),
+        il=st.floats(0.0, 12.0),
+        w0=st.floats(0.0, 250.0),
+        dw=st.floats(-2.0, 2.0),
+        n_sub=st.integers(0, 60),
+        dt=st.sampled_from([1e-6, 5e-6, 2e-5]),
+    )
+    def test_random_tables(self, vals, h, v, il, w0, dw, n_sub, dt):
+        kernel = converter._native_rk4()
+        assert kernel is not None
+        plant = _grid_source(vals, h)
+        native, python = _both(kernel, plant, v, il, w0, dw, n_sub, dt)
+        assert native == python
+
+    def test_swept_curve_over_a_ramp(self, kernel, psc_like_plant):
+        v, il = 60.0, psc_like_plant(60.0)
+        for tick in range(200):
+            w0 = 140.0 - 0.3 * tick
+            native, python = _both(kernel, psc_like_plant, v, il, w0, -0.012, 25, 2e-5)
+            assert native == python
+            v, il = _python_advance(v, il, w0, -0.012, 25, 2e-5, psc_like_plant, PLANT)
+
+    @pytest.mark.parametrize(
+        "v, il, w0, dw, n_sub",
+        [
+            (0.0, 0.0, 50.0, 0.0, 25),  # v <= 0: the short-circuit current
+            (-0.0, 1.0, 50.0, 0.0, 25),
+            (-5.0, 0.0, 200.0, 0.0, 25),
+            (-1e300, 0.0, 200.0, 0.0, 1),
+            (6.0, 0.5, 7.0, 0.0, 25),  # v == v_top and above: zero current
+            (7.5, 0.5, 7.0, 0.01, 25),
+            (1e300, 0.0, 7.0, 0.0, 1),
+            (math.nextafter(6.0, 0.0), 0.1, 5.9, 0.0, 25),  # the last table cell
+            (5.5, 0.1, 5.4, 0.0, 25),
+            (4.3, 6.0, W_FLOOR + 0.5, -0.05, 40),  # w ramps down across the duty floor
+            (4.3, 6.0, W_FLOOR - 0.5, 0.05, 40),  # and up out of it
+            (4.3, 6.0, W_FLOOR, 0.0, 10),
+            (4.3, 6.0, 3.0, 0.0, 0),  # no sub-steps
+            (4.3, 6.0, 3.0, 0.0, -3),
+            (4.3, 6.0, math.inf, 0.0, 25),  # infinities
+            (4.3, 6.0, -math.inf, 0.0, 25),
+            (4.3, 6.0, 3.0, math.inf, 25),
+            (4.3, math.inf, 3.0, 0.0, 25),
+            (math.inf, 0.0, 3.0, 0.0, 25),
+            (-math.inf, 0.0, 3.0, 0.0, 25),
+            (math.inf, 0.0, 3.0, 0.0, 0),
+            (4.3, 6.0, math.nan, 0.0, 25),  # a NaN w goes to the floor
+            (4.3, 6.0, 3.0, 0.0, 2.5),  # not a count: ctypes rejects it, Python raises
+        ],
+    )
+    def test_edge_inputs(self, kernel, v, il, w0, dw, n_sub):
+        # v_top is 6 V; the samples above it are not zero, so reading them would show
+        plant = _grid_source([8.0, 7.9, 7.7, 7.2, 6.0, 3.5, 1.0, 0.5], 1.0)
+        native = _outcome(advance, v, il, w0, dw, n_sub, 2e-5, plant, PLANT)
+        assert native == _outcome(_python_advance, v, il, w0, dw, n_sub, 2e-5, plant, PLANT)
+        got = kernel(v, il, w0, dw, n_sub, 2e-5, plant.table, PLANT)
+        if got is not None:  # where the kernel answers, it answers the Python bits
+            assert _bits(got) == native
+
+    def test_nan_voltage_raises_what_python_raises(self, kernel, psc_like_plant, monkeypatch):
+        case = (math.nan, 1.0, 80.0, 0.0, 25, 2e-5)
+        assert kernel(*case, psc_like_plant.table, PLANT) is None  # declined
+        with pytest.raises(ValueError) as native:
+            advance(*case, psc_like_plant, PLANT)
+        monkeypatch.setattr(converter, "_native_rk4", lambda: None)
+        with pytest.raises(ValueError) as python:
+            advance(*case, psc_like_plant, PLANT)
+        assert str(native.value) == str(python.value) == "cannot convert float NaN to integer"
+
+    @pytest.mark.parametrize("kind", ["function", "bound_method"])
+    def test_other_sources_run_the_python_loop(self, monkeypatch, kind):
+        class Source:
+            def current(self, v):
+                return 5.0 - 0.01 * v
+
+        source = Source().current if kind == "bound_method" else (lambda v: 5.0 - 0.01 * v)
+
+        def no_kernel():
+            raise AssertionError("a source without a table must not load the kernel")
+
+        monkeypatch.setattr(converter, "_native_rk4", no_kernel)
+        case = (60.0, 5.0, 80.0, 0.0, 25, 2e-5)
+        assert advance(*case, source, PLANT) == _python_advance(*case, source, PLANT)
+
+
+class TestProbe:
+    def test_probe_reaches_every_branch(self):
+        vals, h = converter._PROBE_TABLE
+        plant = _grid_source(vals, h)
+        v_top = plant.table[2]
+        seen = set()
+
+        def counted(v):
+            seen.add("short" if v <= 0.0 else "top" if v >= v_top else "cell")
+            return plant(v)
+
+        floored = unfloored = False
+        for v, il, w0, dw, n_sub, dt in converter._probe_cases():
+            _python_advance(v, il, w0, dw, n_sub, dt, counted, PLANT)
+            xs = [w0 + dw * (k + 0.5) for k in range(n_sub)]
+            floored |= any(x <= W_FLOOR for x in xs)
+            unfloored |= any(x > W_FLOOR for x in xs)
+        assert seen == {"short", "top", "cell"}
+        assert floored and unfloored
+
+
+def _probe_failing_source(tmp_path: Path) -> Path:
+    """The kernel with one sum regrouped: it builds and loads, and only its
+    rounding differs from the Python loop's."""
+    text = converter._RK4_SOURCE.read_text()
+    line = "v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v);"
+    assert text.count(line) == 1
+    bad = tmp_path / "_rk4.c"
+    bad.write_text(text.replace(line, "v += dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v);"))
+    return bad
+
+
+class TestLoader:
+    CASE = (59.0, 5.0, 100.0, -0.3, 25, 2e-5)
+
+    def _advance_bits(self, plant):
+        return _bits(advance(*self.CASE, plant, PLANT))
+
+    def _assert_python_path_same_bits(self, monkeypatch, plant, loaded):
+        """With the loader's result in place, ``advance`` gives the Python bits."""
+        want = _bits(_python_advance(*self.CASE, plant, PLANT))
+        monkeypatch.setattr(converter, "_native_rk4", lambda: loaded)
+        assert self._advance_bits(plant) == want
+
+    def test_no_compiler(self, monkeypatch, fresh_cache, psc_like_plant):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        loaded = converter._native_rk4.__wrapped__()
+        assert loaded is None
+        assert not fresh_cache.exists()
+        self._assert_python_path_same_bits(monkeypatch, psc_like_plant, loaded)
+
+    @needs_cc
+    def test_failing_compile(self, monkeypatch, fresh_cache, tmp_path, psc_like_plant):
+        broken = tmp_path / "broken.c"
+        broken.write_text("int pvmppt_rk4_advance(\n")
+        monkeypatch.setattr(converter, "_RK4_SOURCE", broken)
+        loaded = converter._native_rk4.__wrapped__()
+        assert loaded is None
+        assert os.listdir(fresh_cache) == []  # no half-written object is left behind
+        self._assert_python_path_same_bits(monkeypatch, psc_like_plant, loaded)
+
+    @needs_cc
+    def test_kernel_failing_the_probe_is_refused(self, monkeypatch, fresh_cache, tmp_path, psc_like_plant):
+        monkeypatch.setattr(converter, "_RK4_SOURCE", _probe_failing_source(tmp_path))
+        loaded = converter._native_rk4.__wrapped__()
+        assert loaded is None
+        assert len(os.listdir(fresh_cache)) == 1  # it built and loaded, then failed the probe
+        self._assert_python_path_same_bits(monkeypatch, psc_like_plant, loaded)
+
+    @needs_cc
+    def test_warm_cache_runs_no_compiler(self, monkeypatch, fresh_cache, psc_like_plant):
+        builds = []
+        compile_ = converter._compile
+        monkeypatch.setattr(converter, "_compile", lambda *a: builds.append(a) or compile_(*a))
+        first = converter._native_rk4.__wrapped__()
+        second = converter._native_rk4.__wrapped__()
+        assert first is not None and second is not None
+        assert len(builds) == 1
+        assert [p.suffix for p in fresh_cache.iterdir()] == [".so"]
+        monkeypatch.setattr(converter, "_native_rk4", lambda: second)
+        native = self._advance_bits(psc_like_plant)
+        assert native == _bits(_python_advance(*self.CASE, psc_like_plant, PLANT))
+
+    @needs_cc
+    def test_cache_directory_is_private(self, fresh_cache):
+        assert converter._native_rk4.__wrapped__() is not None
+        assert fresh_cache.stat().st_mode & 0o777 == 0o700
+
+    @needs_cc
+    def test_shared_cache_directory_is_not_used(self, fresh_cache):
+        fresh_cache.mkdir()
+        fresh_cache.chmod(0o777)
+        assert converter._native_rk4.__wrapped__() is not None  # built privately instead
+        assert os.listdir(fresh_cache) == []
+
+    @needs_cc
+    def test_unusable_cache_builds_privately(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert converter._native_rk4.__wrapped__() is not None
+
+    @needs_cc
+    def test_processes_building_at_once(self, tmp_path):
+        """Three fresh processes load from one empty cache at once: each gets
+        a kernel, and one object, no temporary file, is left."""
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(SRC)}
+        code = "import sys; from pvmppt import converter; sys.exit(converter._native_rk4() is None)"
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)]
+        try:
+            codes = [p.wait(timeout=120) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        assert codes == [0, 0, 0]
+        assert [p.suffix for p in (tmp_path / "pvmppt").iterdir()] == [".so"]
