@@ -140,6 +140,15 @@ class ReferenceModel:
             raise ValidationError("irradiance table rows must match")
 
 
+def check_sample(v: float, i: float) -> None:
+    """Reject an ADC sample that :class:`Measurement` cannot hold: a
+    non-finite voltage or current, or a negative current."""
+    if not (math.isfinite(v) and math.isfinite(i)):
+        raise ValidationError("measurements must be finite")
+    if i < -1e-9:
+        raise ValidationError("array current cannot be negative")
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One ADC conversion: array terminals plus the sample-module temperature."""
@@ -150,10 +159,7 @@ class Measurement:
     t_sample_mod: float = 25.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.v) and math.isfinite(self.i)):
-            raise ValidationError("measurements must be finite")
-        if self.i < -1e-9:
-            raise ValidationError("array current cannot be negative")
+        check_sample(self.v, self.i)
 
     @property
     def p(self) -> float:
@@ -470,6 +476,26 @@ def _detect_tick(
         _finish_detection(state, m, cfg, (m.v, m.p))
 
 
+def tick_is_idle(state: ControllerState, t: float, cfg: ControllerConfig) -> bool:
+    """True when :func:`controller_tick` at time ``t`` would return the
+    command it holds and leave ``state`` as it is, whatever the measurement:
+    P&O before its next perturbation, or a detection or the settle to the
+    best point waiting out ``settle_until`` with no slew target.  Never while
+    the command lies outside ``[0, v_cmd_max]``, which the tick's clamp
+    would move.  :func:`controller_tick` returns early on it, so the
+    closed loop may skip the ticks it holds for."""
+    if not 0.0 <= state.v_ref <= cfg.v_cmd_max:
+        return False
+    mode = state.mode
+    if mode is Mode.PO:
+        return not t + 1e-12 >= state.next_po_t
+    if mode is Mode.SCAN_UP or mode is Mode.SCAN_DOWN or not math.isnan(state.slew_target):
+        return False
+    if mode is Mode.SETTLE_TO_BEST:
+        return not t + 1e-12 >= state.settle_until
+    return math.isfinite(state.settle_until) and t < state.settle_until
+
+
 def controller_tick(
     state: ControllerState,
     m: Measurement,
@@ -484,6 +510,8 @@ def controller_tick(
     change or periodically.  ``read_sample_module()`` returns the sample
     module's voltage at the present array voltage; it is called once per
     detection, on the trim tick that holds the array at its reference."""
+    if tick_is_idle(state, m.t, cfg):
+        return state.v_ref, state
     mode = state.mode
     if mode is Mode.PO:
         if m.t + 1e-12 >= state.next_po_t:

@@ -8,15 +8,16 @@ open loop by a voltage command translated to a duty cycle.  The averaged
     L    * di_L/dt  = v_pv - r_L*i_L - (1 - D)*v_out
 
 integrated with fixed-step RK4 (:func:`advance`, shared by the open-loop
-runs and the closed loop).  The inductor current is clamped at zero
-(ideal diode, discontinuous-conduction guard).
+runs and the closed loop, and :func:`advance_held`, the closed loop's
+stretches of ticks at one command).  The inductor current is clamped at
+zero (ideal diode, discontinuous-conduction guard).
 
-When the current source is a :func:`PlantCurve` table, :func:`advance`
-runs its sub-steps in ``_rk4.c``, a plain-C copy of the Python loop.  The
+When the current source is a :func:`PlantCurve` table, both run their
+sub-steps in ``_rk4.c``, a plain-C copy of the Python loops.  The
 first such call compiles it with ``cc`` into the user's cache
 (``$XDG_CACHE_HOME/pvmppt``, by default ``~/.cache/pvmppt``) and accepts it
-only if it gives the Python loop's bits on a fixed probe.  Without a
-compiler, or if anything in that fails, the Python loop runs, silently and
+only if it gives the Python loops' bits on a fixed probe.  Without a
+compiler, or if anything in that fails, the Python loops run, silently and
 with the same results.
 """
 
@@ -26,6 +27,7 @@ import functools
 import math
 import os
 import random
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import FunctionType
@@ -240,6 +242,40 @@ def _python_advance(
     return v, il
 
 
+def advance_held(
+    v: float, il: float, w: float, n_ticks: int, n_sub: int, dt: float, i_of_v,
+    params: ConverterParams, v_at: list, i_at: list,
+) -> tuple[float, float]:
+    """Integrate ``n_ticks`` ticks of ``n_sub`` RK4 steps each at one
+    output-side voltage ``w``; returns ``(v_pv, i_L)`` at the end.
+
+    The same bits as one :func:`advance` call per tick with ``w0 = w`` and
+    ``dw = 0``.  At the start of each tick it appends ``v_pv`` to ``v_at``
+    and the source's current there to ``i_at``; the Python loop appends them
+    as it goes, so after an exception the lists hold the ticks begun."""
+    table = getattr(i_of_v, "table", None) if type(i_of_v) is FunctionType else None
+    if table is not None:
+        kernel = _native_rk4()
+        if kernel is not None:
+            out = kernel.held(v, il, w, n_ticks, n_sub, dt, table, params, v_at, i_at)
+            if out is not None:
+                return out
+    return _python_advance_held(v, il, w, n_ticks, n_sub, dt, i_of_v, params, v_at, i_at)
+
+
+def _python_advance_held(
+    v: float, il: float, w: float, n_ticks: int, n_sub: int, dt: float, i_of_v,
+    params: ConverterParams, v_at: list, i_at: list,
+) -> tuple[float, float]:
+    """:func:`advance_held` in Python: the reference that ``_rk4.c`` copies,
+    and the fallback."""
+    for _ in range(n_ticks):
+        v_at.append(v)
+        i_at.append(i_of_v(v))
+        v, il = _python_advance(v, il, w, 0.0, n_sub, dt, i_of_v, params)
+    return v, il
+
+
 # ---------------------------------------------------------------------------
 # the compiled kernel: built on first use, checked against the Python loop
 # ---------------------------------------------------------------------------
@@ -249,12 +285,14 @@ _RK4_SOURCE = Path(__file__).with_name("_rk4.c")
 # aarch64), which rounds once instead of twice; -ffast-math would reorder.
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-# The fixed probe a loaded kernel must match bit for bit: 100 seeded cases
-# on a 14-sample table (v_top 8.4 V) and the reference plant (duty floor
-# 2.5 V).  They reach v <= 0, v >= v_top and w at the floor, and their
-# 0.1 ms steps move the state so far per step that one rounding changed in
-# the loop (a fused multiply-add, a reordered sum) shows in the bits.
+# The fixed probe a loaded kernel must match bit for bit, in both entries:
+# 100 seeded cases on a 14-sample table (v_top 8.4 V) and the reference
+# plant (duty floor 2.5 V).  They reach v <= 0, v >= v_top and w at the
+# floor, and their 0.1 ms steps move the state so far per step that one
+# rounding changed in the loop (a fused multiply-add, a reordered sum) shows
+# in the bits.  The held entry runs each case for _PROBE_TICKS ticks at w0.
 _PROBE_TABLE = (tuple(8.0 - 0.6 * k / 7 - 0.05 * (k % 3) for k in range(12)) + (0.0, 0.0), 0.7)
+_PROBE_TICKS = 3
 
 
 def _probe_cases() -> list[tuple[float, float, float, float, int, float]]:
@@ -312,18 +350,27 @@ def _compile(cc: str, source: bytes, out: Path) -> None:
             os.unlink(tmp)
 
 
+def _object_name(source: bytes, flags: tuple[str, ...], machine: str) -> str:
+    """The cached object's file name: the CRC-32 and Adler-32 of the source,
+    flags and machine, and their length.  zlib is loaded with numpy already,
+    where hashlib would map OpenSSL; the probe, not the name, is the guard."""
+    key = source + " ".join(flags).encode() + b"\0" + machine.encode()
+    return f"_rk4-{zlib.crc32(key):08x}{zlib.adler32(key):08x}{len(key):x}.so"
+
+
 @functools.cache
 def _native_rk4():
     """The compiled kernel as ``kernel(v, il, w0, dw, n_sub, dt, table,
-    params) -> (v, il) | None``, or None when it cannot be had.
+    params) -> (v, il) | None``, with the held entry as ``kernel.held(v, il,
+    w, n_ticks, n_sub, dt, table, params, v_at, i_at) -> (v, il) | None``;
+    or None when it cannot be had.
 
-    Built once per source, flags and machine, named by their sha256, and
-    kept in :func:`_cache_dir`; a warm cache runs no compiler.  When that
-    directory cannot be used, the kernel is built in a private temporary
-    directory for this process alone.  A kernel that does not give the
-    Python loop's bits on the probe is refused."""
+    Built once per source, flags and machine, named by
+    :func:`_object_name`, and kept in :func:`_cache_dir`; a warm cache runs
+    no compiler.  When that directory cannot be used, the kernel is built in
+    a private temporary directory for this process alone.  A kernel that
+    does not give the Python loops' bits on the probe is refused."""
     import ctypes
-    import hashlib
     import platform
     import shutil
     import subprocess
@@ -336,8 +383,7 @@ def _native_rk4():
         source = _RK4_SOURCE.read_bytes()
     except OSError:
         return None
-    key = hashlib.sha256(source + " ".join(_CC_FLAGS).encode() + platform.machine().encode())
-    name = f"_rk4-{key.hexdigest()[:24]}.so"
+    name = _object_name(source, _CC_FLAGS, platform.machine())
     try:
         cache = _cache_dir()
         if cache is not None:
@@ -351,6 +397,7 @@ def _native_rk4():
                 _compile(cc, source, path)
                 lib = ctypes.CDLL(str(path))
         fn = lib.pvmppt_rk4_advance
+        held_fn = lib.pvmppt_rk4_held
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
 
@@ -360,31 +407,62 @@ def _native_rk4():
         ]
 
     state_t = ctypes.c_double * 2
-    fn.restype = ctypes.c_int
+    samples_t = ctypes.POINTER(ctypes.c_double)
+    fn.restype = held_fn.restype = ctypes.c_int
     fn.argtypes = (state_t, ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_double,
                    ctypes.POINTER(Plant))
+    held_fn.argtypes = (state_t, ctypes.c_double, ctypes.c_long, ctypes.c_long, ctypes.c_double,
+                        ctypes.POINTER(Plant), samples_t, samples_t)
     # The closed loop calls with one table and one plant for a whole window,
     # so the struct is built once per pair; the tuple holds the table, and
     # with it the samples the struct points at, alive.
     last = [(None, None, None)]
+    # the held entry's (v, i) output, grown to the longest stretch asked for
+    out = [0, None, None]
 
-    def kernel(v, il, w0, dw, n_sub, dt, table, params):
+    def plant_of(table, params):
         seen_table, seen_params, plant = last[0]
         if table is not seen_table or params is not seen_params:
             vals, h, v_top, i_short = table
             plant = Plant(vals.ctypes.data, len(vals), h, v_top, i_short, *_plant_constants(params))
             last[0] = (table, params, plant)
+        return plant
+
+    def kernel(v, il, w0, dw, n_sub, dt, table, params):
         state = state_t(v, il)
         try:
-            declined = fn(state, w0, dw, n_sub, dt, plant)
+            declined = fn(state, w0, dw, n_sub, dt, plant_of(table, params))
         except ctypes.ArgumentError:  # let the Python loop reject it in its own words
             return None
         return None if declined else (state[0], state[1])
 
+    def held(v, il, w, n_ticks, n_sub, dt, table, params, v_at, i_at):
+        if type(n_ticks) is not int or n_ticks < 1:  # the Python loop decides
+            return None
+        if n_ticks > out[0]:
+            out[:] = n_ticks, (ctypes.c_double * n_ticks)(), (ctypes.c_double * n_ticks)()
+        state = state_t(v, il)
+        try:
+            declined = held_fn(state, w, n_ticks, n_sub, dt, plant_of(table, params), out[1], out[2])
+        except ctypes.ArgumentError:
+            return None
+        if declined:
+            return None
+        v_at += out[1][:n_ticks]
+        i_at += out[2][:n_ticks]
+        return state[0], state[1]
+
+    kernel.held = held
     params = ConverterParams()
     plant = _grid_source(*_PROBE_TABLE)
     for case in _probe_cases():
         if kernel(*case, plant.table, params) != _python_advance(*case, plant, params):
+            return None
+        v, il, w0, _, n_sub, dt = case
+        native, python = ([], []), ([], [])
+        end = held(v, il, w0, _PROBE_TICKS, n_sub, dt, plant.table, params, *native)
+        ref = _python_advance_held(v, il, w0, _PROBE_TICKS, n_sub, dt, plant, params, *python)
+        if end != ref or native != python:
             return None
     return kernel
 

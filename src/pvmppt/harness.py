@@ -28,9 +28,11 @@ from .control import (
     Measurement,
     Mode,
     ReferenceModel,
+    check_sample,
     controller_tick,
     detection_verdict,
     make_controller_state,
+    tick_is_idle,
     update_references,
 )
 from .converter import (
@@ -44,6 +46,7 @@ from .converter import (
     PlantCurve,
     TraceRecord,
     advance,
+    advance_held,
     duty_for_voltage,
 )
 from .pvmodel import (
@@ -582,7 +585,11 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
 
     Deterministic given the scenario.  The trace is sampled at the
     ADC cadence; the report is computed per shading-event window against
-    the brute-force oracle of that window's curve."""
+    the brute-force oracle of that window's curve.
+
+    A stretch of ticks on which the controller is idle (``tick_is_idle``)
+    runs as one :func:`advance_held` call at the held command, with the
+    same samples, checks and bits as one tick at a time."""
     scn.validate()
     module = resolve_module(scn)
     ref = build_reference_model(module, scn.n_series, scn.n_parallel)
@@ -632,8 +639,18 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     for w in windows:
         cur = w["plant"]
         t_sample = w["t_sample"]
-        for tick in range(w["tick_start"], w["tick_end"]):
+        tick, tick_end = w["tick_start"], w["tick_end"]
+        while tick < tick_end:
+            held_end = tick
+            while held_end < tick_end and tick_is_idle(state, held_end * adc, cfg):
+                held_end += 1
+            if held_end > tick:
+                v, il = _held_stretch(state, trace, v, il, tick, held_end - tick, cur, conv, dt,
+                                      sub_per_tick, adc)
+                tick = held_end
+                continue
             t = tick * adc
+            tick += 1
 
             i = cur(v)
             m = Measurement(v=v, i=i, t=t, t_sample_mod=t_sample)
@@ -663,6 +680,32 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
 
     report = _build_report(scn, windows, trace, state, adc)
     return trace, report
+
+
+def _held_stretch(
+    state: ControllerState, trace: list[TraceRecord], v: float, il: float, tick: int, n: int,
+    cur, conv: ConverterParams, dt: float, sub_per_tick: int, adc: float,
+) -> tuple[float, float]:
+    """Run ``n`` idle ticks from ``tick`` at the held command and append their
+    rows; returns ``(v_pv, i_L)`` at the end.  Each sample is checked as a
+    ``Measurement`` checks it.  The run one tick at a time would have raised
+    at the first bad sample, before integrating on, so a bad sample among
+    those taken wins over an error raised later in the stretch."""
+    v_ref = state.v_ref
+    v_at: list[float] = []
+    i_at: list[float] = []
+    try:
+        v, il = advance_held(v, il, v_ref, n, sub_per_tick, dt, cur, conv, v_at, i_at)
+    finally:
+        for v_k, i_k in zip(v_at, i_at):
+            check_sample(v_k, i_k)
+    duty = duty_for_voltage(v_ref, conv.v_out)
+    mode = state.mode.value
+    ep = state.episode
+    p_e, v_e = (ep.p_e, ep.v_e) if ep else (math.nan, math.nan)
+    for k, (v_k, i_k) in enumerate(zip(v_at, i_at), tick):
+        trace.append(TraceRecord(k * adc, v_ref, duty, v_k, i_k, v_k * i_k, mode, p_e, v_e))
+    return v, il
 
 
 def _build_report(scn, windows, trace, state: ControllerState, adc: float) -> RunReport:
@@ -740,32 +783,27 @@ def prune_violations(curve: PvCurve, prunes: list[dict]) -> list[dict]:
 
 
 def _fmt(x: float) -> str:
+    """A trace field: ``x`` to 10 significant digits, empty for NaN."""
     if isinstance(x, float) and math.isnan(x):
         return ""
     return format(x, ".10g")
 
 
+# one trace row; "%.10g" % x is format(x, ".10g") for every float and int
+_TRACE_ROW = "%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%s,%s,%s\n"
+
+
 def emit_trace(trace: list[TraceRecord], path: str | Path) -> None:
+    """Write ``trace`` as CSV.  Only ``p_e`` and ``v_e`` may be NaN, outside
+    a scan; they are written empty."""
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
             for r in trace:
                 fh.write(
-                    ",".join(
-                        (
-                            _fmt(r.t),
-                            _fmt(r.v_ref),
-                            _fmt(r.duty),
-                            _fmt(r.v_pv),
-                            _fmt(r.i_pv),
-                            _fmt(r.p),
-                            r.mode,
-                            _fmt(r.p_e),
-                            _fmt(r.v_e),
-                        )
-                    )
-                    + "\n"
+                    _TRACE_ROW
+                    % (r.t, r.v_ref, r.duty, r.v_pv, r.i_pv, r.p, r.mode, _fmt(r.p_e), _fmt(r.v_e))
                 )
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc

@@ -21,6 +21,7 @@ from pvmppt.control import (
     make_controller_state,
     po_step,
     scan_step,
+    tick_is_idle,
     update_references,
 )
 from pvmppt.harness import (
@@ -419,6 +420,46 @@ class TestControllerTick:
         v_mod_floor = update_references(ref_3x5, 25.0)[1]
         budget = 2.0 * (ref_3x5.v_oc_arr_rated - v_mod_floor) / cfg.ramp_rate_v_per_s
         assert (ep.ticks_up + ep.ticks_down) * cfg.adc_period_s <= budget + 2 * cfg.adc_period_s
+
+
+class TestTickIsIdle:
+    CFG = ControllerConfig()
+
+    def _state(self, mode=Mode.PO, **fields):
+        s = make_controller_state(simple_ref(), self.CFG)
+        s.mode = mode
+        for name, value in fields.items():
+            setattr(s, name, value)
+        return s
+
+    def test_po_waits_for_its_next_step(self):
+        s = self._state(next_po_t=0.02)
+        assert tick_is_idle(s, 0.0195, self.CFG)
+        assert not tick_is_idle(s, 0.02 - 1e-12, self.CFG)  # the tick's own tolerance
+
+    @pytest.mark.parametrize("mode", [Mode.DETECT_SETTLE, Mode.DETECT_PROBE, Mode.SETTLE_TO_BEST])
+    def test_settle_waits_without_a_slew_target(self, mode):
+        assert tick_is_idle(self._state(mode, settle_until=0.1), 0.05, self.CFG)
+        assert not tick_is_idle(self._state(mode, settle_until=0.1, slew_target=90.0), 0.05, self.CFG)
+        assert not tick_is_idle(self._state(mode, settle_until=0.1), 0.1, self.CFG)
+
+    def test_detection_without_a_settle_time_acts(self):
+        assert not tick_is_idle(self._state(Mode.DETECT_SETTLE), 0.05, self.CFG)
+
+    @pytest.mark.parametrize("mode", [Mode.SCAN_UP, Mode.SCAN_DOWN])
+    def test_scan_acts_on_every_tick(self, mode):
+        assert not tick_is_idle(self._state(mode, settle_until=1.0), 0.05, self.CFG)
+
+    @pytest.mark.parametrize("v_ref, clamped", [(118.0, 100.0), (-2.0, 0.0)])
+    def test_command_outside_the_cap_is_clamped_not_held(self, v_ref, clamped):
+        """A start command above a 100 V link: P&O waits, yet the tick must
+        still clamp the command."""
+        cfg = ControllerConfig(v_cmd_max=100.0)
+        s = self._state(v_ref=v_ref, next_po_t=0.02)
+        assert not tick_is_idle(s, 0.0, cfg)
+        cmd, s = controller_tick(s, Measurement(v=50.0, i=5.0, t=0.0), cfg, simple_ref(), None)
+        assert cmd == s.v_ref == clamped
+        assert tick_is_idle(s, 0.0005, cfg)
 
 
 class TestPsiWeightedAverage:

@@ -8,6 +8,8 @@ import json
 import math
 import operator
 import os
+import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -20,10 +22,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvmppt.cli import main as cli_main
-from pvmppt.control import Mode, controller_tick
+from pvmppt import control
+from pvmppt.control import Measurement, Mode, controller_tick
 from pvmppt.converter import (
     ConverterState,
     PlantCurve,
+    _grid_source,
     duty_for_voltage,
     step_ode,
 )
@@ -40,6 +44,7 @@ from pvmppt.harness import (
     load_scenario,
     prune_violations,
     random_scenario,
+    resolve_module,
     run_closed_loop,
     run_corpus,
     scenario_from_dict,
@@ -48,6 +53,7 @@ from pvmppt.pvmodel import (
     ND195R1S,
     ArraySpec,
     ModuleCondition,
+    ValidationError,
     calibrate_module,
     string_current,
     sweep_curve,
@@ -391,7 +397,176 @@ class TestGatedReadout:
         assert len(calls) == trims
 
 
+def _with_link(scn, v_out):
+    """``scn`` behind a DC link of ``v_out`` volts, which caps the command."""
+    return replace(
+        scn,
+        converter=replace(scn.converter, v_out=v_out),
+        controller=replace(scn.controller, v_cmd_max=v_out),
+    )
+
+
+# the shipped files, psc3 behind two links below its 118 V start command,
+# and corpus draws
+IDLE_CASES = [
+    *(load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json") for k in range(1, 6)),
+    load_scenario(SCENARIO_DIR / "dark_onset.json"),
+    load_scenario(SCENARIO_DIR / "uniform_stc.json"),
+    *(_with_link(load_scenario(SCENARIO_DIR / "benchmark_psc3.json"), v) for v in (100.0, 110.0)),
+    *(random_scenario(2026, i) for i in range(12)),
+]
+IDLE_IDS = [f"{scn.name}-{scn.converter.v_out:g}V" for scn in IDLE_CASES]
+
+
+def _no_readout():
+    raise AssertionError("an idle tick read the sample module")
+
+
+def _error(fn, *args):
+    """The type and message of what ``fn(*args)`` raised."""
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+class TestIdleStretches:
+    """The closed loop runs each stretch of ticks on which ``tick_is_idle``
+    holds as one ``advance_held`` call; ``tick_by_tick`` switches that off,
+    so every tick goes through ``controller_tick`` as one tick at a time."""
+
+    @pytest.fixture
+    def tick_by_tick(self, monkeypatch):
+        return lambda: monkeypatch.setattr(harness, "tick_is_idle", lambda state, t, cfg: False)
+
+    @pytest.mark.parametrize("scn", IDLE_CASES, ids=IDLE_IDS)
+    def test_idle_tick_changes_nothing(self, scn, monkeypatch):
+        """At every tick the predicate holds for, the whole controller tick,
+        its early return switched off, on a deep copy of the state returns
+        the held command and leaves an equal state, for measurements that
+        would make an active tick act."""
+        real = control.tick_is_idle
+        monkeypatch.setattr(control, "tick_is_idle", lambda state, t, cfg: False)
+        ref = build_reference_model(resolve_module(scn), scn.n_series, scn.n_parallel)
+        checked = []
+
+        def spy(state, t, cfg):
+            idle = real(state, t, cfg)
+            if idle:
+                k = len(checked)
+                # no current, a huge current in a hot module, the command itself
+                m = Measurement(
+                    v=(0.0, 10.0, state.v_ref)[k % 3], i=(0.0, 1e3, 5.0)[k % 3], t=t,
+                    t_sample_mod=(25.0, 80.0, -10.0)[k % 3],
+                )
+                held = copy.deepcopy(state)
+                cmd, after = controller_tick(held, m, cfg, ref, _no_readout)
+                assert struct.pack("<d", cmd) == struct.pack("<d", state.v_ref)
+                assert after == state
+                checked.append(t)
+            return idle
+
+        monkeypatch.setattr(harness, "tick_is_idle", spy)
+        trace, _ = run_closed_loop(scn)
+        assert 0.5 * len(trace) < len(checked) < len(trace)
+
+    @pytest.mark.parametrize("scn", IDLE_CASES, ids=IDLE_IDS)
+    def test_held_stretches_give_the_tick_by_tick_bytes(self, scn, tmp_path, tick_by_tick):
+        held = _emitted_bytes(scn, tmp_path, "held")
+        tick_by_tick()
+        assert _emitted_bytes(scn, tmp_path, "ticks") == held
+
+    def test_negative_source_inside_a_stretch(self, monkeypatch, tick_by_tick):
+        """A table source negative from 125.2 V up: the first sample there
+        raises what a ``Measurement`` raises, in the middle of a stretch."""
+
+        def poisoned(curve):
+            vals, h, _, _ = PlantCurve(curve).table
+            vals = vals.copy()
+            vals[int(125.2 / h):] = -1.0
+            return _grid_source(vals, h)
+
+        monkeypatch.setattr(harness, "PlantCurve", poisoned)
+        held_at, samples = [], []
+        advance_held, check_sample = harness.advance_held, harness.check_sample
+        monkeypatch.setattr(
+            harness, "advance_held", lambda *a: held_at.append(len(samples)) or advance_held(*a)
+        )
+        monkeypatch.setattr(
+            harness, "check_sample", lambda v, i: samples.append(i) or check_sample(v, i)
+        )
+        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
+        got = _error(run_closed_loop, scn)
+        assert got == (ValidationError, "array current cannot be negative")
+        assert samples[-1] < 0.0 and len(samples) - 1 > held_at[-1]  # not a stretch's first
+        tick_by_tick()
+        assert _error(run_closed_loop, scn) == got
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (-1.0, "array current cannot be negative"),
+            (math.inf, "measurements must be finite"),
+            (math.nan, "measurements must be finite"),
+        ],
+    )
+    def test_bad_sample_wins_over_a_later_error(self, monkeypatch, tick_by_tick, bad, message):
+        """A source (no table: the Python loops) whose sample at tick 5, inside
+        the first stretch, is bad, and which fails on the next call: one tick
+        at a time never makes that call, and the held stretch, which does,
+        still raises the sample's error."""
+        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
+        per_tick = 1 + 4 * round(scn.controller.adc_period_s / scn.dt_s)
+        bad_call = 1 + 5 * per_tick  # call 0 sets the inductor current
+        calls = []
+
+        def source_of(curve):
+            plant = PlantCurve(curve)
+
+            def source(v):
+                calls.append(v)
+                if len(calls) == bad_call + 1:
+                    return bad
+                if len(calls) == bad_call + 2:
+                    raise RuntimeError("the call after the bad sample")
+                return plant(v)
+
+            return source
+
+        monkeypatch.setattr(harness, "PlantCurve", source_of)
+        stretches = []
+        advance_held = harness.advance_held
+        monkeypatch.setattr(
+            harness, "advance_held", lambda *a: stretches.append(a[3]) or advance_held(*a)
+        )
+        assert _error(run_closed_loop, scn) == (ValidationError, message)
+        assert len(calls) == bad_call + 2 and stretches[0] > 5
+        calls.clear()
+        tick_by_tick()
+        assert _error(run_closed_loop, scn) == (ValidationError, message)
+        assert len(calls) == bad_call + 1
+
+
+def _old_trace_row(r) -> str:
+    """A trace row as ``emit_trace`` wrote it field by field."""
+    fields = (r.t, r.v_ref, r.duty, r.v_pv, r.i_pv, r.p)
+    return ",".join((*map(harness._fmt, fields), r.mode, harness._fmt(r.p_e), harness._fmt(r.v_e)))
+
+
 class TestEmitters:
+    def test_percent_format_is_format_g10(self):
+        rnd = random.Random(17)
+        xs = [rnd.uniform(-1e3, 1e3) for _ in range(100_000)]
+        xs += [struct.unpack("<d", rnd.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(100_000)]
+        xs += [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 1e-16, 0, 7, -3, 10**12]
+        assert [("%.10g" % x) for x in xs] == [format(x, ".10g") for x in xs]
+
+    def test_rows_match_the_field_by_field_writer(self, tmp_path):
+        trace, _ = run_closed_loop(load_scenario(SCENARIO_DIR / "benchmark_psc1.json"))
+        path = tmp_path / "trace.csv"
+        emit_trace(trace, path)
+        want = "".join(f"{line}\n" for line in [TRACE_HEADER, *map(_old_trace_row, trace)])
+        assert path.read_bytes() == want.encode()
+
     def test_header_and_rows(self, tmp_path, psc1_run):
         trace, _ = psc1_run
         path = tmp_path / "trace.csv"

@@ -18,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pvmppt.converter as converter
-from pvmppt.converter import ConverterParams, PlantCurve, _grid_source, _python_advance, advance
+from pvmppt.converter import (
+    ConverterParams,
+    PlantCurve,
+    _grid_source,
+    _python_advance,
+    _python_advance_held,
+    advance,
+    advance_held,
+)
 from pvmppt.pvmodel import ArraySpec, ModuleDatasheet, calibrate_module, sweep_curve
 
 HAVE_CC = shutil.which("cc") is not None
@@ -172,6 +180,123 @@ class TestBitIdentity:
         assert advance(*case, source, PLANT) == _python_advance(*case, source, PLANT)
 
 
+def _held_bits(fn, *args):
+    """``fn``'s end state and per-tick samples as bits, or None when it
+    declined."""
+    v_at, i_at = [], []
+    end = fn(*args, v_at, i_at)
+    if end is None:
+        return None
+    return _bits(end) + struct.pack(f"<{len(v_at) + len(i_at)}d", *v_at, *i_at)
+
+
+def _held_outcome(fn, *args):
+    """:func:`_held_bits`, or the type and message of what ``fn`` raised."""
+    try:
+        return _held_bits(fn, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# v_top is 6 V; the samples above it are not zero, so reading them would show
+EDGE_PLANT = [8.0, 7.9, 7.7, 7.2, 6.0, 3.5, 1.0, 0.5]
+
+
+class TestHeldEntry:
+    """``advance_held``: ticks of sub-steps at one command, sampled at each
+    tick start, in the kernel and in the Python loop."""
+
+    @needs_cc
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        vals=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=40),
+        h=st.sampled_from([0.01, 0.25, 1.0, 3.7]),
+        v=st.floats(-5.0, 160.0),
+        il=st.floats(0.0, 12.0),
+        w=st.floats(0.0, 250.0),
+        n_ticks=st.integers(1, 12),
+        n_sub=st.integers(0, 30),
+        dt=st.sampled_from([1e-6, 5e-6, 2e-5]),
+    )
+    def test_random_tables(self, vals, h, v, il, w, n_ticks, n_sub, dt):
+        kernel = converter._native_rk4()
+        plant = _grid_source(vals, h)
+        case = (v, il, w, n_ticks, n_sub, dt)
+        native = _held_bits(kernel.held, *case, plant.table, PLANT)
+        assert native == _held_bits(_python_advance_held, *case, plant, PLANT)
+
+    def test_one_advance_per_tick(self, psc_like_plant):
+        """The held entry is ``advance`` at ``dw = 0`` once per tick, each
+        tick sampled where it starts."""
+        v, il = 60.0, psc_like_plant(60.0)
+        v_at, i_at = [], []
+        end = advance_held(v, il, 55.0, 40, 25, 2e-5, psc_like_plant, PLANT, v_at, i_at)
+        for k in range(40):
+            assert _bits((v_at[k], i_at[k])) == _bits((v, psc_like_plant(v)))
+            v, il = _python_advance(v, il, 55.0, 0.0, 25, 2e-5, psc_like_plant, PLANT)
+        assert _bits(end) == _bits((v, il))
+
+    @pytest.mark.parametrize(
+        "v, il, w, n_ticks, n_sub",
+        [
+            (0.0, 0.0, 50.0, 3, 25),  # v <= 0: the short-circuit current
+            (-0.0, 1.0, 50.0, 3, 25),
+            (-5.0, 0.0, 200.0, 2, 25),
+            (6.0, 0.5, 7.0, 3, 25),  # v == v_top and above: zero current
+            (7.5, 0.5, 7.0, 3, 25),
+            (1e300, 0.0, 7.0, 2, 1),
+            (math.nextafter(6.0, 0.0), 0.1, 5.9, 3, 25),  # the last table cell
+            (4.3, 6.0, W_FLOOR + 0.5, 3, 40),  # just above the duty floor
+            (4.3, 6.0, W_FLOOR, 3, 10),  # at it, below it, and at signed zero
+            (4.3, 6.0, 1.0, 3, 10),
+            (4.3, 6.0, -0.0, 3, 10),
+            (4.3, 6.0, 3.0, 3, 0),  # no sub-steps: every tick samples one state
+            (4.3, 6.0, 3.0, 0, 25),  # no ticks, or not a count
+            (4.3, 6.0, 3.0, -2, 25),
+            (4.3, 6.0, 3.0, 2.5, 25),
+            (4.3, 6.0, 3.0, 3, 2.5),
+            (4.3, 6.0, math.inf, 3, 25),  # infinities
+            (4.3, 6.0, -math.inf, 3, 25),
+            (4.3, math.inf, 3.0, 3, 25),
+            (math.inf, 0.0, 3.0, 3, 25),
+            (4.3, 6.0, math.nan, 3, 25),  # a NaN command goes to the floor
+            (math.nan, 1.0, 3.0, 3, 25),  # a NaN voltage: declined, Python raises
+        ],
+    )
+    def test_edge_inputs(self, kernel, v, il, w, n_ticks, n_sub):
+        plant = _grid_source(EDGE_PLANT, 1.0)
+        case = (v, il, w, n_ticks, n_sub, 2e-5)
+        native = _held_outcome(advance_held, *case, plant, PLANT)
+        assert native == _held_outcome(_python_advance_held, *case, plant, PLANT)
+        got = _held_outcome(kernel.held, *case, plant.table, PLANT)
+        if got is not None:  # where the kernel answers, it answers the Python bits
+            assert got == native
+
+    def test_samples_begun_before_an_error_are_kept(self, monkeypatch, psc_like_plant):
+        monkeypatch.setattr(converter, "_native_rk4", lambda: None)
+        calls = []
+
+        def source(v):
+            calls.append(v)
+            if len(calls) == 1 + 2 * 101 + 1:  # tick 2's first sub-step
+                raise RuntimeError("source failed")
+            return psc_like_plant(v)
+
+        v_at, i_at = [], []
+        with pytest.raises(RuntimeError):
+            advance_held(60.0, 5.0, 55.0, 5, 25, 2e-5, source, PLANT, v_at, i_at)
+        assert len(v_at) == len(i_at) == 3
+
+    def test_other_sources_run_the_python_loop(self, monkeypatch):
+        def no_kernel():
+            raise AssertionError("a source without a table must not load the kernel")
+
+        monkeypatch.setattr(converter, "_native_rk4", no_kernel)
+        source = lambda v: 5.0 - 0.01 * v  # noqa: E731
+        case = (60.0, 5.0, 80.0, 4, 25, 2e-5, source, PLANT)
+        assert _held_bits(advance_held, *case) == _held_bits(_python_advance_held, *case)
+
+
 class TestProbe:
     def test_probe_reaches_every_branch(self):
         vals, h = converter._PROBE_TABLE
@@ -192,6 +317,16 @@ class TestProbe:
         assert seen == {"short", "top", "cell"}
         assert floored and unfloored
 
+    @needs_cc
+    def test_probe_checks_the_held_entry(self, monkeypatch, fresh_cache):
+        """A held entry one tick off the reference is refused, though
+        ``advance`` matches."""
+        monkeypatch.setattr(
+            converter, "_python_advance_held",
+            lambda v, il, w, n_ticks, *rest: _python_advance_held(v, il, w, n_ticks - 1, *rest),
+        )
+        assert converter._native_rk4.__wrapped__() is None
+
 
 def _probe_failing_source(tmp_path: Path) -> Path:
     """The kernel with one sum regrouped: it builds and loads, and only its
@@ -206,6 +341,38 @@ def _probe_failing_source(tmp_path: Path) -> Path:
 
 class TestLoader:
     CASE = (59.0, 5.0, 100.0, -0.3, 25, 2e-5)
+
+    def test_object_name_follows_source_flags_and_machine(self):
+        source = converter._RK4_SOURCE.read_bytes()
+        flags = converter._CC_FLAGS
+        base = converter._object_name(source, flags, "x86_64")
+        assert base == converter._object_name(bytes(source), tuple(flags), "x86_64")
+        one_byte = source[:100] + bytes([source[100] ^ 1]) + source[101:]
+        variants = [
+            converter._object_name(one_byte, flags, "x86_64"),
+            converter._object_name(source + b" ", flags, "x86_64"),
+            converter._object_name(source, (*flags, "-g"), "x86_64"),
+            converter._object_name(source, flags[1:], "x86_64"),
+            converter._object_name(source, flags, "aarch64"),
+            converter._object_name(source, flags, ""),
+        ]
+        assert len({base, *variants}) == 1 + len(variants)
+        assert all(n.startswith("_rk4-") and n.endswith(".so") for n in variants)
+
+    def test_cli_run_never_imports_hashlib(self, tmp_path):
+        """A whole ``pvmppt run`` loads no hashlib (and with it no OpenSSL):
+        the kernel's object is named from zlib, which numpy has loaded."""
+        argv = ["run", "--scenario", str(SRC.parent / "scenarios" / "benchmark_psc1.json"),
+                "--out", str(tmp_path / "out")]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "pvmppt.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+        assert "pvmppt.converter" in imported and "zlib" in imported
+        assert "hashlib" not in imported and "_hashlib" not in imported
 
     def _advance_bits(self, plant):
         return _bits(advance(*self.CASE, plant, PLANT))
