@@ -585,7 +585,8 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
 
     Deterministic given the scenario.  The trace is sampled at the
     ADC cadence; the report is computed per shading-event window against
-    the brute-force oracle of that window's curve.
+    the brute-force oracle of the part of that window's curve the
+    converter can hold behind its link.
 
     A stretch of ticks on which the controller is idle (``tick_is_idle``)
     runs as one :func:`advance_held` call at the held command, with the
@@ -614,7 +615,10 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
                 f"{slope:.3g} A/V, and slope*dt_s/c_pv_f = {slope * dt / conv.c_pv:.3g} is "
                 f"above the integrator's {STEP_NUMBER_MAX}; lower dt_s"
             )
-        v_star, p_star = oracle_gmpp(curve)
+        # the converter holds v_pv = v_ref + r_L*i_L with v_ref <= v_out, and
+        # v - r_L*i rises with v: the event's oracle is the best of that prefix
+        n = int(np.count_nonzero(curve.v - conv.r_l * curve.i <= conv.v_out))
+        v_star, p_star = oracle_gmpp(PvCurve(curve.v[:n], curve.i[:n], curve.p[:n]))
         windows.append(
             {
                 "event": e,

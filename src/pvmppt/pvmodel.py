@@ -305,10 +305,6 @@ def module_open_circuit_voltage(p: ModuleParams, c: ModuleCondition) -> float:
     return module_voltage(p, c, 0.0)
 
 
-def module_short_circuit_current(p: ModuleParams, c: ModuleCondition) -> float:
-    return module_current(p, c, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # string and array composition
 # ---------------------------------------------------------------------------
@@ -333,29 +329,14 @@ def string_open_circuit_voltage(spec: ArraySpec, string_idx: int) -> float:
 def string_current(spec: ArraySpec, string_idx: int, v: float) -> float:
     """Current of one series string held at terminal voltage ``v``.
 
-    The sum of module voltages is strictly decreasing in the shared
-    current, so plain bisection over [0, max module short-circuit
-    current] always converges.  A blocking diode forces the current to
-    zero at and above the string open-circuit voltage.
+    Reads the string's swept samples (:func:`_string_curve`, the ones
+    :func:`sweep_curve` sums) by linear interpolation.  A blocking diode
+    forces the current to zero at and above the string open-circuit voltage.
     """
     if v < 0.0:
         raise ValidationError("string voltage must be >= 0")
-    groups = _string_groups(spec, string_idx)
-    if v >= sum(n * module_open_circuit_voltage(p, c) for p, c, n in groups):
-        return 0.0
-    hi = max(module_short_circuit_current(p, c) for p, c, _ in groups) + 1e-9
-    hi += 0.7 / min(p.r_sh for p, _, _ in groups)  # clamp region headroom
-    lo = 0.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        vsum = sum(n * module_voltage(p, c, mid) for p, c, n in groups)
-        if vsum > v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
+    v_pts, i_pts = _string_curve(spec, string_idx)
+    return float(_interp(v, v_pts, i_pts, None, 0.0))
 
 
 def array_open_circuit_voltage(spec: ArraySpec) -> float:

@@ -5,8 +5,9 @@ None of these runs in the simulator:
 
 - the module MPP is found by a golden-section search over the scalar
   single-diode solution;
-- the array current sums the strings' scalar root-finding solutions
-  instead of reading the swept curve;
+- the string current bisects on the shared current over the scalar
+  module voltages instead of reading the string's swept samples, and the
+  array current sums those strings;
 - the uniform array current collapses the whole array into one lumped
   diode instead of composing strings;
 - the local maxima refine every peak of a swept curve, not only the
@@ -32,9 +33,10 @@ from pvmppt.pvmodel import (
     _env,
     _exp,
     _fit_problem,
+    _string_groups,
     module_current,
     module_open_circuit_voltage,
-    string_current,
+    module_voltage,
 )
 from pvmppt.solver import SolverError, golden_section_max, solve_decreasing
 
@@ -46,11 +48,39 @@ def module_mpp(p: ModuleParams, c: ModuleCondition) -> tuple[float, float]:
     return v, pw
 
 
+def scalar_string_current(spec: ArraySpec, string_idx: int, v: float) -> float:
+    """Current of one series string held at terminal voltage ``v``.
+
+    The sum of module voltages is strictly decreasing in the shared
+    current, so plain bisection over [0, max module short-circuit
+    current] always converges.  A blocking diode forces the current to
+    zero at and above the string open-circuit voltage.
+    """
+    if v < 0.0:
+        raise ValidationError("string voltage must be >= 0")
+    groups = _string_groups(spec, string_idx)
+    if v >= sum(n * module_open_circuit_voltage(p, c) for p, c, n in groups):
+        return 0.0
+    hi = max(module_current(p, c, 0.0) for p, c, _ in groups) + 1e-9
+    hi += 0.7 / min(p.r_sh for p, _, _ in groups)  # clamp region headroom
+    lo = 0.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        vsum = sum(n * module_voltage(p, c, mid) for p, c, n in groups)
+        if vsum > v:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(hi, 1.0):
+            break
+    return 0.5 * (lo + hi)
+
+
 def array_current(spec: ArraySpec, v: float) -> float:
-    """Total array current: the sum of independent string currents."""
+    """Total array current: the sum of independent scalar string currents."""
     if v < 0.0:
         raise ValidationError("array voltage must be >= 0")
-    return sum(string_current(spec, s, v) for s in range(spec.n_parallel))
+    return sum(scalar_string_current(spec, s, v) for s in range(spec.n_parallel))
 
 
 def local_maxima(curve: PvCurve) -> list[tuple[float, float]]:

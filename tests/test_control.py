@@ -39,7 +39,7 @@ from pvmppt.pvmodel import (
     sweep_curve,
 )
 
-from oracles import array_current
+from oracles import array_current, scalar_string_current
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -485,8 +485,8 @@ class TestPsiWeightedAverage:
             psi_arr = compute_psi((v0 - dv, p_of(v0 - dv)), (v0 + dv, p_of(v0 + dv)))
             num = den = 0.0
             for s in range(3):
-                p1 = (v0 - dv) * string_current(spec, s, v0 - dv)
-                p2 = (v0 + dv) * string_current(spec, s, v0 + dv)
+                p1 = (v0 - dv) * scalar_string_current(spec, s, v0 - dv)
+                p2 = (v0 + dv) * scalar_string_current(spec, s, v0 + dv)
                 p_mid = 0.5 * (p1 + p2)
                 if p_mid <= 0.0:
                     continue

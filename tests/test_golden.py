@@ -24,23 +24,23 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario file, extra ``pvmppt run`` arguments) -> (report.json, trace.csv)
 RUN_DIGESTS = {
     ("benchmark_psc1", ()): (
-        "ae2f1a255787b59c8987ba59b660d5934a8b3258c07d71f6f234cca3936b1820",
+        "c5672b656bb7ac14fefb6710e15a82398231679745ec2529803b2ee0849b343b",
         "33bc0c0613840e9f900b4a9b82920624812461d547b60ed3c806496912fab68b",
     ),
     ("benchmark_psc2", ()): (
-        "5b902dfba91dd2827c85957469fa6362b019195bec4f626787a02fb57039c4c4",
+        "c57a96c0787f95f02ffc94e9f974543224c81462db0234794d2a2f5d58121f82",
         "4db0b90d287b36a68ccc76caff1cebe730c6ad2503fcf9530e6f25723ca2bfea",
     ),
     ("benchmark_psc3", ()): (
-        "3c4bc78466a4d2ed428f02ddf5dbd9afcb18af898e73fc628941356f1cfd59e4",
+        "52c2dd4935d145b63229a26ada3a9f15a2d6919782b006825bbb1d454826f24d",
         "ccdb2704af2d30c15c11fea08b77e3d85add6d0533938eb03e8f2365d6c664bc",
     ),
     ("benchmark_psc4", ()): (
-        "d6f2e8ab3de005cd0cadfa31b2cbe7b301f37929c312f12a09ee7a650b222823",
+        "18a43bf2a46c76f445ef0d2379335f531ccf79140e9a5e43b082a25193ce429e",
         "9c4c1fdab526819e40be25a0e3d18fba3af4c4543499b77bcb7bf058dd693283",
     ),
     ("benchmark_psc5", ()): (
-        "f60cf031c1341d3be2abf81a8ebe583b12cca8d257dd1a5ea0682d76c057a655",
+        "ad963fb3f0d3fac325094d183387c693d589f2205d60b8e2fd77bea7d45c08f1",
         "8d025e6aea1c6080b61c0908597be12bcb6b685f81ce81dba3922cc7b3f30ffe",
     ),
     ("benchmark_psc1", ("--controller", "po")): (
@@ -55,11 +55,11 @@ RUN_DIGESTS = {
 
 # scenario file -> ``pvmppt detect --event-index 1 --prior-irradiance 1.0 --out``
 DETECT_DIGESTS = {
-    "benchmark_psc1": "d9db3b751ddaa1fc7ea5efa5cecece88261f69e6c53583de602171c6147ae536",
-    "benchmark_psc2": "fa38d295e6e839d8a0037745e60e957faeb61e328b32ea5aecc95ba22f42a5b5",
-    "benchmark_psc3": "1b82e76f92ab955ec6a330ee84fd51b022865cb69b686659e23a0aea3703fbd3",
-    "benchmark_psc4": "95f2d80cd5d26ec7b8572596da1c4c28e9f9124b51558847424884aabd34e8f0",
-    "benchmark_psc5": "ea315579e3db625b4a9a17ae41230cbcfe38b43f2b4e55131ce30baf857896a1",
+    "benchmark_psc1": "f48f222a0d15190e1154f89a821dc618577ca08ec78cca6d2af6a9ddfbad0db3",
+    "benchmark_psc2": "9508b96d3916c99d767d7d45024abfe5beee62c720749f2819d33f84a4171381",
+    "benchmark_psc3": "998a2fb395e24b6a235bb24fa123b7329e8c76191bf51995ceb4c3f80f180af8",
+    "benchmark_psc4": "397a5b92150e1c97332b92ef90a57bca25800485e715c26113fdcdab8f1763ca",
+    "benchmark_psc5": "5073018b77ed855e01b89a8857636c359908f235135d94e09defe549224a870d",
 }
 
 

@@ -32,7 +32,14 @@ from pvmppt.pvmodel import (
 from pvmppt.pvmodel import _check_contract, _datasheet_residuals, _fit_datasheet
 from pvmppt.solver import bounded_lm
 
-from oracles import array_current, local_maxima, module_mpp, scipy_fit, uniform_array_current
+from oracles import (
+    array_current,
+    local_maxima,
+    module_mpp,
+    scalar_string_current,
+    scipy_fit,
+    uniform_array_current,
+)
 
 HS = ModuleCondition(1.0, 25.0)
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -293,6 +300,31 @@ class TestStringAndArray:
         v = 2 * 23.6 - 0.7 * 2 - 1.0
         i_shaded_sc = module_current(nd_module, ModuleCondition(0.5, 25.0), 0.0)
         assert string_current(spec, 0, v) > i_shaded_sc
+
+    # the sampled string current against the bisection oracle: linear
+    # interpolation between the string's samples is off by at most 1.7e-5 A
+    # over psc1-5 and random_scenario(2026, 0..11), so 1e-4 A, the sweep's
+    # own tolerance in test_batch_matches_scalar
+    @pytest.mark.parametrize("case", ["exact_uniform", "nd_uniform", "nd_two_level"])
+    def test_string_current_matches_scalar_oracle(self, nd_module, case):
+        exact = ModuleParams(
+            i_pv_ref=8.0, i_o_ref=2e-8, ideality_a=1.3, r_s=0.25, r_sh=400.0, n_cells=42
+        )
+        spec = {
+            "exact_uniform": lambda: ArraySpec.uniform(exact, 5, 1),
+            "nd_uniform": lambda: ArraySpec.uniform(nd_module, 5, 1),
+            "nd_two_level": lambda: two_level_string(nd_module, 4, 2, 2.0),
+        }[case]()
+        voc = array_open_circuit_voltage(spec)
+        for v in np.linspace(0.0, voc + 10.0, 97):
+            assert abs(string_current(spec, 0, v) - scalar_string_current(spec, 0, v)) < 1e-4
+        assert string_current(spec, 0, voc) == scalar_string_current(spec, 0, voc) == 0.0
+
+    def test_string_voltage_must_be_non_negative(self, nd_module):
+        spec = ArraySpec.uniform(nd_module, 5, 1)
+        for read in (string_current, scalar_string_current):
+            with pytest.raises(ValidationError):
+                read(spec, 0, -1e-9)
 
     def test_uniform_array_at_mpp(self, nd_module):
         spec = ArraySpec.uniform(nd_module, 5, 3)
