@@ -1,11 +1,11 @@
 /* RK4 sub-steps of the averaged boost plant on a uniform-grid current table.
  *
- * A line-for-line copy of the loops in pvmppt.converter._python_advance and
- * _python_advance_held, with the lookup of pvmppt.converter.PlantCurve
- * inlined.  Every expression keeps the Python operation order, so that a
- * build without floating-point contraction (-ffp-contract=off) and without
- * -ffast-math gives the same bits.  Plain C, no Python.h: pvmppt.converter
- * compiles it on first use and calls it through ctypes.
+ * A line-for-line copy of the loop in pvmppt.converter._python_advance, with
+ * the lookup of pvmppt.converter.PlantCurve inlined.  Every expression keeps
+ * the Python operation order, so that a build without floating-point
+ * contraction (-ffp-contract=off) and without -ffast-math gives the same
+ * bits.  Plain C, no Python.h: pvmppt.converter compiles it on first use and
+ * calls it through ctypes.
  *
  * state holds (v_pv, i_L) on entry and, on a zero return, on exit.  A
  * non-zero return means a lookup met a NaN voltage or would step off the
@@ -76,36 +76,24 @@ static inline int substep(const struct plant *p, double w, double dt, double *pv
     return 0;
 }
 
-/* n_sub sub-steps; step k holds w0 + dw*(k + 0.5), floored at w_floor. */
-int pvmppt_rk4_advance(double *state, double w0, double dw, long n_sub, double dt,
-                       const struct plant *p)
-{
-    double v = state[0], il = state[1];
-    for (long k = 0; k < n_sub; k++) {
-        double x = w0 + dw * ((double)k + 0.5);
-        if (substep(p, x > p->w_floor ? x : p->w_floor, dt, &v, &il))
-            return 1;
-    }
-    state[0] = v;
-    state[1] = il;
-    return 0;
-}
-
-/* n_ticks ticks of n_sub sub-steps at one w, floored at w_floor; v_at[t] and
+/* n_ticks ticks of n_sub sub-steps; sub-step k of the call holds
+ * w0 + dw*(k + 0.5), floored at w_floor.  Unless v_at is NULL, v_at[t] and
  * i_at[t] get v_pv and the source current at the start of tick t. */
-int pvmppt_rk4_held(double *state, double w, long n_ticks, long n_sub, double dt,
-                    const struct plant *p, double *v_at, double *i_at)
+int pvmppt_rk4_advance(double *state, double w0, double dw, long n_ticks, long n_sub, double dt,
+                       const struct plant *p, double *v_at, double *i_at)
 {
     double v = state[0], il = state[1];
-    if (!(w > p->w_floor))
-        w = p->w_floor;
     for (long t = 0; t < n_ticks; t++) {
-        v_at[t] = v;
-        if (lookup(p, v, &i_at[t]))
-            return 1;
-        for (long k = 0; k < n_sub; k++)
-            if (substep(p, w, dt, &v, &il))
+        if (v_at) {
+            v_at[t] = v;
+            if (lookup(p, v, &i_at[t]))
                 return 1;
+        }
+        for (long k = t * n_sub; k < (t + 1) * n_sub; k++) {
+            double x = w0 + dw * ((double)k + 0.5);
+            if (substep(p, x > p->w_floor ? x : p->w_floor, dt, &v, &il))
+                return 1;
+        }
     }
     state[0] = v;
     state[1] = il;

@@ -7,17 +7,16 @@ open loop by a voltage command translated to a duty cycle.  The averaged
     C_pv * dv_pv/dt = i_array(v_pv) - i_L
     L    * di_L/dt  = v_pv - r_L*i_L - (1 - D)*v_out
 
-integrated with fixed-step RK4 (:func:`advance`, shared by the open-loop
-runs and the closed loop, and :func:`advance_held`, the closed loop's
-stretches of ticks at one command).  The inductor current is clamped at
-zero (ideal diode, discontinuous-conduction guard).
+integrated with fixed-step RK4 by :func:`advance`, the one integrator of
+the open-loop runs and the closed loop.  The inductor current is clamped
+at zero (ideal diode, discontinuous-conduction guard).
 
-When the current source is a :func:`PlantCurve` table, both run their
-sub-steps in ``_rk4.c``, a plain-C copy of the Python loops.  The
+When the current source is a :func:`PlantCurve` table, it runs its
+sub-steps in ``_rk4.c``, a plain-C copy of the Python loop.  The
 first such call compiles it with ``cc`` into the user's cache
 (``$XDG_CACHE_HOME/pvmppt``, by default ``~/.cache/pvmppt``) and accepts it
-only if it gives the Python loops' bits on a fixed probe.  Without a
-compiler, or if anything in that fails, the Python loops run, silently and
+only if it gives the Python loop's bits on a fixed probe.  Without a
+compiler, or if anything in that fails, the Python loop runs, silently and
 with the same results.
 """
 
@@ -187,13 +186,19 @@ def _plant_constants(params: ConverterParams) -> tuple[float, float, float, floa
 
 
 def advance(
-    v: float, il: float, w0: float, dw: float, n_sub: int, dt: float, i_of_v, params: ConverterParams
+    v: float, il: float, w0: float, dw: float, n_ticks: int, n_sub: int, dt: float, i_of_v,
+    params: ConverterParams, samples: tuple[list, list] | None,
 ) -> tuple[float, float]:
-    """Integrate ``n_sub`` fixed RK4 steps of the averaged plant; returns ``(v_pv, i_L)``.
+    """Integrate ``n_ticks`` ticks of ``n_sub`` fixed RK4 steps each of the
+    averaged plant; returns ``(v_pv, i_L)`` at the end.
 
     The output-side voltage ``w = (1 - D)*v_out`` slews linearly: step ``k``
-    holds ``w0 + dw*(k + 0.5)``, floored at ``(1 - MAX_DUTY)*v_out`` (a NaN
-    goes to the floor).  Both states are clamped at zero after every step.
+    of the call holds ``w0 + dw*(k + 0.5)``, floored at
+    ``(1 - MAX_DUTY)*v_out`` (a NaN goes to the floor).  Both states are
+    clamped at zero after every step.  When ``samples`` is a pair of lists
+    ``(v_at, i_at)``, the start of each tick appends ``v_pv`` to ``v_at`` and
+    the source's current there to ``i_at``; the Python loop appends them as
+    it goes, so after an exception the lists hold the ticks begun.
 
     A :func:`PlantCurve` source runs in the compiled kernel when it loads;
     every other source, and any call the kernel declines, runs the Python
@@ -207,72 +212,43 @@ def advance(
     if table is not None:
         kernel = _native_rk4()
         if kernel is not None:
-            out = kernel(v, il, w0, dw, n_sub, dt, table, params)
+            out = kernel(v, il, w0, dw, n_ticks, n_sub, dt, table, params, samples)
             if out is not None:
                 return out
-    return _python_advance(v, il, w0, dw, n_sub, dt, i_of_v, params)
+    return _python_advance(v, il, w0, dw, n_ticks, n_sub, dt, i_of_v, params, samples)
 
 
 def _python_advance(
-    v: float, il: float, w0: float, dw: float, n_sub: int, dt: float, i_of_v, params: ConverterParams
+    v: float, il: float, w0: float, dw: float, n_ticks: int, n_sub: int, dt: float, i_of_v,
+    params: ConverterParams, samples: tuple[list, list] | None,
 ) -> tuple[float, float]:
     """The RK4 loop of :func:`advance` in Python: the reference that
     ``_rk4.c`` copies line for line, and the fallback."""
     inv_c, inv_l, r_l, w_floor = _plant_constants(params)
-    for k in range(n_sub):
-        x = w0 + dw * (k + 0.5)
-        w = x if x > w_floor else w_floor
-        k1v = (i_of_v(v) - il) * inv_c
-        k1i = (v - r_l * il - w) * inv_l
-        v2, i2 = v + 0.5 * dt * k1v, il + 0.5 * dt * k1i
-        k2v = (i_of_v(v2) - i2) * inv_c
-        k2i = (v2 - r_l * i2 - w) * inv_l
-        v3, i3 = v + 0.5 * dt * k2v, il + 0.5 * dt * k2i
-        k3v = (i_of_v(v3) - i3) * inv_c
-        k3i = (v3 - r_l * i3 - w) * inv_l
-        v4, i4 = v + dt * k3v, il + dt * k3i
-        k4v = (i_of_v(v4) - i4) * inv_c
-        k4i = (v4 - r_l * i4 - w) * inv_l
-        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        il += dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        if il < 0.0:
-            il = 0.0
-        if v < 0.0:
-            v = 0.0
-    return v, il
-
-
-def advance_held(
-    v: float, il: float, w: float, n_ticks: int, n_sub: int, dt: float, i_of_v,
-    params: ConverterParams, v_at: list, i_at: list,
-) -> tuple[float, float]:
-    """Integrate ``n_ticks`` ticks of ``n_sub`` RK4 steps each at one
-    output-side voltage ``w``; returns ``(v_pv, i_L)`` at the end.
-
-    The same bits as one :func:`advance` call per tick with ``w0 = w`` and
-    ``dw = 0``.  At the start of each tick it appends ``v_pv`` to ``v_at``
-    and the source's current there to ``i_at``; the Python loop appends them
-    as it goes, so after an exception the lists hold the ticks begun."""
-    table = getattr(i_of_v, "table", None) if type(i_of_v) is FunctionType else None
-    if table is not None:
-        kernel = _native_rk4()
-        if kernel is not None:
-            out = kernel.held(v, il, w, n_ticks, n_sub, dt, table, params, v_at, i_at)
-            if out is not None:
-                return out
-    return _python_advance_held(v, il, w, n_ticks, n_sub, dt, i_of_v, params, v_at, i_at)
-
-
-def _python_advance_held(
-    v: float, il: float, w: float, n_ticks: int, n_sub: int, dt: float, i_of_v,
-    params: ConverterParams, v_at: list, i_at: list,
-) -> tuple[float, float]:
-    """:func:`advance_held` in Python: the reference that ``_rk4.c`` copies,
-    and the fallback."""
-    for _ in range(n_ticks):
-        v_at.append(v)
-        i_at.append(i_of_v(v))
-        v, il = _python_advance(v, il, w, 0.0, n_sub, dt, i_of_v, params)
+    for t in range(n_ticks):
+        if samples is not None:
+            samples[0].append(v)
+            samples[1].append(i_of_v(v))
+        for k in range(t * n_sub, (t + 1) * n_sub):
+            x = w0 + dw * (k + 0.5)
+            w = x if x > w_floor else w_floor
+            k1v = (i_of_v(v) - il) * inv_c
+            k1i = (v - r_l * il - w) * inv_l
+            v2, i2 = v + 0.5 * dt * k1v, il + 0.5 * dt * k1i
+            k2v = (i_of_v(v2) - i2) * inv_c
+            k2i = (v2 - r_l * i2 - w) * inv_l
+            v3, i3 = v + 0.5 * dt * k2v, il + 0.5 * dt * k2i
+            k3v = (i_of_v(v3) - i3) * inv_c
+            k3i = (v3 - r_l * i3 - w) * inv_l
+            v4, i4 = v + dt * k3v, il + dt * k3i
+            k4v = (i_of_v(v4) - i4) * inv_c
+            k4i = (v4 - r_l * i4 - w) * inv_l
+            v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            il += dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+            if il < 0.0:
+                il = 0.0
+            if v < 0.0:
+                v = 0.0
     return v, il
 
 
@@ -285,12 +261,13 @@ _RK4_SOURCE = Path(__file__).with_name("_rk4.c")
 # aarch64), which rounds once instead of twice; -ffast-math would reorder.
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-# The fixed probe a loaded kernel must match bit for bit, in both entries:
-# 100 seeded cases on a 14-sample table (v_top 8.4 V) and the reference
-# plant (duty floor 2.5 V).  They reach v <= 0, v >= v_top and w at the
+# The fixed probe a loaded kernel must match bit for bit: 100 seeded cases
+# on a 14-sample table (v_top 8.4 V) and the reference plant (duty floor
+# 2.5 V).  They reach v <= 0, v >= v_top and w at the
 # floor, and their 0.1 ms steps move the state so far per step that one
 # rounding changed in the loop (a fused multiply-add, a reordered sum) shows
-# in the bits.  The held entry runs each case for _PROBE_TICKS ticks at w0.
+# in the bits.  Each case runs as one tick without samples and as
+# _PROBE_TICKS ticks with them.
 _PROBE_TABLE = (tuple(8.0 - 0.6 * k / 7 - 0.05 * (k % 3) for k in range(12)) + (0.0, 0.0), 0.7)
 _PROBE_TICKS = 3
 
@@ -360,16 +337,15 @@ def _object_name(source: bytes, flags: tuple[str, ...], machine: str) -> str:
 
 @functools.cache
 def _native_rk4():
-    """The compiled kernel as ``kernel(v, il, w0, dw, n_sub, dt, table,
-    params) -> (v, il) | None``, with the held entry as ``kernel.held(v, il,
-    w, n_ticks, n_sub, dt, table, params, v_at, i_at) -> (v, il) | None``;
-    or None when it cannot be had.
+    """The compiled kernel as ``kernel(v, il, w0, dw, n_ticks, n_sub, dt,
+    table, params, samples) -> (v, il) | None``, :func:`advance` with the
+    source's table; or None when it cannot be had.
 
     Built once per source, flags and machine, named by
     :func:`_object_name`, and kept in :func:`_cache_dir`; a warm cache runs
     no compiler.  When that directory cannot be used, the kernel is built in
     a private temporary directory for this process alone.  A kernel that
-    does not give the Python loops' bits on the probe is refused."""
+    does not give the Python loop's bits on the probe is refused."""
     import ctypes
     import platform
     import shutil
@@ -397,7 +373,6 @@ def _native_rk4():
                 _compile(cc, source, path)
                 lib = ctypes.CDLL(str(path))
         fn = lib.pvmppt_rk4_advance
-        held_fn = lib.pvmppt_rk4_held
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
 
@@ -408,16 +383,14 @@ def _native_rk4():
 
     state_t = ctypes.c_double * 2
     samples_t = ctypes.POINTER(ctypes.c_double)
-    fn.restype = held_fn.restype = ctypes.c_int
-    fn.argtypes = (state_t, ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_double,
-                   ctypes.POINTER(Plant))
-    held_fn.argtypes = (state_t, ctypes.c_double, ctypes.c_long, ctypes.c_long, ctypes.c_double,
-                        ctypes.POINTER(Plant), samples_t, samples_t)
+    fn.restype = ctypes.c_int
+    fn.argtypes = (state_t, ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long,
+                   ctypes.c_double, ctypes.POINTER(Plant), samples_t, samples_t)
     # The closed loop calls with one table and one plant for a whole window,
     # so the struct is built once per pair; the tuple holds the table, and
     # with it the samples the struct points at, alive.
     last = [(None, None, None)]
-    # the held entry's (v, i) output, grown to the longest stretch asked for
+    # the (v, i) samples' output, grown to the most ticks sampled at once
     out = [0, None, None]
 
     def plant_of(table, params):
@@ -428,42 +401,35 @@ def _native_rk4():
             last[0] = (table, params, plant)
         return plant
 
-    def kernel(v, il, w0, dw, n_sub, dt, table, params):
+    def kernel(v, il, w0, dw, n_ticks, n_sub, dt, table, params, samples):
+        if samples is None:
+            v_at = i_at = None
+        elif type(n_ticks) is not int or n_ticks < 1:  # the Python loop decides
+            return None
+        else:
+            if n_ticks > out[0]:
+                out[:] = n_ticks, (ctypes.c_double * n_ticks)(), (ctypes.c_double * n_ticks)()
+            v_at, i_at = out[1], out[2]
         state = state_t(v, il)
         try:
-            declined = fn(state, w0, dw, n_sub, dt, plant_of(table, params))
+            declined = fn(state, w0, dw, n_ticks, n_sub, dt, plant_of(table, params), v_at, i_at)
         except ctypes.ArgumentError:  # let the Python loop reject it in its own words
-            return None
-        return None if declined else (state[0], state[1])
-
-    def held(v, il, w, n_ticks, n_sub, dt, table, params, v_at, i_at):
-        if type(n_ticks) is not int or n_ticks < 1:  # the Python loop decides
-            return None
-        if n_ticks > out[0]:
-            out[:] = n_ticks, (ctypes.c_double * n_ticks)(), (ctypes.c_double * n_ticks)()
-        state = state_t(v, il)
-        try:
-            declined = held_fn(state, w, n_ticks, n_sub, dt, plant_of(table, params), out[1], out[2])
-        except ctypes.ArgumentError:
             return None
         if declined:
             return None
-        v_at += out[1][:n_ticks]
-        i_at += out[2][:n_ticks]
+        if samples is not None:
+            samples[0].extend(v_at[:n_ticks])
+            samples[1].extend(i_at[:n_ticks])
         return state[0], state[1]
 
-    kernel.held = held
     params = ConverterParams()
     plant = _grid_source(*_PROBE_TABLE)
-    for case in _probe_cases():
-        if kernel(*case, plant.table, params) != _python_advance(*case, plant, params):
-            return None
-        v, il, w0, _, n_sub, dt = case
-        native, python = ([], []), ([], [])
-        end = held(v, il, w0, _PROBE_TICKS, n_sub, dt, plant.table, params, *native)
-        ref = _python_advance_held(v, il, w0, _PROBE_TICKS, n_sub, dt, plant, params, *python)
-        if end != ref or native != python:
-            return None
+    for v, il, w0, dw, n_sub, dt in _probe_cases():
+        for n_ticks, native, python in ((1, None, None), (_PROBE_TICKS, ([], []), ([], []))):
+            end = kernel(v, il, w0, dw, n_ticks, n_sub, dt, plant.table, params, native)
+            ref = _python_advance(v, il, w0, dw, n_ticks, n_sub, dt, plant, params, python)
+            if end != ref or native != python:
+                return None
     return kernel
 
 
@@ -488,7 +454,7 @@ def step_ode(
         raise ValidationError(f"duty {duty} outside [0, {MAX_DUTY}]")
     if n < 1:
         raise ValidationError(f"step count {n} below 1")
-    v, il = advance(s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, n, dt, i_of_v, params)
+    v, il = advance(s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, 1, n, dt, i_of_v, params, None)
     return ConverterState(v_pv=v, i_l=il)
 
 

@@ -46,7 +46,6 @@ from .converter import (
     PlantCurve,
     TraceRecord,
     advance,
-    advance_held,
     duty_for_voltage,
 )
 from .pvmodel import (
@@ -256,6 +255,11 @@ def resolve_module(scn: Scenario) -> ModuleParams:
 
 
 def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
+    n = len(scn.events)
+    if not 0 <= event_idx < n:
+        raise ScenarioError(
+            f"event index {event_idx} outside [0, {n}): the timeline has {n} events"
+        )
     module = resolve_module(scn)
     grid = scn.events[event_idx].pattern.expand(scn.n_series)
     return ArraySpec(
@@ -543,6 +547,10 @@ def detect_pattern(
     from standard conditions); ``None`` assumes steady operation at the
     given pattern and reads the correction current off the curve itself.
     """
+    if s_prior is not None and not 0.0 <= s_prior <= STC_IRRADIANCE:  # NaN fails too
+        raise ValidationError(
+            f"prior irradiance s_prior {s_prior} outside [0, {STC_IRRADIANCE}]", "s_prior"
+        )
     curve = sweep_curve(spec, 0.01)
     s_idx, pos = spec.sample_module
     t_s = spec.conditions[s_idx][pos].temperature
@@ -589,8 +597,9 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     converter can hold behind its link.
 
     A stretch of ticks on which the controller is idle (``tick_is_idle``)
-    runs as one :func:`advance_held` call at the held command, with the
-    same samples, checks and bits as one tick at a time."""
+    runs as one :func:`advance` call at the held command, sampled at each
+    tick start, with the same samples, checks and bits as one tick at a
+    time."""
     scn.validate()
     module = resolve_module(scn)
     ref = build_reference_model(module, scn.n_series, scn.n_parallel)
@@ -680,7 +689,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
             # integrate [t, t+adc): command slews linearly in every mode but P&O
             dcmd = (new_ref - prev_cmd) / sub_per_tick if slew else 0.0
             base = prev_cmd if slew else new_ref
-            v, il = advance(v, il, base, dcmd, sub_per_tick, dt, cur, conv)
+            v, il = advance(v, il, base, dcmd, 1, sub_per_tick, dt, cur, conv, None)
 
     report = _build_report(scn, windows, trace, state, adc)
     return trace, report
@@ -699,7 +708,7 @@ def _held_stretch(
     v_at: list[float] = []
     i_at: list[float] = []
     try:
-        v, il = advance_held(v, il, v_ref, n, sub_per_tick, dt, cur, conv, v_at, i_at)
+        v, il = advance(v, il, v_ref, 0.0, n, sub_per_tick, dt, cur, conv, (v_at, i_at))
     finally:
         for v_k, i_k in zip(v_at, i_at):
             check_sample(v_k, i_k)

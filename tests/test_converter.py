@@ -136,11 +136,18 @@ class TestAdvance:
         i_of_v = array_130v_8a if source == "array" else (lambda v: 0.0)
         n, dt = 40, 5e-6
         s = ConverterState(v_pv=v0, i_l=i_of_v(v0))
+        states = []
         for _ in range(n):
+            states.append(s.v_pv)
             s = step_ode(s, duty, dt, i_of_v, TABLE_PLANT)
         w = (1.0 - duty) * TABLE_PLANT.v_out
-        v, il = advance(v0, i_of_v(v0), w, 0.0, n, dt, i_of_v, TABLE_PLANT)
+        v, il = advance(v0, i_of_v(v0), w, 0.0, 1, n, dt, i_of_v, TABLE_PLANT, None)
         assert (v, il) == (s.v_pv, s.i_l)
+        # as n ticks of one step, sampled where each step starts
+        v_at, i_at = [], []
+        end = advance(v0, i_of_v(v0), w, 0.0, n, 1, dt, i_of_v, TABLE_PLANT, (v_at, i_at))
+        assert end == (v, il)
+        assert v_at == states and i_at == [i_of_v(x) for x in states]
         if source == "dark":  # the link sits above v_pv: the clamp holds i_L at 0
             assert il == 0.0
 

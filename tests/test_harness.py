@@ -229,6 +229,24 @@ class TestStaticDetection:
             det = detect_pattern(spec, ref_3x5, s_prior=1.0)
             assert det.is_psc is True, f"pattern {k} missed"
 
+    @pytest.mark.parametrize("s_prior", [math.nan, math.inf, -math.inf, -2.0, -1e-300, 1.0 + 1e-15])
+    def test_prior_irradiance_off_the_scale_is_rejected(self, ref_3x5, s_prior):
+        spec = base_array_spec(load_scenario(SCENARIO_DIR / "benchmark_psc1.json"), 1)
+        with pytest.raises(ValidationError, match="prior irradiance") as err:
+            detect_pattern(spec, ref_3x5, s_prior=s_prior)
+        assert err.value.field == "s_prior"
+
+    @pytest.mark.parametrize("s_prior", [0.0, 1.0])
+    def test_prior_irradiance_at_the_ends_of_the_scale_is_accepted(self, ref_3x5, s_prior):
+        spec = base_array_spec(load_scenario(SCENARIO_DIR / "benchmark_psc1.json"), 1)
+        assert detect_pattern(spec, ref_3x5, s_prior=s_prior).psi is not None
+
+    @pytest.mark.parametrize("index", [2, -1, -3])
+    def test_event_index_outside_the_timeline_is_rejected(self, index):
+        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
+        with pytest.raises(ScenarioError, match=rf"event index {index} outside \[0, 2\)"):
+            base_array_spec(scn, index)
+
 
 class TestClosedLoop:
     def test_uniform_only_scenario(self):
@@ -473,10 +491,24 @@ def _error(fn, *args):
     return type(err.value), str(err.value)
 
 
+def _spy_on_stretches(monkeypatch, seen) -> None:
+    """Call ``seen(*args)`` before each ``harness.advance`` call that takes
+    samples, that is, each held stretch."""
+    advance = harness.advance
+
+    def spy(*args):
+        if args[-1] is not None:
+            seen(*args)
+        return advance(*args)
+
+    monkeypatch.setattr(harness, "advance", spy)
+
+
 class TestIdleStretches:
     """The closed loop runs each stretch of ticks on which ``tick_is_idle``
-    holds as one ``advance_held`` call; ``tick_by_tick`` switches that off,
-    so every tick goes through ``controller_tick`` as one tick at a time."""
+    holds as one ``advance`` call that samples each tick start;
+    ``tick_by_tick`` switches that off, so every tick goes through
+    ``controller_tick`` as one tick at a time."""
 
     @pytest.fixture
     def tick_by_tick(self, monkeypatch):
@@ -531,10 +563,8 @@ class TestIdleStretches:
 
         monkeypatch.setattr(harness, "PlantCurve", poisoned)
         held_at, samples = [], []
-        advance_held, check_sample = harness.advance_held, harness.check_sample
-        monkeypatch.setattr(
-            harness, "advance_held", lambda *a: held_at.append(len(samples)) or advance_held(*a)
-        )
+        check_sample = harness.check_sample
+        _spy_on_stretches(monkeypatch, lambda *a: held_at.append(len(samples)))
         monkeypatch.setattr(
             harness, "check_sample", lambda v, i: samples.append(i) or check_sample(v, i)
         )
@@ -578,10 +608,7 @@ class TestIdleStretches:
 
         monkeypatch.setattr(harness, "PlantCurve", source_of)
         stretches = []
-        advance_held = harness.advance_held
-        monkeypatch.setattr(
-            harness, "advance_held", lambda *a: stretches.append(a[3]) or advance_held(*a)
-        )
+        _spy_on_stretches(monkeypatch, lambda *a: stretches.append(a[4]))
         assert _error(run_closed_loop, scn) == (ValidationError, message)
         assert len(calls) == bad_call + 2 and stretches[0] > 5
         calls.clear()
@@ -939,6 +966,28 @@ class TestCli:
     def test_corpus_rejects_empty_batch_or_pool(self, capsys, argv, field):
         assert cli_main(["corpus", "--count", "2", *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be at least 1")
+
+    @pytest.mark.parametrize("command", ["sweep", "detect"])
+    @pytest.mark.parametrize("index", ["5", "-1"])
+    def test_event_index_outside_the_timeline(self, tmp_path, capsys, command, index):
+        """psc1 has two events: 5 is past them and -1 would read the last."""
+        argv = [command, "--scenario", str(SCENARIO_DIR / "benchmark_psc1.json"),
+                "--event-index", index, "--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: event index {index} outside [0, 2): the timeline has 2 events\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("prior", ["nan", "-2", "inf", "1.5"])
+    def test_detect_rejects_a_prior_irradiance_off_the_scale(self, tmp_path, capsys, prior):
+        out = tmp_path / "detect.json"
+        argv = ["detect", "--scenario", str(SCENARIO_DIR / "benchmark_psc1.json"),
+                "--event-index", "1", "--prior-irradiance", prior, "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: prior irradiance s_prior {float(prior)} outside [0, 1.0]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edits, field",

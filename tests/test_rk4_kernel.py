@@ -7,6 +7,7 @@ one, a kernel that does not load is a failure.
 
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -18,15 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pvmppt.converter as converter
-from pvmppt.converter import (
-    ConverterParams,
-    PlantCurve,
-    _grid_source,
-    _python_advance,
-    _python_advance_held,
-    advance,
-    advance_held,
-)
+from pvmppt.converter import ConverterParams, PlantCurve, _grid_source, _python_advance, advance
 from pvmppt.pvmodel import ArraySpec, ModuleDatasheet, calibrate_module, sweep_curve
 
 HAVE_CC = shutil.which("cc") is not None
@@ -34,6 +27,8 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on the path")
 PLANT = ConverterParams()  # w_floor 2.5 V
 W_FLOOR = (1.0 - converter.MAX_DUTY) * PLANT.v_out
 SRC = Path(converter.__file__).resolve().parent.parent
+# v_top is 6 V; the samples above it are not zero, so reading them would show
+EDGE_PLANT = [8.0, 7.9, 7.7, 7.2, 6.0, 3.5, 1.0, 0.5]
 
 
 def _bits(pair) -> bytes:
@@ -41,10 +36,23 @@ def _bits(pair) -> bytes:
     return struct.pack("<2d", *pair)
 
 
-def _outcome(fn, *args):
-    """``fn``'s result as bits, or the type and message of what it raised."""
+def _run_bits(fn, case, source, sampled):
+    """``fn(*case, source, PLANT, samples)``'s end state, and its samples
+    when ``sampled``, as bits; None when it declined."""
+    samples = ([], []) if sampled else None
+    end = fn(*case, source, PLANT, samples)
+    if end is None:
+        return None
+    if not sampled:
+        return _bits(end)
+    v_at, i_at = samples
+    return _bits(end) + struct.pack(f"<{len(v_at) + len(i_at)}d", *v_at, *i_at)
+
+
+def _outcome(fn, case, source, sampled):
+    """:func:`_run_bits`, or the type and message of what ``fn`` raised."""
     try:
-        return _bits(fn(*args))
+        return _run_bits(fn, case, source, sampled)
     except Exception as exc:  # the two paths must raise the same thing
         return type(exc), str(exc)
 
@@ -83,13 +91,63 @@ def psc_like_plant():
     return PlantCurve(sweep_curve(ArraySpec.uniform(module, 5, 1), 0.01))
 
 
-def _both(kernel, plant, *case):
-    """(native bits or None when declined, Python bits)."""
-    native = kernel(*case, plant.table, PLANT)
-    return (None if native is None else _bits(native)), _bits(_python_advance(*case, plant, PLANT))
+# (v, il, w0, dw, n_ticks, n_sub): one tick of a slewing command ...
+ONE_TICK_EDGES = [
+    (0.0, 0.0, 50.0, 0.0, 1, 25),  # v <= 0: the short-circuit current
+    (-0.0, 1.0, 50.0, 0.0, 1, 25),
+    (-5.0, 0.0, 200.0, 0.0, 1, 25),
+    (-1e300, 0.0, 200.0, 0.0, 1, 1),
+    (6.0, 0.5, 7.0, 0.0, 1, 25),  # v == v_top and above: zero current
+    (7.5, 0.5, 7.0, 0.01, 1, 25),
+    (1e300, 0.0, 7.0, 0.0, 1, 1),
+    (math.nextafter(6.0, 0.0), 0.1, 5.9, 0.0, 1, 25),  # the last table cell
+    (5.5, 0.1, 5.4, 0.0, 1, 25),
+    (4.3, 6.0, W_FLOOR + 0.5, -0.05, 1, 40),  # w ramps down across the duty floor
+    (4.3, 6.0, W_FLOOR - 0.5, 0.05, 1, 40),  # and up out of it
+    (4.3, 6.0, W_FLOOR, 0.0, 1, 10),
+    (4.3, 6.0, 3.0, 0.0, 1, 0),  # no sub-steps
+    (4.3, 6.0, 3.0, 0.0, 1, -3),
+    (4.3, 6.0, math.inf, 0.0, 1, 25),  # infinities
+    (4.3, 6.0, -math.inf, 0.0, 1, 25),
+    (4.3, 6.0, 3.0, math.inf, 1, 25),
+    (4.3, math.inf, 3.0, 0.0, 1, 25),
+    (math.inf, 0.0, 3.0, 0.0, 1, 25),
+    (-math.inf, 0.0, 3.0, 0.0, 1, 25),
+    (math.inf, 0.0, 3.0, 0.0, 1, 0),
+    (4.3, 6.0, math.nan, 0.0, 1, 25),  # a NaN w goes to the floor
+    (4.3, 6.0, 3.0, 0.0, 1, 2.5),  # not a count: ctypes rejects it, Python raises
+]
+# ... and ticks at one held command
+HELD_EDGES = [
+    (0.0, 0.0, 50.0, 0.0, 3, 25),  # v <= 0: the short-circuit current
+    (-0.0, 1.0, 50.0, 0.0, 3, 25),
+    (-5.0, 0.0, 200.0, 0.0, 2, 25),
+    (6.0, 0.5, 7.0, 0.0, 3, 25),  # v == v_top and above: zero current
+    (7.5, 0.5, 7.0, 0.0, 3, 25),
+    (1e300, 0.0, 7.0, 0.0, 2, 1),
+    (math.nextafter(6.0, 0.0), 0.1, 5.9, 0.0, 3, 25),  # the last table cell
+    (4.3, 6.0, W_FLOOR + 0.5, 0.0, 3, 40),  # just above the duty floor
+    (4.3, 6.0, W_FLOOR, 0.0, 3, 10),  # at it, below it, and at signed zero
+    (4.3, 6.0, 1.0, 0.0, 3, 10),
+    (4.3, 6.0, -0.0, 0.0, 3, 10),
+    (4.3, 6.0, 3.0, 0.0, 3, 0),  # no sub-steps: every tick samples one state
+    (4.3, 6.0, 3.0, 0.0, 0, 25),  # no ticks, or not a count
+    (4.3, 6.0, 3.0, 0.0, -2, 25),
+    (4.3, 6.0, 3.0, 0.0, 2.5, 25),
+    (4.3, 6.0, 3.0, 0.0, 3, 2.5),
+    (4.3, 6.0, math.inf, 0.0, 3, 25),  # infinities
+    (4.3, 6.0, -math.inf, 0.0, 3, 25),
+    (4.3, math.inf, 3.0, 0.0, 3, 25),
+    (math.inf, 0.0, 3.0, 0.0, 3, 25),
+    (4.3, 6.0, math.nan, 0.0, 3, 25),  # a NaN command goes to the floor
+    (math.nan, 1.0, 3.0, 0.0, 3, 25),  # a NaN voltage: declined, Python raises
+]
 
 
 class TestBitIdentity:
+    """``advance``: ticks of sub-steps under a slewing command, sampled at
+    each tick start or not, in the kernel and in the Python loop."""
+
     @needs_cc
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -98,179 +156,82 @@ class TestBitIdentity:
         v=st.floats(-5.0, 160.0),
         il=st.floats(0.0, 12.0),
         w0=st.floats(0.0, 250.0),
-        dw=st.floats(-2.0, 2.0),
-        n_sub=st.integers(0, 60),
+        dw=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+        n_ticks=st.integers(1, 12),
+        n_sub=st.integers(0, 30),
         dt=st.sampled_from([1e-6, 5e-6, 2e-5]),
+        sampled=st.booleans(),
     )
-    def test_random_tables(self, vals, h, v, il, w0, dw, n_sub, dt):
+    def test_random_tables(self, vals, h, v, il, w0, dw, n_ticks, n_sub, dt, sampled):
         kernel = converter._native_rk4()
         assert kernel is not None
         plant = _grid_source(vals, h)
-        native, python = _both(kernel, plant, v, il, w0, dw, n_sub, dt)
-        assert native == python
+        case = (v, il, w0, dw, n_ticks, n_sub, dt)
+        native = _run_bits(kernel, case, plant.table, sampled)
+        assert native == _run_bits(_python_advance, case, plant, sampled)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        vals=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=40),
+        h=st.sampled_from([0.25, 1.0, 3.7]),
+        v=st.floats(-5.0, 160.0),
+        il=st.floats(0.0, 12.0),
+        w0=st.floats(0.0, 250.0),
+        dw=st.floats(-2.0, 2.0),
+        n_ticks=st.integers(1, 8),
+        n_sub=st.integers(0, 12),
+    )
+    def test_ticks_continue_one_slew(self, vals, h, v, il, w0, dw, n_ticks, n_sub):
+        """Sampled ticks of ``n_sub`` steps end where one unsampled tick of
+        all ``n_ticks*n_sub`` steps ends: the slew runs on across ticks."""
+        plant = _grid_source(vals, h)
+        for fn in (advance, _python_advance):
+            v_at, i_at = [], []
+            ticks = fn(v, il, w0, dw, n_ticks, n_sub, 2e-5, plant, PLANT, (v_at, i_at))
+            one = fn(v, il, w0, dw, 1, n_ticks * n_sub, 2e-5, plant, PLANT, None)
+            assert _bits(ticks) == _bits(one)
+            assert len(v_at) == len(i_at) == n_ticks
+            assert _bits((v_at[0], i_at[0])) == _bits((v, plant(v)))
 
     def test_swept_curve_over_a_ramp(self, kernel, psc_like_plant):
         v, il = 60.0, psc_like_plant(60.0)
         for tick in range(200):
-            w0 = 140.0 - 0.3 * tick
-            native, python = _both(kernel, psc_like_plant, v, il, w0, -0.012, 25, 2e-5)
-            assert native == python
-            v, il = _python_advance(v, il, w0, -0.012, 25, 2e-5, psc_like_plant, PLANT)
+            case = (v, il, 140.0 - 0.3 * tick, -0.012, 1, 25, 2e-5)
+            native = _run_bits(kernel, case, psc_like_plant.table, False)
+            assert native == _run_bits(_python_advance, case, psc_like_plant, False)
+            v, il = _python_advance(*case, psc_like_plant, PLANT, None)
 
-    @pytest.mark.parametrize(
-        "v, il, w0, dw, n_sub",
-        [
-            (0.0, 0.0, 50.0, 0.0, 25),  # v <= 0: the short-circuit current
-            (-0.0, 1.0, 50.0, 0.0, 25),
-            (-5.0, 0.0, 200.0, 0.0, 25),
-            (-1e300, 0.0, 200.0, 0.0, 1),
-            (6.0, 0.5, 7.0, 0.0, 25),  # v == v_top and above: zero current
-            (7.5, 0.5, 7.0, 0.01, 25),
-            (1e300, 0.0, 7.0, 0.0, 1),
-            (math.nextafter(6.0, 0.0), 0.1, 5.9, 0.0, 25),  # the last table cell
-            (5.5, 0.1, 5.4, 0.0, 25),
-            (4.3, 6.0, W_FLOOR + 0.5, -0.05, 40),  # w ramps down across the duty floor
-            (4.3, 6.0, W_FLOOR - 0.5, 0.05, 40),  # and up out of it
-            (4.3, 6.0, W_FLOOR, 0.0, 10),
-            (4.3, 6.0, 3.0, 0.0, 0),  # no sub-steps
-            (4.3, 6.0, 3.0, 0.0, -3),
-            (4.3, 6.0, math.inf, 0.0, 25),  # infinities
-            (4.3, 6.0, -math.inf, 0.0, 25),
-            (4.3, 6.0, 3.0, math.inf, 25),
-            (4.3, math.inf, 3.0, 0.0, 25),
-            (math.inf, 0.0, 3.0, 0.0, 25),
-            (-math.inf, 0.0, 3.0, 0.0, 25),
-            (math.inf, 0.0, 3.0, 0.0, 0),
-            (4.3, 6.0, math.nan, 0.0, 25),  # a NaN w goes to the floor
-            (4.3, 6.0, 3.0, 0.0, 2.5),  # not a count: ctypes rejects it, Python raises
-        ],
-    )
-    def test_edge_inputs(self, kernel, v, il, w0, dw, n_sub):
-        # v_top is 6 V; the samples above it are not zero, so reading them would show
-        plant = _grid_source([8.0, 7.9, 7.7, 7.2, 6.0, 3.5, 1.0, 0.5], 1.0)
-        native = _outcome(advance, v, il, w0, dw, n_sub, 2e-5, plant, PLANT)
-        assert native == _outcome(_python_advance, v, il, w0, dw, n_sub, 2e-5, plant, PLANT)
-        got = kernel(v, il, w0, dw, n_sub, 2e-5, plant.table, PLANT)
-        if got is not None:  # where the kernel answers, it answers the Python bits
-            assert _bits(got) == native
-
-    def test_nan_voltage_raises_what_python_raises(self, kernel, psc_like_plant, monkeypatch):
-        case = (math.nan, 1.0, 80.0, 0.0, 25, 2e-5)
-        assert kernel(*case, psc_like_plant.table, PLANT) is None  # declined
-        with pytest.raises(ValueError) as native:
-            advance(*case, psc_like_plant, PLANT)
-        monkeypatch.setattr(converter, "_native_rk4", lambda: None)
-        with pytest.raises(ValueError) as python:
-            advance(*case, psc_like_plant, PLANT)
-        assert str(native.value) == str(python.value) == "cannot convert float NaN to integer"
-
-    @pytest.mark.parametrize("kind", ["function", "bound_method"])
-    def test_other_sources_run_the_python_loop(self, monkeypatch, kind):
-        class Source:
-            def current(self, v):
-                return 5.0 - 0.01 * v
-
-        source = Source().current if kind == "bound_method" else (lambda v: 5.0 - 0.01 * v)
-
-        def no_kernel():
-            raise AssertionError("a source without a table must not load the kernel")
-
-        monkeypatch.setattr(converter, "_native_rk4", no_kernel)
-        case = (60.0, 5.0, 80.0, 0.0, 25, 2e-5)
-        assert advance(*case, source, PLANT) == _python_advance(*case, source, PLANT)
-
-
-def _held_bits(fn, *args):
-    """``fn``'s end state and per-tick samples as bits, or None when it
-    declined."""
-    v_at, i_at = [], []
-    end = fn(*args, v_at, i_at)
-    if end is None:
-        return None
-    return _bits(end) + struct.pack(f"<{len(v_at) + len(i_at)}d", *v_at, *i_at)
-
-
-def _held_outcome(fn, *args):
-    """:func:`_held_bits`, or the type and message of what ``fn`` raised."""
-    try:
-        return _held_bits(fn, *args)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-# v_top is 6 V; the samples above it are not zero, so reading them would show
-EDGE_PLANT = [8.0, 7.9, 7.7, 7.2, 6.0, 3.5, 1.0, 0.5]
-
-
-class TestHeldEntry:
-    """``advance_held``: ticks of sub-steps at one command, sampled at each
-    tick start, in the kernel and in the Python loop."""
-
-    @needs_cc
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        vals=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=40),
-        h=st.sampled_from([0.01, 0.25, 1.0, 3.7]),
-        v=st.floats(-5.0, 160.0),
-        il=st.floats(0.0, 12.0),
-        w=st.floats(0.0, 250.0),
-        n_ticks=st.integers(1, 12),
-        n_sub=st.integers(0, 30),
-        dt=st.sampled_from([1e-6, 5e-6, 2e-5]),
-    )
-    def test_random_tables(self, vals, h, v, il, w, n_ticks, n_sub, dt):
-        kernel = converter._native_rk4()
-        plant = _grid_source(vals, h)
-        case = (v, il, w, n_ticks, n_sub, dt)
-        native = _held_bits(kernel.held, *case, plant.table, PLANT)
-        assert native == _held_bits(_python_advance_held, *case, plant, PLANT)
-
-    def test_one_advance_per_tick(self, psc_like_plant):
-        """The held entry is ``advance`` at ``dw = 0`` once per tick, each
+    def test_held_ticks_are_one_tick_per_call(self, psc_like_plant):
+        """At ``dw = 0``, sampled ticks are one unsampled call per tick, each
         tick sampled where it starts."""
         v, il = 60.0, psc_like_plant(60.0)
         v_at, i_at = [], []
-        end = advance_held(v, il, 55.0, 40, 25, 2e-5, psc_like_plant, PLANT, v_at, i_at)
+        end = advance(v, il, 55.0, 0.0, 40, 25, 2e-5, psc_like_plant, PLANT, (v_at, i_at))
         for k in range(40):
             assert _bits((v_at[k], i_at[k])) == _bits((v, psc_like_plant(v)))
-            v, il = _python_advance(v, il, 55.0, 0.0, 25, 2e-5, psc_like_plant, PLANT)
+            v, il = _python_advance(v, il, 55.0, 0.0, 1, 25, 2e-5, psc_like_plant, PLANT, None)
         assert _bits(end) == _bits((v, il))
 
-    @pytest.mark.parametrize(
-        "v, il, w, n_ticks, n_sub",
-        [
-            (0.0, 0.0, 50.0, 3, 25),  # v <= 0: the short-circuit current
-            (-0.0, 1.0, 50.0, 3, 25),
-            (-5.0, 0.0, 200.0, 2, 25),
-            (6.0, 0.5, 7.0, 3, 25),  # v == v_top and above: zero current
-            (7.5, 0.5, 7.0, 3, 25),
-            (1e300, 0.0, 7.0, 2, 1),
-            (math.nextafter(6.0, 0.0), 0.1, 5.9, 3, 25),  # the last table cell
-            (4.3, 6.0, W_FLOOR + 0.5, 3, 40),  # just above the duty floor
-            (4.3, 6.0, W_FLOOR, 3, 10),  # at it, below it, and at signed zero
-            (4.3, 6.0, 1.0, 3, 10),
-            (4.3, 6.0, -0.0, 3, 10),
-            (4.3, 6.0, 3.0, 3, 0),  # no sub-steps: every tick samples one state
-            (4.3, 6.0, 3.0, 0, 25),  # no ticks, or not a count
-            (4.3, 6.0, 3.0, -2, 25),
-            (4.3, 6.0, 3.0, 2.5, 25),
-            (4.3, 6.0, 3.0, 3, 2.5),
-            (4.3, 6.0, math.inf, 3, 25),  # infinities
-            (4.3, 6.0, -math.inf, 3, 25),
-            (4.3, math.inf, 3.0, 3, 25),
-            (math.inf, 0.0, 3.0, 3, 25),
-            (4.3, 6.0, math.nan, 3, 25),  # a NaN command goes to the floor
-            (math.nan, 1.0, 3.0, 3, 25),  # a NaN voltage: declined, Python raises
-        ],
-    )
-    def test_edge_inputs(self, kernel, v, il, w, n_ticks, n_sub):
+    @pytest.mark.parametrize("sampled", [False, True], ids=["bare", "sampled"])
+    @pytest.mark.parametrize("case", ONE_TICK_EDGES + HELD_EDGES)
+    def test_edge_inputs(self, kernel, case, sampled):
         plant = _grid_source(EDGE_PLANT, 1.0)
-        case = (v, il, w, n_ticks, n_sub, 2e-5)
-        native = _held_outcome(advance_held, *case, plant, PLANT)
-        assert native == _held_outcome(_python_advance_held, *case, plant, PLANT)
-        got = _held_outcome(kernel.held, *case, plant.table, PLANT)
+        case = (*case, 2e-5)
+        native = _outcome(advance, case, plant, sampled)
+        assert native == _outcome(_python_advance, case, plant, sampled)
+        got = _outcome(kernel, case, plant.table, sampled)
         if got is not None:  # where the kernel answers, it answers the Python bits
             assert got == native
+
+    def test_nan_voltage_raises_what_python_raises(self, kernel, psc_like_plant, monkeypatch):
+        case = (math.nan, 1.0, 80.0, 0.0, 1, 25, 2e-5)
+        assert kernel(*case, psc_like_plant.table, PLANT, None) is None  # declined
+        with pytest.raises(ValueError) as native:
+            advance(*case, psc_like_plant, PLANT, None)
+        monkeypatch.setattr(converter, "_native_rk4", lambda: None)
+        with pytest.raises(ValueError) as python:
+            advance(*case, psc_like_plant, PLANT, None)
+        assert str(native.value) == str(python.value) == "cannot convert float NaN to integer"
 
     def test_samples_begun_before_an_error_are_kept(self, monkeypatch, psc_like_plant):
         monkeypatch.setattr(converter, "_native_rk4", lambda: None)
@@ -284,17 +245,26 @@ class TestHeldEntry:
 
         v_at, i_at = [], []
         with pytest.raises(RuntimeError):
-            advance_held(60.0, 5.0, 55.0, 5, 25, 2e-5, source, PLANT, v_at, i_at)
+            advance(60.0, 5.0, 55.0, 0.0, 5, 25, 2e-5, source, PLANT, (v_at, i_at))
         assert len(v_at) == len(i_at) == 3
 
-    def test_other_sources_run_the_python_loop(self, monkeypatch):
+    @pytest.mark.parametrize("sampled", [False, True], ids=["bare", "sampled"])
+    @pytest.mark.parametrize("kind", ["function", "bound_method"])
+    def test_other_sources_run_the_python_loop(self, monkeypatch, kind, sampled):
+        class Source:
+            def current(self, v):
+                return 5.0 - 0.01 * v
+
+        source = Source().current if kind == "bound_method" else (lambda v: 5.0 - 0.01 * v)
+
         def no_kernel():
             raise AssertionError("a source without a table must not load the kernel")
 
         monkeypatch.setattr(converter, "_native_rk4", no_kernel)
-        source = lambda v: 5.0 - 0.01 * v  # noqa: E731
-        case = (60.0, 5.0, 80.0, 4, 25, 2e-5, source, PLANT)
-        assert _held_bits(advance_held, *case) == _held_bits(_python_advance_held, *case)
+        case = (60.0, 5.0, 80.0, -0.1, 4, 25, 2e-5)
+        assert _run_bits(advance, case, source, sampled) == _run_bits(
+            _python_advance, case, source, sampled
+        )
 
 
 class TestProbe:
@@ -310,7 +280,7 @@ class TestProbe:
 
         floored = unfloored = False
         for v, il, w0, dw, n_sub, dt in converter._probe_cases():
-            _python_advance(v, il, w0, dw, n_sub, dt, counted, PLANT)
+            _python_advance(v, il, w0, dw, 1, n_sub, dt, counted, PLANT, None)
             xs = [w0 + dw * (k + 0.5) for k in range(n_sub)]
             floored |= any(x <= W_FLOOR for x in xs)
             unfloored |= any(x > W_FLOOR for x in xs)
@@ -318,14 +288,25 @@ class TestProbe:
         assert floored and unfloored
 
     @needs_cc
-    def test_probe_checks_the_held_entry(self, monkeypatch, fresh_cache):
-        """A held entry one tick off the reference is refused, though
-        ``advance`` matches."""
-        monkeypatch.setattr(
-            converter, "_python_advance_held",
-            lambda v, il, w, n_ticks, *rest: _python_advance_held(v, il, w, n_ticks - 1, *rest),
-        )
+    def test_probe_checks_the_sampled_ticks(self, monkeypatch, fresh_cache):
+        """A reference one tick short only when it samples is refused,
+        though it matches every unsampled call."""
+        reference = converter._python_advance
+
+        def one_tick_short(v, il, w0, dw, n_ticks, n_sub, dt, i_of_v, params, samples):
+            if samples is not None:
+                n_ticks -= 1
+            return reference(v, il, w0, dw, n_ticks, n_sub, dt, i_of_v, params, samples)
+
+        monkeypatch.setattr(converter, "_python_advance", one_tick_short)
         assert converter._native_rk4.__wrapped__() is None
+
+    def test_source_exports_one_function(self):
+        """Every function of ``_rk4.c`` but the entry is ``static``."""
+        text = converter._RK4_SOURCE.read_text()
+        defined = re.findall(r"^(?:static inline )?\w+ \*?(\w+)\(", text, re.M)
+        exported = re.findall(r"^(?!static)\w+ \*?(\w+)\(", text, re.M)
+        assert len(defined) == 3 and exported == ["pvmppt_rk4_advance"]
 
 
 def _probe_failing_source(tmp_path: Path) -> Path:
@@ -340,7 +321,7 @@ def _probe_failing_source(tmp_path: Path) -> Path:
 
 
 class TestLoader:
-    CASE = (59.0, 5.0, 100.0, -0.3, 25, 2e-5)
+    CASE = (59.0, 5.0, 100.0, -0.3, 1, 25, 2e-5)
 
     def test_object_name_follows_source_flags_and_machine(self):
         source = converter._RK4_SOURCE.read_bytes()
@@ -375,11 +356,11 @@ class TestLoader:
         assert "hashlib" not in imported and "_hashlib" not in imported
 
     def _advance_bits(self, plant):
-        return _bits(advance(*self.CASE, plant, PLANT))
+        return _bits(advance(*self.CASE, plant, PLANT, None))
 
     def _assert_python_path_same_bits(self, monkeypatch, plant, loaded):
         """With the loader's result in place, ``advance`` gives the Python bits."""
-        want = _bits(_python_advance(*self.CASE, plant, PLANT))
+        want = _bits(_python_advance(*self.CASE, plant, PLANT, None))
         monkeypatch.setattr(converter, "_native_rk4", lambda: loaded)
         assert self._advance_bits(plant) == want
 
@@ -420,7 +401,7 @@ class TestLoader:
         assert [p.suffix for p in fresh_cache.iterdir()] == [".so"]
         monkeypatch.setattr(converter, "_native_rk4", lambda: second)
         native = self._advance_bits(psc_like_plant)
-        assert native == _bits(_python_advance(*self.CASE, psc_like_plant, PLANT))
+        assert native == _bits(_python_advance(*self.CASE, psc_like_plant, PLANT, None))
 
     @needs_cc
     def test_cache_directory_is_private(self, fresh_cache):
