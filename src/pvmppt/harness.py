@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import random
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +578,62 @@ def detect_pattern(
 # ---------------------------------------------------------------------------
 
 
+class Trace:
+    """The closed loop's trace as columns: row ``k`` is ADC tick ``k``, at
+    ``t = k*adc``.
+
+    ``v_pv`` and ``i_pv`` hold one value per row, and ``p`` is their
+    product.  The command, duty, mode and scan incumbent are held once per
+    block of rows (a held stretch or one active tick): :meth:`block` opens
+    one, and the rows appended to ``v_pv`` and ``i_pv`` after it hold its
+    values.  Indexing, slicing and iteration give :class:`TraceRecord` rows;
+    two traces are equal when their rows are."""
+
+    def __init__(self, adc: float):
+        self.adc = adc
+        self.v_pv: list[float] = []
+        self.i_pv: list[float] = []
+        self._starts: list[int] = []  # first row of each block
+        self._held: list[tuple[float, float, str, float, float]] = []
+
+    def block(self, v_ref: float, duty: float, mode: str, p_e: float, v_e: float) -> None:
+        self._starts.append(len(self.v_pv))
+        self._held.append((v_ref, duty, mode, p_e, v_e))
+
+    def blocks(self):
+        """``(first row, end row, (v_ref, duty, mode, p_e, v_e))`` per block."""
+        return zip(self._starts, self._starts[1:] + [len(self.v_pv)], self._held)
+
+    def t_and_p(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``t`` and ``p`` columns, with the bits of each row's fields."""
+        return np.arange(len(self.v_pv)) * self.adc, np.multiply(self.v_pv, self.i_pv)
+
+    def _row(self, k: int) -> TraceRecord:
+        v_ref, duty, mode, p_e, v_e = self._held[bisect_right(self._starts, k) - 1]
+        v, i = self.v_pv[k], self.i_pv[k]
+        return TraceRecord(k * self.adc, v_ref, duty, v, i, v * i, mode, p_e, v_e)
+
+    def __len__(self) -> int:
+        return len(self.v_pv)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self._row(k) for k in range(*key.indices(len(self)))]
+        k = operator.index(key)
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"trace row {key} outside a trace of {n} rows")
+        return self._row(k % n)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class RunReport:
     """One run as ``report.json`` holds it: ``events`` are the per-event
@@ -588,7 +647,7 @@ class RunReport:
         return {"scenario": self.scenario, "seed": self.seed, "events": self.events}
 
 
-def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
+def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     """Simulate the full controller/converter/array loop over a scenario.
 
     Deterministic given the scenario.  The trace is sampled at the
@@ -599,7 +658,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     A stretch of ticks on which the controller is idle (``tick_is_idle``)
     runs as one :func:`advance` call at the held command, sampled at each
     tick start, with the same samples, checks and bits as one tick at a
-    time."""
+    time; :func:`_idle_end` finds where it ends."""
     scn.validate()
     module = resolve_module(scn)
     ref = build_reference_model(module, scn.n_series, scn.n_parallel)
@@ -644,7 +703,7 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     v = state.v_ref
     il = windows[0]["plant"](v)
     v_out = conv.v_out
-    trace: list[TraceRecord] = []
+    trace = Trace(adc)
 
     def read_sample_module() -> float:
         return _sample_module_voltage(w["spec"], v)
@@ -654,12 +713,10 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
         t_sample = w["t_sample"]
         tick, tick_end = w["tick_start"], w["tick_end"]
         while tick < tick_end:
-            held_end = tick
-            while held_end < tick_end and tick_is_idle(state, held_end * adc, cfg):
-                held_end += 1
+            held_end = _idle_end(state, tick, tick_end, cfg)
             if held_end > tick:
-                v, il = _held_stretch(state, trace, v, il, tick, held_end - tick, cur, conv, dt,
-                                      sub_per_tick, adc)
+                v, il = _held_stretch(state, trace, v, il, held_end - tick, cur, conv, dt,
+                                      sub_per_tick)
                 tick = held_end
                 continue
             t = tick * adc
@@ -671,20 +728,9 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
             prev_cmd = state.v_ref
             new_ref, state = controller_tick(state, m, cfg, ref, read_sample_module)
             slew = state.mode is not Mode.PO
-            ep = state.episode  # set in scan_up, scan_down and settle_best
-            trace.append(
-                TraceRecord(
-                    t=t,
-                    v_ref=new_ref,
-                    duty=duty_for_voltage(new_ref, v_out),
-                    v_pv=v,
-                    i_pv=i,
-                    p=v * i,
-                    mode=state.mode.value,
-                    p_e=ep.p_e if ep else math.nan,
-                    v_e=ep.v_e if ep else math.nan,
-                )
-            )
+            _open_block(trace, state, v_out)
+            trace.v_pv.append(v)
+            trace.i_pv.append(i)
 
             # integrate [t, t+adc): command slews linearly in every mode but P&O
             dcmd = (new_ref - prev_cmd) / sub_per_tick if slew else 0.0
@@ -695,40 +741,66 @@ def run_closed_loop(scn: Scenario) -> tuple[list[TraceRecord], RunReport]:
     return trace, report
 
 
-def _held_stretch(
-    state: ControllerState, trace: list[TraceRecord], v: float, il: float, tick: int, n: int,
-    cur, conv: ConverterParams, dt: float, sub_per_tick: int, adc: float,
-) -> tuple[float, float]:
-    """Run ``n`` idle ticks from ``tick`` at the held command and append their
-    rows; returns ``(v_pv, i_L)`` at the end.  Each sample is checked as a
-    ``Measurement`` checks it.  The run one tick at a time would have raised
-    at the first bad sample, before integrating on, so a bad sample among
-    those taken wins over an error raised later in the stretch."""
-    v_ref = state.v_ref
-    v_at: list[float] = []
-    i_at: list[float] = []
-    try:
-        v, il = advance(v, il, v_ref, 0.0, n, sub_per_tick, dt, cur, conv, (v_at, i_at))
-    finally:
-        for v_k, i_k in zip(v_at, i_at):
-            check_sample(v_k, i_k)
-    duty = duty_for_voltage(v_ref, conv.v_out)
-    mode = state.mode.value
+def _open_block(trace: Trace, state: ControllerState, v_out: float) -> None:
+    """Open a block of ``trace`` at the controller's command, mode and scan
+    incumbent (``state.episode``, set in scan_up, scan_down and settle_best)."""
     ep = state.episode
-    p_e, v_e = (ep.p_e, ep.v_e) if ep else (math.nan, math.nan)
-    for k, (v_k, i_k) in enumerate(zip(v_at, i_at), tick):
-        trace.append(TraceRecord(k * adc, v_ref, duty, v_k, i_k, v_k * i_k, mode, p_e, v_e))
+    trace.block(
+        state.v_ref,
+        duty_for_voltage(state.v_ref, v_out),
+        state.mode.value,
+        ep.p_e if ep else math.nan,
+        ep.v_e if ep else math.nan,
+    )
+
+
+def _idle_end(state: ControllerState, tick: int, tick_end: int, cfg: ControllerConfig) -> int:
+    """The first tick in ``[tick, tick_end)``, ``tick < tick_end``, on which
+    ``tick_is_idle`` is false, or ``tick_end``.  With ``state`` fixed the
+    predicate holds on a prefix of the ticks (it compares ``t`` against a
+    held deadline, and ``k*adc`` rises with ``k``), so bisection finds the
+    same end as asking at every tick."""
+    adc = cfg.adc_period_s
+    if not tick_is_idle(state, tick * adc, cfg):
+        return tick
+    ticks = range(tick + 1, tick_end)
+    return tick + 1 + bisect_left(ticks, True, key=lambda k: not tick_is_idle(state, k * adc, cfg))
+
+
+def _held_stretch(
+    state: ControllerState, trace: Trace, v: float, il: float, n: int,
+    cur, conv: ConverterParams, dt: float, sub_per_tick: int,
+) -> tuple[float, float]:
+    """Run ``n`` idle ticks at the held command as one block of ``trace``;
+    returns ``(v_pv, i_L)`` at the end.  The samples are checked as a
+    ``Measurement`` checks them, in one pass; only a stretch that fails it
+    is checked sample by sample, to raise the first bad one's error.  The
+    run one tick at a time would have raised at the first bad sample,
+    before integrating on, so a bad sample among those taken wins over an
+    error raised later in the stretch."""
+    _open_block(trace, state, conv.v_out)
+    start = len(trace)
+    try:
+        samples = (trace.v_pv, trace.i_pv)
+        v, il = advance(v, il, state.v_ref, 0.0, n, sub_per_tick, dt, cur, conv, samples)
+    finally:
+        v_at, i_at = trace.v_pv[start:], trace.i_pv[start:]
+        # a NaN or an infinity makes the sum non-finite; a finite sum that
+        # overflows only costs the sample-by-sample check
+        if i_at and not (math.isfinite(sum(v_at) + sum(i_at)) and min(i_at) >= -1e-9):
+            for v_k, i_k in zip(v_at, i_at):
+                check_sample(v_k, i_k)
     return v, il
 
 
-def _build_report(scn, windows, trace, state: ControllerState, adc: float) -> RunReport:
+def _build_report(scn, windows, trace: Trace, state: ControllerState, adc: float) -> RunReport:
     events = []
+    t_col, p_col = trace.t_and_p()
     for k, w in enumerate(windows):
         t0 = w["tick_start"] * adc
         t1 = w["tick_end"] * adc
-        rows = trace[w["tick_start"] : w["tick_end"]]
-        ts = np.array([r.t for r in rows])
-        ps = np.array([r.p for r in rows])
+        ts = t_col[w["tick_start"] : w["tick_end"]]
+        ps = p_col[w["tick_start"] : w["tick_end"]]
         v_star, p_star = w["oracle"]
         # a dark window has no oracle power to measure against
         eff = float(_trapz(ps, ts) / (p_star * (t1 - t0))) if p_star > 0.0 else None
@@ -802,22 +874,35 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-# one trace row; "%.10g" % x is format(x, ".10g") for every float and int
-_TRACE_ROW = "%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%s,%s,%s\n"
+# rows formatted per write: ~100 kB of text, so a long trace is never held
+# as one string
+_EMIT_ROWS = 1024
 
 
-def emit_trace(trace: list[TraceRecord], path: str | Path) -> None:
+def emit_trace(trace: Trace, path: str | Path) -> None:
     """Write ``trace`` as CSV.  Only ``p_e`` and ``v_e`` may be NaN, outside
-    a scan; they are written empty."""
+    a scan; they are written empty.
+
+    Each block's held fields are formatted once, into a row template
+    repeated over its rows; the templates of up to ``_EMIT_ROWS`` rows are
+    filled with their rows' ``t, v_pv, i_pv, p`` in one ``%``.
+    ``"%.10g" % x`` is ``format(x, ".10g")`` for every float and int, and
+    neither it nor a mode name holds a ``%``."""
     path = Path(path)
+    t, p = (col.tolist() for col in trace.t_and_p())
+    values = chain.from_iterable(zip(t, trace.v_pv, trace.i_pv, p))
     try:
         with path.open("w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for r in trace:
-                fh.write(
-                    _TRACE_ROW
-                    % (r.t, r.v_ref, r.duty, r.v_pv, r.i_pv, r.p, r.mode, _fmt(r.p_e), _fmt(r.v_e))
-                )
+            templates, n = [], 0
+            for start, end, (v_ref, duty, mode, p_e, v_e) in trace.blocks():
+                row = (f"%.10g,{v_ref:.10g},{duty:.10g},%.10g,%.10g,%.10g,"
+                       f"{mode},{_fmt(p_e)},{_fmt(v_e)}\n")
+                templates.append(row * (end - start))
+                n += end - start
+                if n >= _EMIT_ROWS or end == len(trace):
+                    fh.write("".join(templates) % tuple(islice(values, 4 * n)))
+                    templates, n = [], 0
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 

@@ -389,11 +389,23 @@ def _string_curve(spec: ArraySpec, string_idx: int) -> tuple[np.ndarray, np.ndar
     return v_sorted[keep], i_sorted[keep]
 
 
+# most samples one sweep takes, 16 MB per array: an open-circuit voltage
+# of 20 kV at the 0.01 V step the closed loop sweeps at
+SWEEP_SAMPLES_MAX = 2_000_000
+
+
 def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
     """Dense P-V sweep from 0 to the array open-circuit voltage."""
     if not (0.0 < v_step <= 0.05):
         raise ValidationError("v_step must lie in (0, 0.05] V")
     voc = array_open_circuit_voltage(spec)
+    n = math.ceil(voc / v_step)
+    if n > SWEEP_SAMPLES_MAX:
+        raise ValidationError(
+            f"v_step {v_step} V gives {n} samples up to the open-circuit voltage "
+            f"{voc:.2f} V, above the {SWEEP_SAMPLES_MAX} maximum",
+            "v_step",
+        )
     if voc <= v_step:
         # dark array: an open-circuit voltage this low means a photocurrent of
         # the order of the bisection residue, so the curve carries no current

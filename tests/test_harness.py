@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from pvmppt.cli import main as cli_main
 from pvmppt import control
-from pvmppt.control import Measurement, Mode, controller_tick
+from pvmppt.control import ControllerConfig, ControllerState, Measurement, Mode, controller_tick
 from pvmppt.converter import (
     ConverterState,
     PlantCurve,
@@ -504,46 +504,101 @@ def _spy_on_stretches(monkeypatch, seen) -> None:
     monkeypatch.setattr(harness, "advance", spy)
 
 
+@pytest.fixture
+def tick_by_tick(monkeypatch):
+    """Switches the held stretches off: every tick goes through
+    ``controller_tick`` as one tick at a time."""
+    return lambda: monkeypatch.setattr(harness, "tick_is_idle", lambda state, t, cfg: False)
+
+
+_ADC = ControllerConfig().adc_period_s
+# a deadline on a tick, within the ticks' 1e-12 tolerance of one, or between two
+_deadline = st.builds(
+    lambda k, off: k * _ADC + off,
+    st.integers(0, 300),
+    st.sampled_from((0.0, -1e-12, 1e-12, -2e-12, 2e-12, 0.3 * _ADC, -0.3 * _ADC)),
+)
+
+
+@st.composite
+def _idle_states(draw):
+    """P&O waiting for ``next_po_t``, a detection settle, the settle to the
+    best point, a set slew target, a scan, and a command outside
+    ``[0, v_cmd_max]``."""
+    cfg = ControllerConfig()
+    s = ControllerState()
+    s.mode = draw(st.sampled_from(list(Mode)))
+    s.next_po_t = draw(_deadline)
+    s.settle_until = draw(st.one_of(_deadline, st.just(math.nan)))
+    s.slew_target = draw(st.sampled_from((math.nan, math.nan, 90.0)))
+    s.v_ref = draw(st.one_of(
+        st.floats(0.0, cfg.v_cmd_max),
+        st.sampled_from((-1.0, -5e-324, cfg.v_cmd_max + 1e-9, cfg.v_cmd_max + 10.0)),
+    ))
+    return s
+
+
 class TestIdleStretches:
     """The closed loop runs each stretch of ticks on which ``tick_is_idle``
-    holds as one ``advance`` call that samples each tick start;
-    ``tick_by_tick`` switches that off, so every tick goes through
-    ``controller_tick`` as one tick at a time."""
-
-    @pytest.fixture
-    def tick_by_tick(self, monkeypatch):
-        return lambda: monkeypatch.setattr(harness, "tick_is_idle", lambda state, t, cfg: False)
+    holds as one ``advance`` call that samples each tick start."""
 
     @pytest.mark.parametrize("scn", IDLE_CASES, ids=IDLE_IDS)
     def test_idle_tick_changes_nothing(self, scn, monkeypatch):
-        """At every tick the predicate holds for, the whole controller tick,
+        """At every tick of every held stretch, the whole controller tick,
         its early return switched off, on a deep copy of the state returns
         the held command and leaves an equal state, for measurements that
         would make an active tick act."""
         real = control.tick_is_idle
         monkeypatch.setattr(control, "tick_is_idle", lambda state, t, cfg: False)
         ref = build_reference_model(resolve_module(scn), scn.n_series, scn.n_parallel)
+        cfg = scn.controller
+        last_state = []
         checked = []
 
-        def spy(state, t, cfg):
-            idle = real(state, t, cfg)
-            if idle:
+        def idle(state, t, cfg):
+            last_state[:] = [state]  # the state a stretch found idle holds
+            return real(state, t, cfg)
+
+        def held(*args):
+            state = last_state[0]
+            # the samples go into the trace's columns: their length is the first tick
+            first = len(args[-1][0])
+            for tick in range(first, first + args[4]):
+                t = tick * cfg.adc_period_s
+                assert real(state, t, cfg)
                 k = len(checked)
                 # no current, a huge current in a hot module, the command itself
                 m = Measurement(
                     v=(0.0, 10.0, state.v_ref)[k % 3], i=(0.0, 1e3, 5.0)[k % 3], t=t,
                     t_sample_mod=(25.0, 80.0, -10.0)[k % 3],
                 )
-                held = copy.deepcopy(state)
-                cmd, after = controller_tick(held, m, cfg, ref, _no_readout)
+                copied = copy.deepcopy(state)
+                cmd, after = controller_tick(copied, m, cfg, ref, _no_readout)
                 assert struct.pack("<d", cmd) == struct.pack("<d", state.v_ref)
                 assert after == state
                 checked.append(t)
-            return idle
 
-        monkeypatch.setattr(harness, "tick_is_idle", spy)
+        monkeypatch.setattr(harness, "tick_is_idle", idle)
+        _spy_on_stretches(monkeypatch, held)
         trace, _ = run_closed_loop(scn)
         assert 0.5 * len(trace) < len(checked) < len(trace)
+        assert checked == sorted(set(checked))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        state=_idle_states(),
+        tick=st.integers(0, 300),
+        span=st.integers(1, 80),
+    )
+    def test_stretch_ends_at_the_first_active_tick(self, state, tick, span):
+        """The loop's stretch end, found by bisection, is the first tick at
+        which ``tick_is_idle`` is false, as asking at every tick finds it."""
+        cfg = ControllerConfig()
+        want = next(
+            (k for k in range(tick, tick + span) if not control.tick_is_idle(state, k * _ADC, cfg)),
+            tick + span,
+        )
+        assert harness._idle_end(state, tick, tick + span, cfg) == want
 
     @pytest.mark.parametrize("scn", IDLE_CASES, ids=IDLE_IDS)
     def test_held_stretches_give_the_tick_by_tick_bytes(self, scn, tmp_path, tick_by_tick):
@@ -617,6 +672,57 @@ class TestIdleStretches:
         assert len(calls) == bad_call + 1
 
 
+def _po_only(scn):
+    return replace(scn, name=f"{scn.name}-po", controller=replace(scn.controller, po_only=True))
+
+
+# a detection and a scan, P&O alone (nearly all held ticks), a corpus draw at dt_s 2e-5
+TRACE_CASES = [
+    load_scenario(SCENARIO_DIR / "benchmark_psc1.json"),
+    _po_only(load_scenario(SCENARIO_DIR / "benchmark_psc1.json")),
+    random_scenario(2026, 3),
+]
+
+
+def _row_bits(r) -> tuple:
+    """A trace row with each float as its IEEE bytes."""
+    fields = (r.t, r.v_ref, r.duty, r.v_pv, r.i_pv, r.p, r.p_e, r.v_e)
+    return struct.pack("<8d", *fields), r.mode
+
+
+class TestTrace:
+    @pytest.mark.parametrize("scn", TRACE_CASES, ids=lambda scn: scn.name)
+    def test_rows_are_the_tick_by_tick_rows(self, scn, tick_by_tick):
+        """The held run's ``Trace`` (a block per held stretch) and the
+        tick-by-tick run's (a block per tick) give the same rows by length,
+        ``==``, index, negative index, slice and iteration."""
+        trace, _ = run_closed_loop(scn)
+        tick_by_tick()
+        ticks, _ = run_closed_loop(scn)
+        n = round(scn.horizon_s / scn.controller.adc_period_s)
+        assert len(trace) == len(ticks) == n
+        assert trace == ticks and not trace != ticks
+        want = [_row_bits(r) for r in ticks]
+        assert [_row_bits(r) for r in trace] == want
+        assert [_row_bits(trace[k]) for k in range(n)] == want
+        assert [_row_bits(trace[k - n]) for k in range(n)] == want
+        assert _row_bits(trace[-1]) == want[-1]
+        for cut in (slice(None), slice(5, 17), slice(-3, None), slice(None, None, 7),
+                    slice(n - 2, 3, -4), slice(n, n + 5)):
+            assert [_row_bits(r) for r in trace[cut]] == want[cut]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                trace[k]
+        assert [r.t for r in trace] == [k * scn.controller.adc_period_s for k in range(n)]
+
+    def test_one_changed_row_makes_traces_unequal(self, psc1_run):
+        trace, _ = psc1_run
+        other = copy.deepcopy(trace)
+        assert other == trace
+        other.i_pv[len(other) // 2] += 1e-9
+        assert other != trace
+
+
 def _old_trace_row(r) -> str:
     """A trace row as ``emit_trace`` wrote it field by field."""
     fields = (r.t, r.v_ref, r.duty, r.v_pv, r.i_pv, r.p)
@@ -631,8 +737,9 @@ class TestEmitters:
         xs += [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 1e-16, 0, 7, -3, 10**12]
         assert [("%.10g" % x) for x in xs] == [format(x, ".10g") for x in xs]
 
-    def test_rows_match_the_field_by_field_writer(self, tmp_path):
-        trace, _ = run_closed_loop(load_scenario(SCENARIO_DIR / "benchmark_psc1.json"))
+    @pytest.mark.parametrize("scn", TRACE_CASES, ids=lambda scn: scn.name)
+    def test_rows_match_the_field_by_field_writer(self, scn, tmp_path):
+        trace, _ = run_closed_loop(scn)
         path = tmp_path / "trace.csv"
         emit_trace(trace, path)
         want = "".join(f"{line}\n" for line in [TRACE_HEADER, *map(_old_trace_row, trace)])
@@ -648,7 +755,7 @@ class TestEmitters:
 
     def test_empty_trace_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_trace([], path)
+        emit_trace(harness.Trace(5e-4), path)
         assert path.read_text() == TRACE_HEADER + "\n"
 
     def test_nan_best_serialized_empty(self, tmp_path, psc1_run):
@@ -978,6 +1085,19 @@ class TestCli:
             f"error: event index {index} outside [0, 2): the timeline has 2 events\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_rejects_a_step_too_fine_to_allocate(self, tmp_path, capsys):
+        """1e-7 V up to psc1's 148.5 V open-circuit voltage would be 1.5e9
+        samples (11 GiB a column): refused before any is made."""
+        out = tmp_path / "curve.csv"
+        argv = ["sweep", "--scenario", str(SCENARIO_DIR / "benchmark_psc1.json"),
+                "--v-step", "1e-7", "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: v_step 1e-07 V gives 1484999690 samples up to the open-circuit voltage "
+            "148.50 V, above the 2000000 maximum\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("prior", ["nan", "-2", "inf", "1.5"])
     def test_detect_rejects_a_prior_irradiance_off_the_scale(self, tmp_path, capsys, prior):
