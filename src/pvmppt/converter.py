@@ -26,6 +26,7 @@ import functools
 import math
 import os
 import random
+import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -335,6 +336,30 @@ def _object_name(source: bytes, flags: tuple[str, ...], machine: str) -> str:
     return f"_rk4-{zlib.crc32(key):08x}{zlib.adler32(key):08x}{len(key):x}.so"
 
 
+# a cached kernel object not built or loaded for this long is deleted by the
+# next process that loads another one: one per source edit piles up
+# otherwise.  Each load stamps its own object's mtime, so two checkouts used
+# in turn never delete each other's.
+STALE_OBJECT_S = 30 * 86400
+
+
+def _remove_stale(cache: Path, current: str) -> None:
+    """Stamp ``cache/current`` as used now and delete its ``_rk4-*.so``
+    siblings whose mtime is older than ``STALE_OBJECT_S``."""
+    cutoff = time.time() - STALE_OBJECT_S
+    try:
+        os.utime(cache / current)
+        siblings = [p for p in cache.glob("_rk4-*.so") if p.name != current]
+    except OSError:
+        return
+    for p in siblings:
+        try:
+            if p.stat().st_mtime < cutoff:
+                p.unlink()
+        except OSError:
+            pass
+
+
 @functools.cache
 def _native_rk4():
     """The compiled kernel as ``kernel(v, il, w0, dw, n_ticks, n_sub, dt,
@@ -343,8 +368,9 @@ def _native_rk4():
 
     Built once per source, flags and machine, named by
     :func:`_object_name`, and kept in :func:`_cache_dir`; a warm cache runs
-    no compiler.  When that directory cannot be used, the kernel is built in
-    a private temporary directory for this process alone.  A kernel that
+    no compiler, and :func:`_remove_stale` clears out old objects.  When
+    that directory cannot be used, the kernel is built in a private
+    temporary directory for this process alone.  A kernel that
     does not give the Python loop's bits on the probe is refused."""
     import ctypes
     import platform
@@ -367,6 +393,7 @@ def _native_rk4():
             if not path.exists():
                 _compile(cc, source, path)
             lib = ctypes.CDLL(str(path))
+            _remove_stale(cache, name)
         else:
             with tempfile.TemporaryDirectory(prefix="pvmppt-") as private:
                 path = Path(private) / name

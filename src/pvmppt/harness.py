@@ -54,12 +54,14 @@ from .converter import (
 from .pvmodel import (
     ND195R1S,
     STC_IRRADIANCE,
+    SWEEP_SAMPLES_MAX,
     ArraySpec,
     ModuleCondition,
     ModuleDatasheet,
     ModuleParams,
     PvCurve,
     ValidationError,
+    array_open_circuit_voltage,
     calibrate_module,
     module_current,
     module_open_circuit_voltage,
@@ -257,7 +259,15 @@ def resolve_module(scn: Scenario) -> ModuleParams:
     return scn.params if scn.params is not None else calibrate_module(scn.datasheet)
 
 
+# highest array open-circuit voltage a scenario may reach: the 0.01 V sweep
+# of the closed loop and of detection takes at most SWEEP_SAMPLES_MAX samples
+V_OC_MAX = SWEEP_SAMPLES_MAX * 0.01
+
+
 def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
+    """The array of timeline event ``event_idx``.  Rejects an array whose
+    open-circuit voltage is above ``V_OC_MAX`` (a value the spec keeps, so
+    its sweep reuses it)."""
     n = len(scn.events)
     if not 0 <= event_idx < n:
         raise ScenarioError(
@@ -265,13 +275,20 @@ def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
         )
     module = resolve_module(scn)
     grid = scn.events[event_idx].pattern.expand(scn.n_series)
-    return ArraySpec(
+    spec = ArraySpec(
         n_series=scn.n_series,
         n_parallel=scn.n_parallel,
         module=module,
         conditions=grid,
         sample_module=scn.sample_module,
     )
+    voc = array_open_circuit_voltage(spec)
+    if math.ceil(voc / 0.01) > SWEEP_SAMPLES_MAX:
+        raise ScenarioError(
+            f"array.n_series: {scn.n_series} modules per string give timeline[{event_idx}] "
+            f"an open-circuit voltage of {voc:.2f} V, above the {V_OC_MAX:.0f} V maximum"
+        )
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +677,9 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     tick start, with the same samples, checks and bits as one tick at a
     time; :func:`_idle_end` finds where it ends."""
     scn.validate()
-    module = resolve_module(scn)
-    ref = build_reference_model(module, scn.n_series, scn.n_parallel)
+    # every event's array is checked before anything is swept
+    specs = [base_array_spec(scn, k) for k in range(len(scn.events))]
+    ref = build_reference_model(specs[0].module, scn.n_series, scn.n_parallel)
     cfg = scn.controller
     conv = scn.converter
     dt = scn.dt_s
@@ -673,8 +691,7 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     event_ticks = [round(e.t / adc) for e in scn.events]
     windows = []
     s_idx, pos = scn.sample_module
-    for k, e in enumerate(scn.events):
-        spec = base_array_spec(scn, k)
+    for k, (e, spec) in enumerate(zip(scn.events, specs)):
         curve = sweep_curve(spec, 0.01)
         slope = float(np.max(np.abs(np.diff(curve.i) / np.diff(curve.v))))
         if slope * dt / conv.c_pv > STEP_NUMBER_MAX:

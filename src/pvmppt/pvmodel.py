@@ -18,8 +18,9 @@ cubic/exponential temperature law with a 1.12 eV band gap.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,6 +153,12 @@ class ArraySpec:
         s, j = self.sample_module
         if not (0 <= s < self.n_parallel and 0 <= j < self.n_series):
             raise ValidationError("sample_module index outside the array")
+
+    @cached_property
+    def _strings(self) -> "_StringCurves":
+        """This spec's string curves, computed on first use and kept for its
+        life: a spec is identity-hashed, so an equal new one starts afresh."""
+        return _StringCurves(self)
 
     @classmethod
     def uniform(
@@ -310,20 +317,8 @@ def module_open_circuit_voltage(p: ModuleParams, c: ModuleCondition) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _string_groups(
-    spec: ArraySpec, string_idx: int
-) -> list[tuple[ModuleParams, ModuleCondition, int]]:
-    """Distinct (params, condition) groups of one string with counts."""
-    groups: dict[ModuleCondition, int] = {}
-    for c in spec.conditions[string_idx]:
-        groups[c] = groups.get(c, 0) + 1
-    return [(spec.module, c, n) for c, n in groups.items()]
-
-
 def string_open_circuit_voltage(spec: ArraySpec, string_idx: int) -> float:
-    return sum(
-        n * module_open_circuit_voltage(p, c) for p, c, n in _string_groups(spec, string_idx)
-    )
+    return spec._strings.open_circuit_voltage(string_idx)
 
 
 def string_current(spec: ArraySpec, string_idx: int, v: float) -> float:
@@ -351,42 +346,102 @@ _N_BRANCH_SAMPLES = 3001
 
 
 def _module_branch_samples(
-    p: ModuleParams, c: ModuleCondition
+    p: ModuleParams, c: ModuleCondition, x_oc: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite module curve sampled as (current ascending, voltage).
+    """Composite module curve sampled as (current ascending, voltage), both
+    read-only; ``x_oc`` is ``_diode_voltage_var(p, c, 0.0)``.
 
     The diode branch is an explicit parametric curve in x = V + Rs*I:
     I(x) and V(x) need no root finding.  Voltages below the bypass clamp
     are flattened to ``v_bypass`` (ideal bypass diode)."""
     a, i_pv, i_o = _env(p, c)
-    x_oc = _diode_voltage_var(p, c, 0.0)
     xs = np.linspace(p.v_bypass, x_oc, _N_BRANCH_SAMPLES)
     i_x = i_pv + i_o - i_o * np.exp(xs / a) - xs / p.r_sh
     v_x = np.maximum(xs - p.r_s * i_x, p.v_bypass)
-    return i_x[::-1].copy(), v_x[::-1].copy()
+    return _read_only(i_x[::-1].copy()), _read_only(v_x[::-1].copy())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _StringCurves:
+    """The strings of one :class:`ArraySpec` (its ``_strings``), each part
+    computed on first use and kept.
+
+    A string is keyed by its ``(condition, count)`` groups in the order the
+    conditions first appear in it, the order its module voltages are summed
+    in; strings with equal keys share one curve and one open-circuit voltage.
+    The open-circuit root and the branch samples are computed once per
+    distinct condition.  The arrays handed out are read-only."""
+
+    def __init__(self, spec: ArraySpec):
+        self.module = spec.module
+        self.v_floor = spec.n_series * spec.module.v_bypass
+        self.keys = [self._key(row) for row in spec.conditions]
+        self._x_oc: dict[ModuleCondition, float] = {}
+        self._branches: dict[ModuleCondition, tuple[np.ndarray, np.ndarray]] = {}
+        self._voc: dict[tuple, float] = {}
+        self._curves: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    @staticmethod
+    def _key(row: tuple[ModuleCondition, ...]) -> tuple[tuple[ModuleCondition, int], ...]:
+        groups: dict[ModuleCondition, int] = {}
+        for c in row:
+            groups[c] = groups.get(c, 0) + 1
+        return tuple(groups.items())
+
+    def x_oc(self, c: ModuleCondition) -> float:
+        """``x = V + Rs*I`` of a module at ``c`` in open circuit."""
+        if c not in self._x_oc:
+            self._x_oc[c] = _diode_voltage_var(self.module, c, 0.0)
+        return self._x_oc[c]
+
+    def open_circuit_voltage(self, string_idx: int) -> float:
+        """The string's summed module open-circuit voltages,
+        :func:`module_open_circuit_voltage` of each group."""
+        key = self.keys[string_idx]
+        if key not in self._voc:
+            p = self.module
+            self._voc[key] = sum(n * max(self.x_oc(c) - p.r_s * 0.0, p.v_bypass) for c, n in key)
+        return self._voc[key]
+
+    def _branch(self, c: ModuleCondition) -> tuple[np.ndarray, np.ndarray]:
+        if c not in self._branches:
+            self._branches[c] = _module_branch_samples(self.module, c, self.x_oc(c))
+        return self._branches[c]
+
+    def curve(self, string_idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """(v ascending, i) samples of the string, blocking diode applied."""
+        key = self.keys[string_idx]
+        if key in self._curves:
+            return self._curves[key]
+        branches = [(self._branch(c), n) for c, n in key]
+        # beyond a branch's own short-circuit region np.interp right-fills the
+        # bypass clamp voltage, so the master grid runs to the largest current
+        i_top = max(i_asc[-1] for (i_asc, _), _ in branches)
+        master = np.unique(
+            np.concatenate(
+                [i_asc for (i_asc, _), _ in branches] + [np.linspace(0.0, i_top, 1025)]
+            )
+        )
+        v_str = np.zeros_like(master)
+        for (i_asc, v_asc), n in branches:
+            v_str += n * np.interp(master, i_asc, v_asc)
+        # ascending in voltage; drop the fully clamped tail (never queried at v>=0)
+        v_sorted = v_str[::-1]
+        i_sorted = master[::-1]
+        keep = np.concatenate(([True], np.diff(v_sorted) > 0.0))
+        keep &= v_sorted > self.v_floor
+        self._curves[key] = _read_only(v_sorted[keep]), _read_only(i_sorted[keep])
+        return self._curves[key]
 
 
 def _string_curve(spec: ArraySpec, string_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v ascending, i) samples of one string, blocking diode applied."""
-    groups = _string_groups(spec, string_idx)
-    branches = [(_module_branch_samples(p, c), n) for p, c, n in groups]
-    # beyond a branch's own short-circuit region np.interp right-fills the
-    # bypass clamp voltage, so the master grid runs to the largest current
-    i_top = max(i_asc[-1] for (i_asc, _), _ in branches)
-    master = np.unique(
-        np.concatenate(
-            [i_asc for (i_asc, _), _ in branches] + [np.linspace(0.0, i_top, 1025)]
-        )
-    )
-    v_str = np.zeros_like(master)
-    for (i_asc, v_asc), n in branches:
-        v_str += n * np.interp(master, i_asc, v_asc)
-    # ascending in voltage; drop the fully clamped tail (never queried at v>=0)
-    v_sorted = v_str[::-1]
-    i_sorted = master[::-1]
-    keep = np.concatenate(([True], np.diff(v_sorted) > 0.0))
-    keep &= v_sorted > spec.n_series * spec.module.v_bypass
-    return v_sorted[keep], i_sorted[keep]
+    """(v ascending, i) samples of one string, blocking diode applied;
+    computed once per distinct string of ``spec``."""
+    return spec._strings.curve(string_idx)
 
 
 # most samples one sweep takes, 16 MB per array: an open-circuit voltage
@@ -414,10 +469,16 @@ def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
     v = np.arange(0.0, voc, v_step)
     if v[-1] < voc:
         v = np.append(v, voc)
+    # one interpolation per distinct string, added in string order and
+    # dropped after its last string
     i = np.zeros_like(v)
-    for s in range(spec.n_parallel):
-        v_pts, i_pts = _string_curve(spec, s)
-        i += np.interp(v, v_pts, i_pts, right=0.0)
+    left = Counter(spec._strings.keys)
+    rows: dict[tuple, np.ndarray] = {}
+    for s, key in enumerate(spec._strings.keys):
+        if key not in rows:
+            rows[key] = np.interp(v, *_string_curve(spec, s), right=0.0)
+        left[key] -= 1
+        i += rows[key] if left[key] else rows.pop(key)
     i = np.maximum(i, 0.0)
     i[-1] = 0.0
     return PvCurve(v=v, i=i, p=v * i)

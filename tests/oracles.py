@@ -8,6 +8,9 @@ None of these runs in the simulator:
 - the string current bisects on the shared current over the scalar
   module voltages instead of reading the string's swept samples, and the
   array current sums those strings;
+- the uncached sweep builds every string afresh from its own module
+  groups, where the package builds each distinct string and condition of
+  an array once and keeps it;
 - the uniform array current collapses the whole array into one lumped
   diode instead of composing strings;
 - the local maxima refine every peak of a swept curve, not only the
@@ -18,6 +21,7 @@ None of these runs in the simulator:
 
 import math
 
+import numpy as np
 from scipy.optimize import least_squares
 
 from pvmppt.pvmodel import (
@@ -30,10 +34,11 @@ from pvmppt.pvmodel import (
     ValidationError,
     _bracket,
     _check_contract,
+    _diode_voltage_var,
     _env,
     _exp,
     _fit_problem,
-    _string_groups,
+    _module_branch_samples,
     module_current,
     module_open_circuit_voltage,
     module_voltage,
@@ -48,6 +53,55 @@ def module_mpp(p: ModuleParams, c: ModuleCondition) -> tuple[float, float]:
     return v, pw
 
 
+def string_groups(
+    spec: ArraySpec, string_idx: int
+) -> list[tuple[ModuleParams, ModuleCondition, int]]:
+    """Distinct (params, condition) groups of one string with counts, in the
+    order the conditions first appear."""
+    groups: dict[ModuleCondition, int] = {}
+    for c in spec.conditions[string_idx]:
+        groups[c] = groups.get(c, 0) + 1
+    return [(spec.module, c, n) for c, n in groups.items()]
+
+
+def uncached_string_curve(spec: ArraySpec, string_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v ascending, i) samples of one string, built afresh: one
+    open-circuit root and one set of branch samples per module group."""
+    branches = []
+    for p, c, n in string_groups(spec, string_idx):
+        branches.append((_module_branch_samples(p, c, _diode_voltage_var(p, c, 0.0)), n))
+    i_top = max(i_asc[-1] for (i_asc, _), _ in branches)
+    master = np.unique(
+        np.concatenate([i_asc for (i_asc, _), _ in branches] + [np.linspace(0.0, i_top, 1025)])
+    )
+    v_str = np.zeros_like(master)
+    for (i_asc, v_asc), n in branches:
+        v_str += n * np.interp(master, i_asc, v_asc)
+    v_sorted = v_str[::-1]
+    i_sorted = master[::-1]
+    keep = np.concatenate(([True], np.diff(v_sorted) > 0.0))
+    keep &= v_sorted > spec.n_series * spec.module.v_bypass
+    return v_sorted[keep], i_sorted[keep]
+
+
+def uncached_array_open_circuit_voltage(spec: ArraySpec) -> float:
+    """The highest string open-circuit voltage, each module solved afresh."""
+    return max(
+        sum(n * module_open_circuit_voltage(p, c) for p, c, n in string_groups(spec, s))
+        for s in range(spec.n_parallel)
+    )
+
+
+def uncached_sweep_current(spec: ArraySpec, v: np.ndarray) -> np.ndarray:
+    """The array current ``sweep_curve`` sums at the voltages ``v`` (before
+    its clip and its zero at the last sample): every string interpolated
+    afresh, added in string order."""
+    i = np.zeros_like(v)
+    for s in range(spec.n_parallel):
+        i += np.interp(v, *uncached_string_curve(spec, s), right=0.0)
+    return i
+
+
 def scalar_string_current(spec: ArraySpec, string_idx: int, v: float) -> float:
     """Current of one series string held at terminal voltage ``v``.
 
@@ -58,7 +112,7 @@ def scalar_string_current(spec: ArraySpec, string_idx: int, v: float) -> float:
     """
     if v < 0.0:
         raise ValidationError("string voltage must be >= 0")
-    groups = _string_groups(spec, string_idx)
+    groups = string_groups(spec, string_idx)
     if v >= sum(n * module_open_circuit_voltage(p, c) for p, c, n in groups):
         return 0.0
     hi = max(module_current(p, c, 0.0) for p, c, _ in groups) + 1e-9

@@ -55,6 +55,7 @@ from pvmppt.pvmodel import (
     ModuleCondition,
     ValidationError,
     calibrate_module,
+    module_open_circuit_voltage,
     oracle_gmpp,
     string_current,
     sweep_curve,
@@ -1096,6 +1097,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: v_step 1e-07 V gives 1484999690 samples up to the open-circuit voltage "
             "148.50 V, above the 2000000 maximum\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "detect"])
+    def test_array_above_the_sweep_voltage_rejected(self, tmp_path, capsys, nd_module, command):
+        """A psc1 copy with 700 modules a string (20.79 kV) passes validation;
+        every command refuses it naming array.n_series, before any sweep."""
+        doc = json.loads((SCENARIO_DIR / "benchmark_psc1.json").read_text())
+        doc["array"]["n_series"] = 700
+        doc["timeline"][0]["pattern"] = ["700-0-0"] * 3
+        doc["timeline"][1]["pattern"] = ["280-280-140", "140-420-140", "420-280-0"]
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(doc))
+        load_scenario(path)
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(path), "--out", str(out)]
+        assert cli_main(argv) == 2
+        voc = 700 * module_open_circuit_voltage(nd_module, ModuleCondition(1.0, 25.0))
+        assert capsys.readouterr().err == (
+            f"error: array.n_series: 700 modules per string give timeline[0] an open-circuit "
+            f"voltage of {voc:.2f} V, above the 20000 V maximum\n"
         )
         assert not out.exists()
 

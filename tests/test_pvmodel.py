@@ -1,12 +1,15 @@
 """Electrical model tests: calibration, composition, sweep, oracle."""
 
 import random
+import struct
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvmppt import pvmodel
 from pvmppt.harness import base_array_spec, load_scenario
@@ -29,7 +32,7 @@ from pvmppt.pvmodel import (
     string_current,
     sweep_curve,
 )
-from pvmppt.pvmodel import _check_contract, _datasheet_residuals, _fit_datasheet
+from pvmppt.pvmodel import _check_contract, _datasheet_residuals, _fit_datasheet, _string_curve
 from pvmppt.solver import bounded_lm
 
 from oracles import (
@@ -38,6 +41,9 @@ from oracles import (
     module_mpp,
     scalar_string_current,
     scipy_fit,
+    uncached_array_open_circuit_voltage,
+    uncached_string_curve,
+    uncached_sweep_current,
     uniform_array_current,
 )
 
@@ -367,6 +373,126 @@ class TestStringAndArray:
         curve = sweep_curve(spec, 0.01)
         for j in np.linspace(0, len(curve) - 1, 37).round().astype(int):
             assert abs(array_current(spec, float(curve.v[j])) - curve.i[j]) < 1e-4
+
+
+def _float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def assert_memo_matches_uncached(spec: ArraySpec) -> None:
+    """The sweep, the string readout and the open-circuit voltage of ``spec``
+    carry the bits of strings built afresh, one per string index."""
+    voc = array_open_circuit_voltage(spec)
+    assert _float_bits(voc) == _float_bits(uncached_array_open_circuit_voltage(spec))
+    curve = sweep_curve(spec, 0.01)
+    if voc > 0.01:  # a dark array is swept without its strings
+        want = np.maximum(uncached_sweep_current(spec, curve.v), 0.0)
+        want[-1] = 0.0
+        assert curve.i.tobytes() == want.tobytes()
+    for s in range(spec.n_parallel):
+        v_pts, i_pts = uncached_string_curve(spec, s)
+        got_v, got_i = _string_curve(spec, s)
+        assert got_v.tobytes() == v_pts.tobytes() and got_i.tobytes() == i_pts.tobytes()
+        for v in (0.0, 0.5 * voc, float(v_pts[len(v_pts) // 3]), voc, voc + 1.0):
+            want_i = float(np.interp(v, v_pts, i_pts, right=0.0))
+            assert _float_bits(string_current(spec, s, v)) == _float_bits(want_i)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The conditions ``_module_branch_samples`` and ``_diode_voltage_var``
+    are called at, as ``{"branch": [c, ...], "x": [(c, i), ...]}``."""
+    calls = {"branch": [], "x": []}
+    branch, x = pvmodel._module_branch_samples, pvmodel._diode_voltage_var
+
+    def spy_branch(p, c, x_oc):
+        calls["branch"].append(c)
+        return branch(p, c, x_oc)
+
+    def spy_x(p, c, i):
+        calls["x"].append((c, i))
+        return x(p, c, i)
+
+    monkeypatch.setattr(pvmodel, "_module_branch_samples", spy_branch)
+    monkeypatch.setattr(pvmodel, "_diode_voltage_var", spy_x)
+    return calls
+
+
+A, B, C = ModuleCondition(0.8, 30.0), ModuleCondition(0.4, 27.0), ModuleCondition(0.15, 25.0)
+
+
+class TestStringMemo:
+    """Each ArraySpec builds each distinct condition and string once: the
+    results keep the bits of the strings built one by one."""
+
+    @pytest.mark.parametrize("name", [f"benchmark_psc{k}" for k in range(1, 6)])
+    def test_psc_events_match_uncached_strings(self, name):
+        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
+        for k in range(len(scn.events)):
+            assert_memo_matches_uncached(base_array_spec(scn, k))
+
+    def test_repeated_and_reordered_strings_match(self, nd_module):
+        """Strings 0, 2 and 3 share one key (3 in another module order but
+        the same first appearances), strings 1 and 5 sum the same groups in
+        other orders, and string 4 holds equal conditions that are other
+        objects.  Three groups: two would add in either order to one bit
+        pattern."""
+        a2 = ModuleCondition(A.irradiance, A.temperature)
+        grid = (
+            (A, A, B, C), (C, B, A, A), (A, A, B, C), (A, B, A, C), (a2, a2, B, C), (B, A, C, A),
+        )
+        spec = ArraySpec(4, 6, nd_module, grid)
+        assert len(set(spec._strings.keys)) == 3
+        assert_memo_matches_uncached(spec)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(st.sampled_from((A, B, C)), min_size=n, max_size=n),
+                               min_size=1, max_size=4)
+        )
+    )
+    def test_drawn_arrays_match_uncached_strings(self, rows):
+        spec = ArraySpec(len(rows[0]), len(rows), ND195R1S_PARAMS, tuple(map(tuple, rows)))
+        assert_memo_matches_uncached(spec)
+
+    @pytest.mark.parametrize("event", [0, 1])
+    def test_one_solve_per_distinct_condition(self, solves, event):
+        """On psc1 (event 0 uniform, event 1 three levels over three strings)
+        the open-circuit root and the branch samples run once per distinct
+        condition, and the readouts after the sweep compute nothing new."""
+        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
+        spec = base_array_spec(scn, event)
+        distinct = {c for row in spec.conditions for c in row}
+        assert len(distinct) == (1 if event == 0 else 3)
+        sweep_curve(spec, 0.01)
+        assert sorted(solves["x"], key=repr) == sorted(((c, 0.0) for c in distinct), key=repr)
+        assert sorted(solves["branch"], key=repr) == sorted(distinct, key=repr)
+        before = {k: list(v) for k, v in solves.items()}
+        for s in range(spec.n_parallel):
+            for v in (0.0, 60.0, 110.0, 200.0):
+                string_current(spec, s, v)
+        array_open_circuit_voltage(spec)
+        assert solves == before
+
+    def test_fresh_spec_with_equal_fields_recomputes(self, solves, nd_module):
+        spec = ArraySpec(4, 2, nd_module, ((A, A, B, B), (A, A, B, B)))
+        twin = ArraySpec(spec.n_series, spec.n_parallel, spec.module, spec.conditions)
+        assert twin != spec
+        curve = sweep_curve(spec, 0.01)
+        assert len(solves["branch"]) == 2
+        twin_curve = sweep_curve(twin, 0.01)
+        assert len(solves["branch"]) == 4 and len(solves["x"]) == 4
+        assert twin._strings is not spec._strings
+        assert twin_curve.i.tobytes() == curve.i.tobytes()
+
+    def test_shared_arrays_are_read_only(self, nd_module):
+        spec = two_level_string(nd_module, 4, 2, 2.0)
+        v_pts, i_pts = _string_curve(spec, 0)
+        for arr in (v_pts, i_pts, *pvmodel._module_branch_samples(nd_module, HS, 30.0)):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert _string_curve(spec, 0)[0] is v_pts
 
 
 class TestSweepAndOracle:

@@ -12,6 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,31 @@ class TestLoader:
         monkeypatch.setattr(converter, "_native_rk4", lambda: second)
         native = self._advance_bits(psc_like_plant)
         assert native == _bits(_python_advance(*self.CASE, psc_like_plant, PLANT, None))
+
+    @needs_cc
+    def test_stale_objects_are_removed(self, fresh_cache):
+        """Loading a kernel deletes other ``_rk4-*.so`` objects unused for
+        STALE_OBJECT_S, and nothing else: not a recent one, not its own
+        object, however old, and no file of another name."""
+        assert converter._native_rk4.__wrapped__() is not None
+        (current,) = fresh_cache.iterdir()
+        old = time.time() - converter.STALE_OBJECT_S - 3600
+        recent = time.time() - 86400
+        files = {
+            "_rk4-0123456789abcdef1f.so": old,  # stale sibling
+            "_rk4-fedcba98765432101f.so": recent,
+            "_rk4-0123456789abcdef1f.so.x1y2.tmp": old,  # another process's build
+            "notes.so": old,
+            "_rk4-readme.txt": old,
+        }
+        for name, mtime in files.items():
+            (fresh_cache / name).write_bytes(b"")
+            os.utime(fresh_cache / name, (mtime, mtime))
+        os.utime(current, (old, old))
+        assert converter._native_rk4.__wrapped__() is not None
+        kept = {current.name, *files} - {"_rk4-0123456789abcdef1f.so"}
+        assert {p.name for p in fresh_cache.iterdir()} == kept
+        assert current.stat().st_mtime > recent  # stamped as used
 
     @needs_cc
     def test_cache_directory_is_private(self, fresh_cache):
