@@ -144,11 +144,23 @@ def duty_for_voltage(v_ref: float, v_out: float) -> float:
 def PlantCurve(curve: PvCurve) -> Callable[[float], float]:
     """Uniform-grid current lookup of a swept curve: the plant's current source.
 
-    The grid step is 0.01 V, the step the closed loop sweeps at."""
+    The grid step is 0.01 V, the step the closed loop sweeps at, so the
+    table is read off the curve's own samples: a grid point equal to the
+    curve's sample of the same index takes that sample's current, which is
+    what ``np.interp`` returns there.  Only the grid points past that
+    prefix are interpolated: 1-2 at the top of a 0.01 V sweep, most of the
+    grid for a curve sampled on another grid.  The table is zero from V_oc
+    up."""
     h = 0.01
-    voc = float(curve.v[-1])
+    v = curve.v
+    voc = float(v[-1])
     grid = np.arange(0.0, voc + 2 * h, h)
-    vals = np.interp(grid, curve.v, curve.i, right=0.0)
+    n = min(len(grid), len(v))
+    differ = np.flatnonzero(grid[:n] != v[:n])
+    k = int(differ[0]) if len(differ) else n
+    if 0 < k < len(v) and v[k] == v[k - 1]:
+        k -= 1  # np.interp reads a repeated sample's last current
+    vals = np.concatenate((curve.i[:k], np.interp(grid[k:], v, curve.i, right=0.0)))
     vals[grid >= voc] = 0.0
     return _grid_source(vals, h)
 
@@ -157,13 +169,16 @@ def _grid_source(vals: np.ndarray, h: float) -> Callable[[float], float]:
     """Linear interpolation in ``vals``, sampled every ``h`` volts from 0 V:
     ``vals[0]`` at or below 0 V and zero from the next-to-last sample up.
 
-    Returns a plain closure ``i(v)`` over the samples as a list: the Python
-    RK4 loop calls it four times per sub-step, so it holds its state in
-    cells.  Its one attribute, ``table = (vals, h, v_top, i_short)``, is
-    what the compiled kernel reads."""
-    vals = np.array(vals, dtype=np.float64)
+    Returns a plain closure ``i(v)``: the Python RK4 loop calls it four
+    times per sub-step, so it holds its state in cells and reads the
+    samples through a ``memoryview``.  Its one attribute,
+    ``table = (vals, h, v_top, i_short)``, is what the compiled kernel
+    reads.  A contiguous float64 array is taken over, not copied: it is
+    made read-only, so a later write to it raises instead of changing the
+    table."""
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
     vals.flags.writeable = False
-    il = vals.tolist()
+    il = memoryview(vals)
     v_top = (len(il) - 2) * h
     i_short = il[0]
 

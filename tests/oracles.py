@@ -15,6 +15,9 @@ None of these runs in the simulator:
   diode instead of composing strings;
 - the local maxima refine every peak of a swept curve, not only the
   global one;
+- the plant table interpolates the curve over the whole 0.01 V grid and
+  its lookup reads a list, where ``PlantCurve`` copies the samples that
+  fall on the grid and reads them through a ``memoryview``;
 - the datasheet fit is solved by scipy instead of the package's own
   Levenberg–Marquardt.
 """
@@ -148,6 +151,30 @@ def local_maxima(curve: PvCurve) -> list[tuple[float, float]]:
             )
             peaks.append((v_star, max(p_star, float(p[j]))))
     return peaks
+
+
+def interpolated_plant(curve: PvCurve, h: float = 0.01):
+    """``(vals, lookup, v_top)``: the plant table as ``PlantCurve`` built it
+    before it read the curve's own samples, ``np.interp`` over the whole
+    grid, zero from V_oc up, and the lookup over that table as a list."""
+    voc = float(curve.v[-1])
+    grid = np.arange(0.0, voc + 2 * h, h)
+    vals = np.interp(grid, curve.v, curve.i, right=0.0)
+    vals[grid >= voc] = 0.0
+    ilist = vals.tolist()
+    v_top = (len(ilist) - 2) * h
+
+    def lookup(v):
+        if v <= 0.0:
+            return ilist[0]
+        if v >= v_top:
+            return 0.0
+        x = v / h
+        j = int(x)
+        fr = x - j
+        return ilist[j] + (ilist[j + 1] - ilist[j]) * fr
+
+    return vals, lookup, v_top
 
 
 def uniform_array_current(

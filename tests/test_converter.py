@@ -1,7 +1,12 @@
 """Averaged boost converter tests: statics, dynamics, command handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pvmppt.converter as converter
 from pvmppt.converter import (
@@ -18,15 +23,20 @@ from pvmppt.converter import (
     run,
     step_ode,
 )
+from pvmppt.harness import base_array_spec, load_scenario, random_scenario
 from pvmppt.pvmodel import (
     ArraySpec,
     ModuleDatasheet,
+    PvCurve,
     ValidationError,
     calibrate_module,
     sweep_curve,
 )
 
-from oracles import array_current
+from oracles import array_current, interpolated_plant
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
 
 # tracking-error bound for a 4000 V/s ramp on the reference plant, frozen
 # from a dt/10 (5e-7 s) integration of the same model: max|v_pv - v_ref|
@@ -238,32 +248,78 @@ class TestRun:
             CommandSegment("hold", 10.0)
 
 
-def _class_lookup(curve, h=0.01):
-    """The plant lookup as the former ``PlantCurve`` class computed it."""
-    voc = float(curve.v[-1])
-    grid = np.arange(0.0, voc + 2 * h, h)
-    vals = np.interp(grid, curve.v, curve.i, right=0.0)
-    vals[grid >= voc] = 0.0
-    ilist = vals.tolist()
-    v_top = (len(ilist) - 2) * h
+def _event_curves(scn):
+    """Each event's 0.01 V sweep, as the closed loop draws its plant from it."""
+    return [sweep_curve(base_array_spec(scn, k), 0.01) for k in range(len(scn.events))]
 
-    def lookup(v):
-        if v <= 0.0:
-            return ilist[0]
-        if v >= v_top:
-            return 0.0
-        x = v / h
-        j = int(x)
-        fr = x - j
-        return ilist[j] + (ilist[j + 1] - ilist[j]) * fr
 
-    return lookup, v_top
+def _probe_voltages(curve, v_top, h=0.01):
+    """Grid points, midpoints, the curve's own samples, voltages at or
+    below 0 V, and both sides of the top of the table."""
+    n = round(v_top / h) + 2
+    return (
+        [k * h for k in range(n)]
+        + [(k + 0.5) * h for k in range(n)]
+        + curve.v.tolist()
+        + [-1e300, -1.0, -0.0, 0.0, 5e-324, v_top, float(np.nextafter(v_top, 0.0)), 1e300]
+    )
+
+
+def _assert_plant_is_oracle(curve):
+    """``PlantCurve(curve)`` has the interpolated table's bytes and reads
+    the list-backed lookup's bits at every probe voltage."""
+    vals, lookup, v_top = interpolated_plant(curve)
+    plant = PlantCurve(curve)
+    assert plant.table[0].tobytes() == vals.tobytes()
+    assert plant.table[2] == v_top
+    voltages = _probe_voltages(curve, v_top)
+    got = np.array([plant(v) for v in voltages])
+    assert got.tobytes() == np.array([lookup(v) for v in voltages]).tobytes()
+
+
+def _with_drawn_currents(draw, v):
+    i = draw(arrays(np.float64, len(v), elements=st.floats(0.0, 20.0)))
+    return PvCurve(v=v, i=i, p=v * i)
+
+
+# V_oc on a 0.01 V grid point or one ulp either side of it
+_VOC_AT_A_GRID_POINT = (
+    st.integers(2, 300)
+    .map(lambda m: m * 0.01)
+    .flatmap(lambda g: st.sampled_from([g, np.nextafter(g, 0.0), np.nextafter(g, 1.0)]))
+)
+
+
+@st.composite
+def _sweeps(draw, step, voc):
+    """Samples every ``step`` volts from 0 V to a drawn V_oc, laid out as
+    ``sweep_curve`` lays them out, with drawn currents."""
+    voc = float(draw(voc))
+    v = np.arange(0.0, voc, step)
+    if v[-1] < voc:
+        v = np.append(v, voc)
+    return _with_drawn_currents(draw, v)
+
+
+@st.composite
+def _ascending_curves(draw):
+    """Non-uniform ascending samples, some of them on the 0.01 V grid and
+    some repeated."""
+    knot = st.one_of(st.floats(0.0, 3.0), st.integers(0, 300).map(lambda m: m * 0.01))
+    return _with_drawn_currents(draw, np.sort(draw(st.lists(knot, min_size=2, max_size=60))))
+
+
+@st.composite
+def _dark_curves(draw):
+    """``sweep_curve``'s two-sample curve of an array with V_oc under one step."""
+    v = np.array([0.0, max(draw(st.floats(0.0, 0.01)), 0.01)])
+    return PvCurve(v=v, i=np.zeros(2), p=np.zeros(2))
 
 
 class TestPlantCurve:
     def test_closure_equals_class_formula(self, spec_130v_8a):
         curve = sweep_curve(spec_130v_8a, 0.01)
-        reference, v_top = _class_lookup(curve)
+        _, reference, v_top = interpolated_plant(curve)
         n_grid = round(v_top / 0.01) + 2
         voltages = (
             np.linspace(-2.0, v_top + 2.0, 40001).tolist()
@@ -275,6 +331,50 @@ class TestPlantCurve:
         assert got == [reference(v) for v in voltages]
         assert plant(0.0) == reference(0.0) > 7.0  # short-circuit end, not the zero tail
         assert plant(v_top) == 0.0
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=[p.stem for p in SCENARIO_FILES])
+    def test_scenario_events_equal_the_interpolated_table(self, path):
+        for curve in _event_curves(load_scenario(path)):
+            _assert_plant_is_oracle(curve)
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_random_scenario_events_equal_the_interpolated_table(self, index):
+        for curve in _event_curves(random_scenario(2026, index)):
+            _assert_plant_is_oracle(curve)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        curve=st.one_of(
+            *(_sweeps(step, st.floats(2 * step, 3.0)) for step in (0.01, 0.005, 0.02, 0.037)),
+            _sweeps(0.01, _VOC_AT_A_GRID_POINT),
+            _ascending_curves(),
+            _dark_curves(),
+        )
+    )
+    def test_drawn_curves_equal_the_interpolated_table(self, curve):
+        _assert_plant_is_oracle(curve)
+
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=[p.stem for p in SCENARIO_FILES])
+    def test_a_sweep_interpolates_at_most_two_grid_points(self, path, monkeypatch):
+        """The table copies the sweep's own samples: ``np.interp`` runs only
+        on the grid points past the sweep's last sample."""
+        curves = _event_curves(load_scenario(path))
+        interp, points = np.interp, []
+
+        def spy(x, *args, **kwargs):
+            points.append(np.size(x))
+            return interp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", spy)
+        for curve in curves:
+            points.clear()
+            PlantCurve(curve)
+            assert len(points) == 1 and points[0] <= 2
+
+    def test_table_is_read_only(self, spec_130v_8a):
+        vals = PlantCurve(sweep_curve(spec_130v_8a, 0.01)).table[0]
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
 
 
 class TestSampledCurveSource:
