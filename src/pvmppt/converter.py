@@ -9,7 +9,8 @@ open loop by a voltage command translated to a duty cycle.  The averaged
 
 integrated with fixed-step RK4 by :func:`advance`, the one integrator of
 the open-loop runs and the closed loop.  The inductor current is clamped
-at zero (ideal diode, discontinuous-conduction guard).
+at zero (ideal diode, discontinuous-conduction guard).  An open-loop
+:func:`run` makes one call per command piece and sample interval.
 
 When the current source is a :func:`PlantCurve` table, it runs its
 sub-steps in ``_rk4.c``, a plain-C copy of the Python loop.  The
@@ -22,15 +23,16 @@ with the same results.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
 import random
+import sys
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from types import FunctionType
 from typing import Callable
 
 import numpy as np
@@ -98,10 +100,12 @@ class CommandSegment:
             raise ValidationError(f"unknown segment kind {self.kind!r}")
         if not math.isfinite(self.target_v):
             raise ValidationError("segment target must be finite")
-        if self.kind == "ramp" and self.rate_v_per_s <= 0.0:
-            raise ValidationError("ramp segments need a positive rate")
-        if self.kind == "hold" and (self.duration_s is None or self.duration_s < 0.0):
-            raise ValidationError("hold segments need a non-negative duration")
+        if self.kind == "ramp" and not (0.0 < self.rate_v_per_s < math.inf):
+            raise ValidationError("ramp segments need a finite positive rate")
+        if self.kind == "hold" and (
+            self.duration_s is None or not 0.0 <= self.duration_s < math.inf
+        ):
+            raise ValidationError("hold segments need a finite non-negative duration")
 
 
 @dataclass(frozen=True)
@@ -220,11 +224,7 @@ def advance(
     every other source, and any call the kernel declines, runs the Python
     loop, which gives the same bits.
     """
-    # Only PlantCurve's closures carry a table.  Testing the type first
-    # spares other sources a failed attribute lookup, which on a bound
-    # method (the open-loop benchmark's source) raises and catches an
-    # AttributeError inside getattr, ~1 us per call.
-    table = getattr(i_of_v, "table", None) if type(i_of_v) is FunctionType else None
+    table = getattr(i_of_v, "table", None)
     if table is not None:
         kernel = _native_rk4()
         if kernel is not None:
@@ -530,16 +530,6 @@ def command_value(pieces, t: float) -> float:
     return v
 
 
-def _held_until(pieces, t: float) -> float:
-    """Time up to which :func:`command_value` keeps its value at ``t``: the
-    end of the hold piece containing ``t``, infinity past the last piece,
-    and ``t`` itself inside a ramp (no later instant is guaranteed equal)."""
-    for t0, v_from, v_to, dur in pieces:
-        if dur > 0.0 and t0 <= t < t0 + dur:
-            return t0 + dur if v_from == v_to else t
-    return math.inf
-
-
 def run(
     command: CommandSignal,
     i_of_v: Callable[[float], float],
@@ -550,21 +540,27 @@ def run(
 
     The plant starts at the command's value at ``t = 0`` with the
     source's current in the inductor.  Step ``n`` covers
-    ``[n*DT, (n+1)*DT)`` at the duty of the command at its midpoint; a
-    stretch of steps that share one duty up to the next sample is one
-    :func:`step_ode` call.  Sample ``n`` is stamped ``n*DT``.
-    Measurements are instantaneous state reads.
+    ``[n*DT, (n+1)*DT)`` in the command piece that holds its midpoint (past
+    the last piece, a hold at the final value).  A piece's steps up to
+    each sample are one call: a hold's one :func:`step_ode` call at its
+    duty, a ramp's one :func:`advance` call that slews the plant input
+    with the command, as the closed loop's slews do.  Sample ``n`` is
+    stamped ``n*DT`` and records the command then and the duty of step
+    ``n``'s midpoint.  Measurements are instantaneous state reads.
     """
-    if sample_period < DT:
-        raise ValidationError(f"sample_period must be >= the {DT} s step")
+    if not (math.isfinite(sample_period) and sample_period >= DT):
+        raise ValidationError(f"sample_period must be finite and >= the {DT} s step")
     command.validate_against(params.v_out)
     pieces = _command_profile(command)
     horizon = sum(p[3] for p in pieces)
+    if not horizon < DT * sys.maxsize:  # past this, range(n_steps) has no len()
+        raise ValidationError(f"command duration {horizon} s above {DT * sys.maxsize:.3g} s")
     n_steps = round(horizon / DT)
     per_sample = max(round(sample_period / DT), 1)
 
     v0 = command_value(pieces, 0.0)
     s = ConverterState(v_pv=v0, i_l=i_of_v(v0))
+    v_end = command_value(pieces, horizon)
 
     trace: list[TraceRecord] = []
 
@@ -575,21 +571,23 @@ def run(
         )
 
     n = 0
-    while n < n_steps:
-        t_mid = (n + 0.5) * DT
-        duty = duty_for_voltage(command_value(pieces, t_mid), params.v_out)
-        if n % per_sample == 0:
-            record(n, s.v_pv, command_value(pieces, n * DT), duty)
-        # extend the stretch over the steps up to the next sample whose
-        # midpoints the command holds at this duty
-        end = min(n - n % per_sample + per_sample, n_steps)
-        t_held = _held_until(pieces, t_mid)
-        m = n + 1
-        while m < end and (m + 0.5) * DT < t_held:
-            m += 1
-        s = step_ode(s, duty, DT, i_of_v, params, m - n)
-        n = m
+    for t0, v_from, v_to, dur in pieces + [(horizon, v_end, v_end, math.inf)]:
+        # this piece's steps: those from n whose midpoints lie before its
+        # end, compared as command_value compares them
+        end = bisect.bisect_left(range(n_steps), t0 + dur, lo=n, key=lambda k: (k + 0.5) * DT)
+        while n < end:
+            m = min(n - n % per_sample + per_sample, end)
+            duty = duty_for_voltage(command_value(pieces, (n + 0.5) * DT), params.v_out)
+            if n % per_sample == 0:
+                record(n, s.v_pv, command_value(pieces, n * DT), duty)
+            if v_from == v_to:
+                s = step_ode(s, duty, DT, i_of_v, params, m - n)
+            else:
+                slope = (v_to - v_from) / dur
+                w0 = v_from + slope * (n * DT - t0)
+                v, il = advance(s.v_pv, s.i_l, w0, slope * DT, 1, m - n, DT, i_of_v, params, None)
+                s = ConverterState(v_pv=v, i_l=il)
+            n = m
     if n_steps > 0:
-        v_cmd = command_value(pieces, horizon)
-        record(n_steps, s.v_pv, v_cmd, duty_for_voltage(v_cmd, params.v_out))
+        record(n_steps, s.v_pv, v_end, duty_for_voltage(v_end, params.v_out))
     return trace

@@ -1,5 +1,6 @@
 """Averaged boost converter tests: statics, dynamics, command handling."""
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,34 @@ class TestRun:
         with pytest.raises(ValidationError):
             CommandSegment("hold", 10.0)
 
+    @pytest.mark.parametrize(
+        "segment, sample_period",
+        [
+            (dict(kind="ramp", rate_v_per_s=float("nan")), 5e-4),
+            (dict(kind="ramp", rate_v_per_s=float("inf")), 5e-4),
+            (dict(kind="ramp", rate_v_per_s=1e-320), 5e-4),  # 10 V / 1e-320 V/s overflows
+            (dict(kind="ramp", rate_v_per_s=1e-300), 5e-4),  # 1e301 s: 2e306 steps
+            (dict(kind="hold", duration_s=float("nan")), 5e-4),
+            (dict(kind="hold", duration_s=float("inf")), 5e-4),
+            (dict(kind="hold", duration_s=0.01), float("nan")),
+            (dict(kind="hold", duration_s=0.01), float("inf")),
+        ],
+        ids=(
+            "nan_rate",
+            "inf_rate",
+            "infinite_ramp_duration",
+            "ramp_duration_past_step_index",
+            "nan_hold",
+            "inf_hold",
+            "nan_sample_period",
+            "inf_sample_period",
+        ),
+    )
+    def test_non_finite_inputs_rejected(self, segment, sample_period):
+        with pytest.raises(ValidationError):
+            cmd = CommandSignal((CommandSegment(target_v=70.0, **segment),), v_start=60.0)
+            run(cmd, lambda v: 5.0, TABLE_PLANT, sample_period=sample_period)
+
 
 def _event_curves(scn):
     """Each event's 0.01 V sweep, as the closed loop draws its plant from it."""
@@ -468,32 +497,80 @@ OFF_GRID_CMD = CommandSignal(
 )
 
 
+# holds that end off the sample grid and off the step grid
+OFF_GRID_HOLDS_CMD = CommandSignal(
+    (
+        SEG("hold", 30.0, duration_s=1.23e-3),
+        SEG("hold", 45.0, duration_s=7.7e-4),
+        SEG("hold", 0.0, duration_s=0.0),
+        SEG("hold", 1.0, duration_s=3.3e-4),
+        SEG("hold", 50.0, duration_s=1.1e-3),
+    ),
+    v_start=30.0,
+)
+
+# holds that end on steps' midpoints: 4.25e-5 + 9e-5 sums to one ulp above
+# 1.325e-4, where (26 + 0.5)*5e-6 rounds, so step 26 starts the third hold
+MIDPOINT_HOLDS_CMD = CommandSignal(
+    (
+        SEG("hold", 30.0, duration_s=4.25e-5),
+        SEG("hold", 45.0, duration_s=9e-5),
+        SEG("hold", 50.0, duration_s=1e-4),
+    ),
+    v_start=30.0,
+)
+
+
+def _has_ramp(cmd):
+    return any(v_from != v_to and dur > 0.0 for _, v_from, v_to, dur in _command_profile(cmd))
+
+
+@st.composite
+def _drawn_commands(draw):
+    """Up to four pieces of at most ~2 ms each: zero-length holds, holds
+    that end on the half-step grid (a step's midpoint) or off it, and ramps
+    that end anywhere, some of them under the 2.5 V duty floor."""
+    level = st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 40.0))
+    duration = st.one_of(
+        st.just(0.0), st.integers(0, 400).map(lambda k: k * 2.5e-6), st.floats(0.0, 1e-3)
+    )
+    segs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            segs.append(SEG("hold", draw(level), duration_s=draw(duration)))
+        else:
+            segs.append(SEG("ramp", draw(level), rate_v_per_s=draw(st.floats(2e4, 1e6))))
+    return CommandSignal(tuple(segs), v_start=draw(level))
+
+
 class TestRunStretches:
-    """``run`` steps each constant-duty stretch in one call: same records,
-    bit for bit, as one ``step_ode`` call per step."""
+    """``run`` makes one plant call per piece and sample interval: a hold's
+    records are bit for bit those of one ``step_ode`` call per step; a
+    ramp slews the plant input with the command, within 1e-12 of them."""
 
     @staticmethod
     def same(a, b):
         assert [repr(r) for r in a] == [repr(r) for r in b]
 
+    @staticmethod
+    def close(a, b):
+        """Same samples, commands and duties; states within 1e-12."""
+        assert len(a) == len(b)
+        assert [(r.t, r.v_ref, r.duty) for r in a] == [(r.t, r.v_ref, r.duty) for r in b]
+        for x, y in zip(a, b):
+            assert abs(x.v_pv - y.v_pv) <= 1e-12
+            assert abs(x.i_pv - y.i_pv) <= 1e-12
+
     @pytest.mark.parametrize(
         "cmd, sample_period",
         [
             (STEP_CMD, 5e-5),
-            (RAMP_CMD, 5e-5),
-            (MID_SAMPLE_RAMP_CMD, 5e-5),
-            (OFF_GRID_CMD, 7.3e-5),
-            (OFF_GRID_CMD, 5e-6),
+            (OFF_GRID_HOLDS_CMD, 7.3e-5),
+            (OFF_GRID_HOLDS_CMD, 5e-6),
+            (MIDPOINT_HOLDS_CMD, 5e-5),
             (CommandSignal((), v_start=60.0), 5e-4),
         ],
-        ids=(
-            "step",
-            "ramp",
-            "ramp_ends_mid_sample",
-            "period_off_dt_grid",
-            "sample_every_step",
-            "empty",
-        ),
+        ids=("step", "period_off_dt_grid", "sample_every_step", "ends_on_midpoints", "empty"),
     )
     def test_equals_per_step_loop(self, array_130v_8a, cmd, sample_period):
         self.same(
@@ -501,28 +578,72 @@ class TestRunStretches:
             _run_per_step(cmd, array_130v_8a, TABLE_PLANT, sample_period=sample_period),
         )
 
-    def test_plant_curve_source_equals_per_step_loop(self, spec_130v_8a):
+    @pytest.mark.parametrize(
+        "cmd, sample_period",
+        [
+            (RAMP_CMD, 5e-5),
+            (MID_SAMPLE_RAMP_CMD, 5e-5),
+            (OFF_GRID_CMD, 7.3e-5),
+            (OFF_GRID_CMD, 5e-6),
+        ],
+        ids=("ramp", "ramp_ends_mid_sample", "ramp_period_off_dt_grid", "ramp_sample_every_step"),
+    )
+    def test_ramp_within_1e12_of_per_step_loop(self, array_130v_8a, cmd, sample_period):
+        self.close(
+            run(cmd, array_130v_8a, TABLE_PLANT, sample_period=sample_period),
+            _run_per_step(cmd, array_130v_8a, TABLE_PLANT, sample_period=sample_period),
+        )
+
+    def test_plant_curve_source_within_1e12_of_per_step_loop(self, spec_130v_8a):
         plant = PlantCurve(sweep_curve(spec_130v_8a, 0.01))
-        self.same(
+        self.close(
             run(MID_SAMPLE_RAMP_CMD, plant, TABLE_PLANT, sample_period=5e-5),
             _run_per_step(MID_SAMPLE_RAMP_CMD, plant, TABLE_PLANT, sample_period=5e-5),
         )
 
-    def test_one_call_per_hold_sample_and_per_ramp_step(self, array_130v_8a, monkeypatch):
-        calls = []
+    @settings(max_examples=100, deadline=None)
+    @given(cmd=_drawn_commands(), sample_period=st.floats(5e-6, 1e-3))
+    def test_drawn_commands_match_per_step_loop(self, array_130v_8a, cmd, sample_period):
+        got = run(cmd, array_130v_8a, TABLE_PLANT, sample_period=sample_period)
+        ref = _run_per_step(cmd, array_130v_8a, TABLE_PLANT, sample_period=sample_period)
+        if _has_ramp(cmd):
+            self.close(got, ref)
+        else:
+            self.same(got, ref)
 
-        def counting(s, duty, dt, i_of_v, params, n=1):
-            calls.append(n)
+    @pytest.mark.parametrize(
+        "cmd", [RAMP_CMD, MID_SAMPLE_RAMP_CMD], ids=("ramp", "ramp_ends_mid_sample")
+    )
+    def test_kernel_and_python_loop_give_same_records(self, spec_130v_8a, cmd, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on the path")
+        assert converter._native_rk4() is not None
+        plant = PlantCurve(sweep_curve(spec_130v_8a, 0.01))
+        native = run(cmd, plant, TABLE_PLANT, sample_period=5e-5)
+        monkeypatch.setattr(converter, "_native_rk4", lambda: None)
+        self.same(native, run(cmd, plant, TABLE_PLANT, sample_period=5e-5))
+
+    def test_one_call_per_piece_and_sample(self, array_130v_8a, monkeypatch):
+        holds, slews = [], []
+
+        def counting_step_ode(s, duty, dt, i_of_v, params, n=1):
+            holds.append(n)
             return step_ode(s, duty, dt, i_of_v, params, n)
 
-        monkeypatch.setattr(converter, "step_ode", counting)
+        def counting_advance(v, il, w0, dw, n_ticks, n_sub, *rest):
+            if dw != 0.0:
+                slews.append((n_ticks, n_sub))
+            return advance(v, il, w0, dw, n_ticks, n_sub, *rest)
+
+        monkeypatch.setattr(converter, "step_ode", counting_step_ode)
+        monkeypatch.setattr(converter, "advance", counting_advance)
         run(STEP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5)
-        assert calls == [10] * 2400
-        calls.clear()
+        assert holds == [10] * 2400 and slews == []
+        holds.clear()
         run(RAMP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5)
-        # 100 hold samples, 2000 ramp steps, 200 hold samples
-        assert len(calls) == 2300 and sum(calls) == 5000
-        assert calls[:100] == [10] * 100 and calls[-200:] == [10] * 200
+        # 100 hold samples, then 200 ramp samples, then 200 hold samples
+        assert holds == [10] * 300
+        assert slews == [(1, 10)] * 200
 
     def test_step_count_below_one_rejected(self):
         with pytest.raises(ValidationError, match="step count"):
