@@ -98,7 +98,6 @@ class ControllerConfig:
     ramp_rate_v_per_s: float = 4000.0
     po_step_v: float = 1.0
     po_only: bool = False  # baseline: never detect, never scan
-    v_cmd_max: float = 250.0
 
     def __post_init__(self) -> None:
         if self.po_period_s < self.adc_period_s:
@@ -184,8 +183,7 @@ def update_references(
         ln_r = math.log(ratio)
 
         def row_dv(k: int) -> float:
-            lr = ref.irr_ln_ratio[k]
-            return float(np.interp(min(max(ln_r, lr[0]), lr[-1]), lr, ref.irr_dv_arr[k]))
+            return float(np.interp(ln_r, ref.irr_ln_ratio[k], ref.irr_dv_arr[k]))
 
         rows = ref.irr_t_rows
         if t_sample_c <= rows[0]:
@@ -315,6 +313,7 @@ class ScanEpisode:
 class ControllerState:
     """Mutable controller memory; one instance per plant."""
 
+    v_cmd_max: float  # the link voltage: the command stays in [0, v_cmd_max]
     mode: Mode = Mode.PO
     v_ref: float = 0.0
     po_direction: int = 1
@@ -336,13 +335,11 @@ class ControllerState:
 
 
 def make_controller_state(
-    ref: ReferenceModel, cfg: ControllerConfig, v_start: float | None = None
+    ref: ReferenceModel, cfg: ControllerConfig, v_cmd_max: float
 ) -> ControllerState:
-    s = ControllerState()
-    s.v_ref = ref.v_mpp_arr_sc if v_start is None else v_start
-    s.next_po_t = cfg.po_period_s
-    s.uic_current = ref.i_mpp_arr_sc
-    return s
+    return ControllerState(
+        v_cmd_max, v_ref=ref.v_mpp_arr_sc, next_po_t=cfg.po_period_s, uic_current=ref.i_mpp_arr_sc
+    )
 
 
 def po_step(state: ControllerState, m: Measurement, step_v: float) -> ControllerState:
@@ -375,7 +372,7 @@ def scan_step(
     dv = cfg.ramp_rate_v_per_s * cfg.adc_period_s
     if state.mode is Mode.SCAN_UP:
         ep.ticks_up += 1
-        ceiling = min(ref.v_oc_arr_rated, cfg.v_cmd_max)
+        ceiling = min(ref.v_oc_arr_rated, state.v_cmd_max)
         at_ceiling = m.v >= ceiling or state.v_ref >= ceiling
         pruned = ref.v_oc_arr_rated * m.i < ep.p_e
         if at_ceiling or pruned:
@@ -430,7 +427,7 @@ def _slew(state: ControllerState, m: Measurement, cfg: ControllerConfig) -> bool
     """Move the command one ramp step toward ``slew_target``, held in
     ``[0, v_cmd_max]``.  On arrival, clear the target, start the settle
     time and return True."""
-    target = min(max(state.slew_target, 0.0), cfg.v_cmd_max)
+    target = min(max(state.slew_target, 0.0), state.v_cmd_max)
     dv_cmd = cfg.ramp_rate_v_per_s * cfg.adc_period_s
     delta = target - state.v_ref
     if abs(delta) > dv_cmd:
@@ -484,7 +481,7 @@ def tick_is_idle(state: ControllerState, t: float, cfg: ControllerConfig) -> boo
     the command lies outside ``[0, v_cmd_max]``, which the tick's clamp
     would move.  :func:`controller_tick` returns early on it, so the
     closed loop may skip the ticks it holds for."""
-    if not 0.0 <= state.v_ref <= cfg.v_cmd_max:
+    if not 0.0 <= state.v_ref <= state.v_cmd_max:
         return False
     mode = state.mode
     if mode is Mode.PO:
@@ -551,5 +548,5 @@ def controller_tick(
             state.rest_v.clear()
             state.rest_i.clear()
 
-    state.v_ref = min(max(state.v_ref, 0.0), cfg.v_cmd_max)
+    state.v_ref = min(max(state.v_ref, 0.0), state.v_cmd_max)
     return state.v_ref, state

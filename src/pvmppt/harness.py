@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import random
-from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from itertools import chain, islice
@@ -83,6 +81,8 @@ BENCHMARK_SAMPLE = (0, 2)
 # periodic detections at the default 5 s trigger; a 60 s trace at the
 # 0.5 ms ADC cadence is 120k rows
 MAX_HORIZON_S = 60.0
+# most RK4 sub-steps a run may take: MAX_HORIZON_S at the default dt_s of 5e-6 s
+MAX_SUBSTEPS = round(MAX_HORIZON_S / 5e-6)
 
 
 class ScenarioError(ValueError):
@@ -168,7 +168,6 @@ class Scenario:
     controller: ControllerConfig = ControllerConfig()
     seed: int = 0  # a label copied to report.json; the run draws nothing
     dt_s: float = 5e-6
-    v_ref_start: float | None = None
 
     def validate(self) -> None:
         adc = self.controller.adc_period_s
@@ -182,6 +181,11 @@ class Scenario:
         if self.horizon_s > MAX_HORIZON_S:
             raise ScenarioError(
                 f"horizon_s: {self.horizon_s} s above the {MAX_HORIZON_S} s maximum"
+            )
+        n_sub = self.horizon_s / self.dt_s
+        if n_sub > MAX_SUBSTEPS + 0.5:  # round(n_sub) > MAX_SUBSTEPS, with no overflow at inf
+            raise ScenarioError(
+                f"dt_s: {self.dt_s} s gives {n_sub:.3g} sub-steps, above the {MAX_SUBSTEPS} maximum"
             )
         if abs(round(adc / self.dt_s) * self.dt_s - adc) > 1e-12:
             raise ScenarioError("controller.adc_period_s: must be a multiple of dt_s")
@@ -223,14 +227,6 @@ class Scenario:
                 raise ScenarioError(
                     f"converter.{where}: {value} outside the plant envelope {envelope}"
                 )
-        v_out = conv.v_out
-        if self.controller.v_cmd_max != v_out:
-            raise ScenarioError(
-                f"controller.v_cmd_max: {self.controller.v_cmd_max} V must equal "
-                f"converter.v_out_v = {v_out} V, the link that caps the command"
-            )
-        if self.v_ref_start is not None and not (0.0 <= self.v_ref_start <= v_out):
-            raise ScenarioError(f"v_ref_start_v: {self.v_ref_start} outside [0, v_out = {v_out}]")
         for where, value in (("n_series", self.n_series), ("n_parallel", self.n_parallel)):
             if value < 1:
                 raise ScenarioError(f"array.{where}: must be at least 1, got {value}")
@@ -364,7 +360,7 @@ def _only(d: dict, where: str, keys) -> None:
 
 
 # coercion by field annotation (a string: the package postpones annotations)
-_COERCE = {"float": _number, "int": _integer, "bool": _flag, "float | None": _number}
+_COERCE = {"float": _number, "int": _integer, "bool": _flag}
 
 
 def _section(doc, where: str, cls, keys: dict[str, str] | None = None, known=(), **given):
@@ -442,12 +438,11 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     ctl_doc = _object(doc.get("controller", {}), "controller")
     detector = _section(ctl_doc.get("detector", {}), "controller.detector", DetectorConfig)
     controller = _section(
-        ctl_doc, "controller", ControllerConfig, known=("detector",),
-        detector=detector, v_cmd_max=converter.v_out,
+        ctl_doc, "controller", ControllerConfig, known=("detector",), detector=detector
     )
     scn = _section(
-        doc, "", Scenario, {"v_ref_start": "v_ref_start_v"},
-        ("name", "array", "module", "levels", "timeline", "converter", "controller"),
+        doc, "", Scenario,
+        known=("name", "array", "module", "levels", "timeline", "converter", "controller"),
         name=_get(doc, "name", "", _text, name), n_series=n_series, n_parallel=n_parallel,
         sample_module=sample, events=tuple(events), datasheet=datasheet, params=params,
         converter=converter, controller=controller,
@@ -603,8 +598,7 @@ class Trace:
     product.  The command, duty, mode and scan incumbent are held once per
     block of rows (a held stretch or one active tick): :meth:`block` opens
     one, and the rows appended to ``v_pv`` and ``i_pv`` after it hold its
-    values.  Indexing, slicing and iteration give :class:`TraceRecord` rows;
-    two traces are equal when their rows are."""
+    values.  Iteration gives :class:`TraceRecord` rows."""
 
     def __init__(self, adc: float):
         self.adc = adc
@@ -625,30 +619,14 @@ class Trace:
         """The ``t`` and ``p`` columns, with the bits of each row's fields."""
         return np.arange(len(self.v_pv)) * self.adc, np.multiply(self.v_pv, self.i_pv)
 
-    def _row(self, k: int) -> TraceRecord:
-        v_ref, duty, mode, p_e, v_e = self._held[bisect_right(self._starts, k) - 1]
-        v, i = self.v_pv[k], self.i_pv[k]
-        return TraceRecord(k * self.adc, v_ref, duty, v, i, v * i, mode, p_e, v_e)
-
     def __len__(self) -> int:
         return len(self.v_pv)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self._row(k) for k in range(*key.indices(len(self)))]
-        k = operator.index(key)
-        n = len(self)
-        if not -n <= k < n:
-            raise IndexError(f"trace row {key} outside a trace of {n} rows")
-        return self._row(k % n)
-
     def __iter__(self):
-        return map(self._row, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        for start, end, (v_ref, duty, mode, p_e, v_e) in self.blocks():
+            for k in range(start, end):
+                v, i = self.v_pv[k], self.i_pv[k]
+                yield TraceRecord(k * self.adc, v_ref, duty, v, i, v * i, mode, p_e, v_e)
 
 
 @dataclass
@@ -716,10 +694,9 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
             }
         )
 
-    state = make_controller_state(ref, cfg, scn.v_ref_start)
+    state = make_controller_state(ref, cfg, conv.v_out)
     v = state.v_ref
     il = windows[0]["plant"](v)
-    v_out = conv.v_out
     trace = Trace(adc)
 
     def read_sample_module() -> float:
@@ -745,7 +722,7 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
             prev_cmd = state.v_ref
             new_ref, state = controller_tick(state, m, cfg, ref, read_sample_module)
             slew = state.mode is not Mode.PO
-            _open_block(trace, state, v_out)
+            _open_block(trace, state, conv.v_out)
             trace.v_pv.append(v)
             trace.i_pv.append(i)
 
@@ -999,6 +976,8 @@ def run_corpus(seed: int, count: int, jobs: int = 1) -> dict:
     args = [(seed, i) for i in range(count)]
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~16 ms no other command pays
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_corpus_worker, args))
     else:

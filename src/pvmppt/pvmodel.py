@@ -205,7 +205,6 @@ def thermal_voltage(n_cells: int, temperature_c: float) -> float:
     return n_cells * BOLTZMANN_J_PER_K * t_k / ELECTRON_CHARGE_C
 
 
-@lru_cache(maxsize=16384)
 def _env(p: ModuleParams, c: ModuleCondition) -> tuple[float, float, float]:
     """(A*Vt, I_pv, I_o) of a module at its condition."""
     a = p.ideality_a * thermal_voltage(p.n_cells, c.temperature)
@@ -317,25 +316,21 @@ def module_open_circuit_voltage(p: ModuleParams, c: ModuleCondition) -> float:
 # ---------------------------------------------------------------------------
 
 
-def string_open_circuit_voltage(spec: ArraySpec, string_idx: int) -> float:
-    return spec._strings.open_circuit_voltage(string_idx)
-
-
 def string_current(spec: ArraySpec, string_idx: int, v: float) -> float:
     """Current of one series string held at terminal voltage ``v``.
 
-    Reads the string's swept samples (:func:`_string_curve`, the ones
+    Reads the string's swept samples (``spec._strings.curve``, the ones
     :func:`sweep_curve` sums) by linear interpolation.  A blocking diode
     forces the current to zero at and above the string open-circuit voltage.
     """
     if v < 0.0:
         raise ValidationError("string voltage must be >= 0")
-    v_pts, i_pts = _string_curve(spec, string_idx)
+    v_pts, i_pts = spec._strings.curve(string_idx)
     return float(_interp(v, v_pts, i_pts, None, 0.0))
 
 
 def array_open_circuit_voltage(spec: ArraySpec) -> float:
-    return max(string_open_circuit_voltage(spec, s) for s in range(spec.n_parallel))
+    return max(spec._strings.open_circuit_voltage(s) for s in range(spec.n_parallel))
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +433,6 @@ class _StringCurves:
         return self._curves[key]
 
 
-def _string_curve(spec: ArraySpec, string_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v ascending, i) samples of one string, blocking diode applied;
-    computed once per distinct string of ``spec``."""
-    return spec._strings.curve(string_idx)
-
-
 # most samples one sweep takes, 16 MB per array: an open-circuit voltage
 # of 20 kV at the 0.01 V step the closed loop sweeps at
 SWEEP_SAMPLES_MAX = 2_000_000
@@ -476,7 +465,7 @@ def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
     rows: dict[tuple, np.ndarray] = {}
     for s, key in enumerate(spec._strings.keys):
         if key not in rows:
-            rows[key] = np.interp(v, *_string_curve(spec, s), right=0.0)
+            rows[key] = np.interp(v, *spec._strings.curve(s), right=0.0)
         left[key] -= 1
         i += rows[key] if left[key] else rows.pop(key)
     i = np.maximum(i, 0.0)

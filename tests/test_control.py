@@ -24,6 +24,7 @@ from pvmppt.control import (
     tick_is_idle,
     update_references,
 )
+from pvmppt.converter import ConverterParams
 from pvmppt.harness import (
     ShadingPattern,
     base_array_spec,
@@ -43,6 +44,9 @@ from oracles import array_current, scalar_string_current
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
+# the default link voltage, the command cap of the states built here
+V_LINK = ConverterParams().v_out
+
 
 def simple_ref(**overrides) -> ReferenceModel:
     fields = dict(
@@ -55,6 +59,12 @@ def simple_ref(**overrides) -> ReferenceModel:
     )
     fields.update(overrides)
     return ReferenceModel(**fields)
+
+
+def state_at(v_ref: float):
+    s = make_controller_state(simple_ref(), ControllerConfig(), V_LINK)
+    s.v_ref = v_ref
+    return s
 
 
 class TestUpdateReferences:
@@ -202,7 +212,7 @@ class TestDetectionVerdict:
 
 class TestPoStep:
     def make_state(self):
-        s = make_controller_state(simple_ref(), ControllerConfig(), v_start=100.0)
+        s = state_at(100.0)
         s.last_power = 1000.0
         return s
 
@@ -225,7 +235,7 @@ class TestPoStep:
         spec = ArraySpec.uniform(nd_module, 5, 1)
         curve = sweep_curve(spec, 0.01)
         v_star, _ = oracle_gmpp(curve)
-        s = make_controller_state(simple_ref(), ControllerConfig(), v_start=105.0)
+        s = state_at(105.0)
         step = 1.0
         visits = []
         for k in range(60):
@@ -239,7 +249,7 @@ class TestScanStep:
     def scan_state(self, mode=Mode.SCAN_UP):
         from pvmppt.control import ScanEpisode
 
-        s = make_controller_state(simple_ref(), ControllerConfig(), v_start=118.0)
+        s = state_at(118.0)
         s.mode = mode
         s.episode = ScanEpisode(t_start=0.0, v_e=118.0, p_e=1500.0, floor_v=23.0)
         return s
@@ -274,7 +284,8 @@ class TestScanStep:
     def test_up_turns_down_at_the_command_cap(self):
         # a 120 V command cap below the 148.5 V rated V_oc ends the up leg there
         s = self.scan_state()
-        cfg = ControllerConfig(v_cmd_max=120.0)
+        s.v_cmd_max = 120.0
+        cfg = ControllerConfig()
         scan_step(s, Measurement(v=118.0, i=12.0, t=0.0), simple_ref(), cfg)
         assert s.v_ref == 120.0 and s.mode is Mode.SCAN_UP
         scan_step(s, Measurement(v=119.0, i=12.0, t=5e-4), simple_ref(), cfg)
@@ -317,7 +328,7 @@ class IdealPlantDriver:
         self.curve = sweep_curve(spec, 0.01)
         self.ref = ref
         self.cfg = cfg
-        self.state = make_controller_state(ref, cfg)
+        self.state = make_controller_state(ref, cfg, V_LINK)
         self.t = 0.0
         self.v = 0.0
         self.modes = []
@@ -426,7 +437,7 @@ class TestTickIsIdle:
     CFG = ControllerConfig()
 
     def _state(self, mode=Mode.PO, **fields):
-        s = make_controller_state(simple_ref(), self.CFG)
+        s = make_controller_state(simple_ref(), self.CFG, V_LINK)
         s.mode = mode
         for name, value in fields.items():
             setattr(s, name, value)
@@ -454,8 +465,8 @@ class TestTickIsIdle:
     def test_command_outside_the_cap_is_clamped_not_held(self, v_ref, clamped):
         """A start command above a 100 V link: P&O waits, yet the tick must
         still clamp the command."""
-        cfg = ControllerConfig(v_cmd_max=100.0)
-        s = self._state(v_ref=v_ref, next_po_t=0.02)
+        cfg = self.CFG
+        s = self._state(v_ref=v_ref, next_po_t=0.02, v_cmd_max=100.0)
         assert not tick_is_idle(s, 0.0, cfg)
         cmd, s = controller_tick(s, Measurement(v=50.0, i=5.0, t=0.0), cfg, simple_ref(), None)
         assert cmd == s.v_ref == clamped

@@ -1,5 +1,6 @@
 """Harness tests: scenario files, closed loop, reports, emitters, CLI."""
 
+import concurrent.futures
 import contextlib
 import copy
 import functools
@@ -25,6 +26,7 @@ from pvmppt.cli import main as cli_main
 from pvmppt import control
 from pvmppt.control import ControllerConfig, ControllerState, Measurement, Mode, controller_tick
 from pvmppt.converter import (
+    ConverterParams,
     ConverterState,
     PlantCurve,
     _grid_source,
@@ -166,14 +168,6 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="sum"):
             scenario_from_dict(doc)
 
-    def test_command_cap_split_from_the_link_rejected(self):
-        # a 110 V link under the loader's 250 V cap: the controller would
-        # command up to 132 V and the plant would run above the link
-        scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
-        split = replace(scn, converter=replace(scn.converter, v_out=110.0))
-        with pytest.raises(ScenarioError, match=r"controller\.v_cmd_max.*converter\.v_out_v"):
-            run_closed_loop(split)
-
     def test_readme_example_loads(self):
         readme = (SCENARIO_DIR.parent / "README.md").read_text()
         section = readme.split("\n## Scenario files\n", 1)[1]
@@ -272,7 +266,7 @@ class TestClosedLoop:
         start, onset = scn.events
         events = (start, replace(onset, t=0.009), replace(start, t=0.01))
         trace, report = run_closed_loop(replace(scn, events=events, horizon_s=0.05))
-        assert report.events[1]["final_power_w"] == trace[19].p
+        assert report.events[1]["final_power_w"] == list(trace)[19].p
 
     def test_psc_onset_detects_scans_and_converges(self, psc1_run):
         trace, report = psc1_run
@@ -295,11 +289,11 @@ class TestClosedLoop:
     def test_scan_command_is_pure_ramp(self, psc1_run):
         # no hidden steps: consecutive scan-mode commands move by exactly
         # ramp_rate * adc_period
-        trace, _ = psc1_run
+        rows = list(psc1_run[0])
         scn = short_psc1()
         dv = scn.controller.ramp_rate_v_per_s * scn.controller.adc_period_s
         deltas = []
-        for a, b in zip(trace, trace[1:]):
+        for a, b in zip(rows, rows[1:]):
             if a.mode in ("scan_up", "scan_down") and b.mode in ("scan_up", "scan_down"):
                 deltas.append(abs(b.v_ref - a.v_ref))
         assert deltas
@@ -335,7 +329,7 @@ class TestClosedLoop:
     def test_seed_only_labels_the_report(self, psc1_run):
         trace, report = psc1_run
         trace_b, report_b = run_closed_loop(short_psc1(seed=4051))
-        assert trace_b == trace
+        assert list(trace_b) == list(trace)
         assert report_b.seed == 4051 and report.seed != 4051
         assert replace(report_b, seed=report.seed) == report
 
@@ -349,14 +343,14 @@ class TestClosedLoop:
         scn = short_psc1()
         spec = base_array_spec(scn, 0)
         plant = PlantCurve(sweep_curve(spec, 0.01))
-        trace, _ = run_closed_loop(scn)
-        v0 = trace[0].v_pv
-        cmd = trace[0].v_ref
+        rows = list(run_closed_loop(scn)[0])
+        v0 = rows[0].v_pv
+        cmd = rows[0].v_ref
         s = ConverterState(v_pv=v0, i_l=plant(v0))
         duty = duty_for_voltage(cmd, scn.converter.v_out)
         for _ in range(round(scn.controller.adc_period_s / scn.dt_s)):
             s = step_ode(s, duty, scn.dt_s, plant, scn.converter)
-        assert trace[1].v_pv == pytest.approx(s.v_pv, abs=1e-9)
+        assert rows[1].v_pv == pytest.approx(s.v_pv, abs=1e-9)
 
     @pytest.mark.parametrize("k, v_out", [(3, 100.0), (4, 110.0)])
     def test_link_capped_event_priced_at_the_holdable_gmpp(self, k, v_out):
@@ -402,11 +396,12 @@ class TestGatedReadout:
         monkeypatch.setattr(harness, "controller_tick", tick)
         trace, report = run_closed_loop(scn)
         assert report.events[-1]["detected"] is True
+        rows = list(trace)
         trims = [
             k
-            for k in range(1, len(trace))
-            if trace[k - 1].mode == Mode.DETECT_SETTLE.value
-            and trace[k].mode == Mode.DETECT_PROBE.value
+            for k in range(1, len(rows))
+            if rows[k - 1].mode == Mode.DETECT_SETTLE.value
+            and rows[k].mode == Mode.DETECT_PROBE.value
         ]
         assert read_ticks == trims
 
@@ -424,9 +419,10 @@ class TestGatedReadout:
 
         monkeypatch.setattr(harness, "string_current", counting)
         trace, report = run_closed_loop(scn)
+        rows = list(trace)
         trims = sum(
             1
-            for a, b in zip(trace, trace[1:])
+            for a, b in zip(rows, rows[1:])
             if a.mode == Mode.DETECT_SETTLE.value and b.mode == Mode.DETECT_PROBE.value
         )
         assert trims == sum(e["detected"] is not None for e in report.events) >= 1
@@ -462,11 +458,7 @@ class TestGatedReadout:
 
 def _with_link(scn, v_out):
     """``scn`` behind a DC link of ``v_out`` volts, which caps the command."""
-    return replace(
-        scn,
-        converter=replace(scn.converter, v_out=v_out),
-        controller=replace(scn.controller, v_cmd_max=v_out),
-    )
+    return replace(scn, converter=replace(scn.converter, v_out=v_out))
 
 
 # the shipped files, psc3 behind two links below its 118 V start command,
@@ -526,15 +518,14 @@ def _idle_states(draw):
     """P&O waiting for ``next_po_t``, a detection settle, the settle to the
     best point, a set slew target, a scan, and a command outside
     ``[0, v_cmd_max]``."""
-    cfg = ControllerConfig()
-    s = ControllerState()
+    s = ControllerState(ConverterParams().v_out)
     s.mode = draw(st.sampled_from(list(Mode)))
     s.next_po_t = draw(_deadline)
     s.settle_until = draw(st.one_of(_deadline, st.just(math.nan)))
     s.slew_target = draw(st.sampled_from((math.nan, math.nan, 90.0)))
     s.v_ref = draw(st.one_of(
-        st.floats(0.0, cfg.v_cmd_max),
-        st.sampled_from((-1.0, -5e-324, cfg.v_cmd_max + 1e-9, cfg.v_cmd_max + 10.0)),
+        st.floats(0.0, s.v_cmd_max),
+        st.sampled_from((-1.0, -5e-324, s.v_cmd_max + 1e-9, s.v_cmd_max + 10.0)),
     ))
     return s
 
@@ -695,33 +686,17 @@ class TestTrace:
     @pytest.mark.parametrize("scn", TRACE_CASES, ids=lambda scn: scn.name)
     def test_rows_are_the_tick_by_tick_rows(self, scn, tick_by_tick):
         """The held run's ``Trace`` (a block per held stretch) and the
-        tick-by-tick run's (a block per tick) give the same rows by length,
-        ``==``, index, negative index, slice and iteration."""
+        tick-by-tick run's (a block per tick) give the same rows by length
+        and iteration."""
         trace, _ = run_closed_loop(scn)
         tick_by_tick()
         ticks, _ = run_closed_loop(scn)
         n = round(scn.horizon_s / scn.controller.adc_period_s)
         assert len(trace) == len(ticks) == n
-        assert trace == ticks and not trace != ticks
+        assert list(trace) == list(ticks)
         want = [_row_bits(r) for r in ticks]
         assert [_row_bits(r) for r in trace] == want
-        assert [_row_bits(trace[k]) for k in range(n)] == want
-        assert [_row_bits(trace[k - n]) for k in range(n)] == want
-        assert _row_bits(trace[-1]) == want[-1]
-        for cut in (slice(None), slice(5, 17), slice(-3, None), slice(None, None, 7),
-                    slice(n - 2, 3, -4), slice(n, n + 5)):
-            assert [_row_bits(r) for r in trace[cut]] == want[cut]
-        for k in (n, -n - 1):
-            with pytest.raises(IndexError):
-                trace[k]
         assert [r.t for r in trace] == [k * scn.controller.adc_period_s for k in range(n)]
-
-    def test_one_changed_row_makes_traces_unequal(self, psc1_run):
-        trace, _ = psc1_run
-        other = copy.deepcopy(trace)
-        assert other == trace
-        other.i_pv[len(other) // 2] += 1e-9
-        assert other != trace
 
 
 def _old_trace_row(r) -> str:
@@ -831,7 +806,7 @@ class TestCorpusScenario:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         for cores, count, jobs in ((8, 2, 16), (8, 3, 2), (2, 3, 8), (None, 2, 8), (8, 2, 1)):
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
             assert run_corpus(2026, count, jobs)["count"] == count
@@ -845,7 +820,7 @@ class TestCorpusScenario:
         scn = random_scenario(2026, index)
         trace, report = run_closed_loop(scn)
         emit_trace(trace, tmp_path / "trace.csv")
-        assert _trace_violations(tmp_path / "trace.csv", scn.controller.v_cmd_max) == []
+        assert _trace_violations(tmp_path / "trace.csv", scn.converter.v_out) == []
         for k, e in enumerate(report.events):
             curve = sweep_curve(base_array_spec(scn, k), 0.01)
             assert prune_violations(curve, e["prunes"]) == []
@@ -874,9 +849,9 @@ _NEXT_MODES = {
 }
 
 
-def _trace_violations(path: Path, v_cmd_max: float) -> list[str]:
+def _trace_violations(path: Path, v_out: float) -> list[str]:
     """Rows of a ``trace.csv`` that break a controller invariant: the command
-    leaves ``[0, v_cmd_max]``, the mode changes along an edge the state
+    leaves ``[0, v_out]``, the link voltage that caps it, the mode changes along an edge the state
     machine lacks, or the scan incumbent is not the running maximum of the
     sampled power."""
     lines = path.read_text().splitlines()
@@ -886,8 +861,8 @@ def _trace_violations(path: Path, v_cmd_max: float) -> list[str]:
     prev = None
     for k, row in enumerate(rows, start=1):
         v_ref = float(row["v_ref"])
-        if not 0.0 <= v_ref <= v_cmd_max:
-            bad.append(f"row {k}: v_ref {v_ref} outside [0, {v_cmd_max}]")
+        if not 0.0 <= v_ref <= v_out:
+            bad.append(f"row {k}: v_ref {v_ref} outside [0, {v_out}]")
         if prev is not None:
             if row["mode"] not in _NEXT_MODES[prev["mode"]]:
                 bad.append(f"row {k}: {prev['mode']} -> {row['mode']}")
@@ -986,8 +961,8 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         json.loads((out / "report.json").read_text(), parse_constant=reject)
-        v_cmd_max = load_scenario(path).controller.v_cmd_max
-        assert _trace_violations(out / "trace.csv", v_cmd_max) == []
+        v_out = load_scenario(path).converter.v_out
+        assert _trace_violations(out / "trace.csv", v_out) == []
 
     @pytest.mark.parametrize("v_out", [100.0, 110.0, 120.0])
     def test_low_link_voltage_still_scans_to_the_oracle(self, tmp_path, v_out):
@@ -1227,7 +1202,7 @@ class TestCli:
             "seed_not_integer",
             "irradiance_nan",
             "irradiance_above_stc",
-            "v_ref_start_above_link",
+            "v_ref_start_unknown",
             "horizon_above_max",
             "inductor_resistance_huge",
             "inductance_below_envelope",
@@ -1370,6 +1345,22 @@ def test_run_fuzz_document_is_psc1_with_defaults_spelled_out():
     assert scenario_from_dict({**copy.deepcopy(_PSC1_RUN_DOC), "dt_s": 5e-6}) == scenario_from_dict(
         minimal
     )
+
+
+@pytest.mark.parametrize(
+    "horizon_s, dt_s, accepted",
+    [(60.0, 5e-6, True), (30.0, 2.5e-6, True), (0.9, 1e-9, False), (60.0, 2.5e-6, False),
+     (0.9, 5e-324, False)],
+)
+def test_sub_step_count_is_capped(horizon_s, dt_s, accepted):
+    """A run takes at most the 1.2e7 RK4 sub-steps of a 60 s run at the
+    default dt_s of 5e-6 s; a subnormal dt_s is rejected, not overflowed."""
+    doc = {**copy.deepcopy(_PSC1_DOC), "horizon_s": horizon_s, "dt_s": dt_s}
+    if accepted:
+        assert scenario_from_dict(doc).dt_s == dt_s
+    else:
+        with pytest.raises(ScenarioError, match=r"^dt_s: .* above the 12000000 maximum$"):
+            scenario_from_dict(doc)
 
 
 # psc1 with its module given as the calibrated single-diode parameters (the

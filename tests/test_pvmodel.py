@@ -32,7 +32,7 @@ from pvmppt.pvmodel import (
     string_current,
     sweep_curve,
 )
-from pvmppt.pvmodel import _check_contract, _datasheet_residuals, _fit_datasheet, _string_curve
+from pvmppt.pvmodel import _check_contract, _datasheet_residuals, _fit_datasheet
 from pvmppt.solver import bounded_lm
 
 from oracles import (
@@ -391,7 +391,7 @@ def assert_memo_matches_uncached(spec: ArraySpec) -> None:
         assert curve.i.tobytes() == want.tobytes()
     for s in range(spec.n_parallel):
         v_pts, i_pts = uncached_string_curve(spec, s)
-        got_v, got_i = _string_curve(spec, s)
+        got_v, got_i = spec._strings.curve(s)
         assert got_v.tobytes() == v_pts.tobytes() and got_i.tobytes() == i_pts.tobytes()
         for v in (0.0, 0.5 * voc, float(v_pts[len(v_pts) // 3]), voc, voc + 1.0):
             want_i = float(np.interp(v, v_pts, i_pts, right=0.0))
@@ -488,11 +488,11 @@ class TestStringMemo:
 
     def test_shared_arrays_are_read_only(self, nd_module):
         spec = two_level_string(nd_module, 4, 2, 2.0)
-        v_pts, i_pts = _string_curve(spec, 0)
+        v_pts, i_pts = spec._strings.curve(0)
         for arr in (v_pts, i_pts, *pvmodel._module_branch_samples(nd_module, HS, 30.0)):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-        assert _string_curve(spec, 0)[0] is v_pts
+        assert spec._strings.curve(0)[0] is v_pts
 
 
 class TestSweepAndOracle:
