@@ -11,16 +11,15 @@ from pathlib import Path
 from .harness import (
     ScenarioError,
     base_array_spec,
-    build_reference_model,
+    commission,
     detect_pattern,
     emit_report,
     emit_trace,
     load_scenario,
-    resolve_module,
     run_closed_loop,
     run_corpus,
 )
-from .pvmodel import CalibrationError, ValidationError, sweep_curve
+from .pvmodel import ValidationError, sweep_curve
 
 
 def _cmd_run(args) -> int:
@@ -61,14 +60,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_detect(args) -> int:
     scn = load_scenario(args.scenario)
     spec = base_array_spec(scn, args.event_index)
-    module = resolve_module(scn)
-    ref = build_reference_model(module, scn.n_series, scn.n_parallel)
-    det = detect_pattern(
-        spec,
-        ref,
-        scn.controller.detector,
-        s_prior=args.prior_irradiance,
-    )
+    ref = commission(scn, spec.module)
+    det = detect_pattern(spec, ref, scn.controller.detector, s_prior=args.prior_irradiance)
     doc = det.to_dict()
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
@@ -149,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValidationError, CalibrationError) as exc:
+    except (ScenarioError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .pvmodel import ValidationError
+from .pvmodel import ValidationError, check_field
 
 
 class Mode(str, Enum):
@@ -50,15 +50,6 @@ class Mode(str, Enum):
 PSI_PROBE_FRAC_MIN = 1e-9
 
 
-def _finite(cfg, *names: str, zero_ok: bool) -> None:
-    """Reject a non-finite or negative value, and zero unless ``zero_ok``."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
-            kind = "non-negative" if zero_ok else "positive"
-            raise ValidationError(f"{name} must be finite and {kind}, got {value}", name)
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Thresholds and probe geometry of the shading detector."""
@@ -74,19 +65,15 @@ class DetectorConfig:
         return self.psi_probe_frac * v_mpp_arr
 
     def __post_init__(self) -> None:
-        for name in ("psi_threshold", "dv_arr_threshold", "dv_mod_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValidationError("detector thresholds must be positive", name)
         # a zero trigger detects on every P&O tick and never lets P&O settle;
         # a zero probe width puts both PSI probes at one voltage
-        _finite(
-            self, "power_change_trigger", "periodic_trigger_s", "psi_probe_frac", zero_ok=False
-        )
-        if self.psi_probe_frac < PSI_PROBE_FRAC_MIN:
-            raise ValidationError(
-                f"psi_probe_frac {self.psi_probe_frac} below the floor {PSI_PROBE_FRAC_MIN}",
-                "psi_probe_frac",
-            )
+        for name in ("psi_threshold", "dv_arr_threshold", "dv_mod_threshold",
+                     "power_change_trigger", "periodic_trigger_s"):
+            value = getattr(self, name)
+            check_field(name, value, value > 0.0, "finite and positive")
+        check_field("psi_probe_frac", self.psi_probe_frac,
+                    self.psi_probe_frac >= PSI_PROBE_FRAC_MIN,
+                    f"finite and at least {PSI_PROBE_FRAC_MIN}")
 
 
 @dataclass(frozen=True)
@@ -100,12 +87,12 @@ class ControllerConfig:
     po_only: bool = False  # baseline: never detect, never scan
 
     def __post_init__(self) -> None:
-        if self.po_period_s < self.adc_period_s:
-            raise ValidationError("po_period_s must be >= adc_period_s", "po_period_s")
-        for name in ("ramp_rate_v_per_s", "po_step_v"):
-            if getattr(self, name) <= 0:
-                raise ValidationError("rates and steps must be positive", name)
-        _finite(self, "settle_s", zero_ok=True)
+        for name in ("adc_period_s", "ramp_rate_v_per_s", "po_step_v"):
+            value = getattr(self, name)
+            check_field(name, value, value > 0.0, "finite and positive")
+        check_field("po_period_s", self.po_period_s, self.po_period_s >= self.adc_period_s,
+                    f"finite and at least adc_period_s ({self.adc_period_s})")
+        check_field("settle_s", self.settle_s, self.settle_s >= 0.0, "finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -133,8 +120,11 @@ class ReferenceModel:
     irr_dv_arr: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rho > 0:
-            raise ValidationError("temperature coefficient must be negative")
+        for name in ("v_mpp_arr_sc", "v_mpp_mod_sc", "v_oc_arr_rated", "i_sc_rated",
+                     "i_mpp_arr_sc"):
+            value = getattr(self, name)
+            check_field(name, value, value > 0.0, "finite and positive")
+        check_field("rho", self.rho, self.rho <= 0.0, "finite and <= 0")
         if not (len(self.irr_t_rows) == len(self.irr_ln_ratio) == len(self.irr_dv_arr)):
             raise ValidationError("irradiance table rows must match")
 

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pvmodel import PvCurve, ValidationError
+from .pvmodel import PvCurve, ValidationError, check_field
 
 MAX_DT = 2e-5  # stability margin at the reference plant parameters
 MAX_DUTY = 0.99
@@ -50,6 +50,7 @@ DT = 5e-6  # s, the open-loop RK4 step of :func:`run`
 # (imaginary axis).  The reference plant (0.3 ohm, 600 uH, 100 uF) sits at
 # 0.01 and 0.08.  The capacitor pole g*dt/c_pv also depends on the array's
 # slope g = |di/dv|, so the closed loop checks it per swept curve.
+# :class:`ConverterParams` rejects a plant outside the box.
 STEP_NUMBER_MAX = 1.0
 R_L_MAX = 3.0  # ohm
 L_MIN = 60e-6  # H
@@ -70,9 +71,13 @@ class ConverterParams:
     v_out: float = 250.0  # V, held constant
 
     def __post_init__(self) -> None:
-        for name in ("r_l", "l", "c_pv", "v_out"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError("converter parameters must be strictly positive", name)
+        for name, value, ok, envelope in (
+            ("r_l", self.r_l, 0.0 < self.r_l <= R_L_MAX, f"(0, {R_L_MAX}] ohm"),
+            ("l", self.l, self.l >= L_MIN, f"[{L_MIN}, inf) H"),
+            ("c_pv", self.c_pv, self.c_pv >= C_PV_MIN, f"[{C_PV_MIN:.3g}, inf) F"),
+            ("v_out", self.v_out, 0.0 < self.v_out <= V_OUT_MAX, f"(0, {V_OUT_MAX}] V"),
+        ):
+            check_field(name, value, ok, f"in the plant envelope {envelope}")
 
 
 @dataclass(frozen=True)

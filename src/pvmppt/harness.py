@@ -37,12 +37,8 @@ from .control import (
     update_references,
 )
 from .converter import (
-    C_PV_MIN,
-    L_MIN,
     MAX_DT,
-    R_L_MAX,
     STEP_NUMBER_MAX,
-    V_OUT_MAX,
     ConverterParams,
     PlantCurve,
     TraceRecord,
@@ -54,6 +50,7 @@ from .pvmodel import (
     STC_IRRADIANCE,
     SWEEP_SAMPLES_MAX,
     ArraySpec,
+    CalibrationError,
     ModuleCondition,
     ModuleDatasheet,
     ModuleParams,
@@ -156,6 +153,8 @@ class TimelineEvent:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scenario file's content, checked when built: each error names its path."""
+
     name: str
     n_series: int
     n_parallel: int
@@ -169,13 +168,9 @@ class Scenario:
     seed: int = 0  # a label copied to report.json; the run draws nothing
     dt_s: float = 5e-6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         adc = self.controller.adc_period_s
-        for where, value in (
-            ("horizon_s", self.horizon_s),
-            ("dt_s", self.dt_s),
-            ("controller.adc_period_s", adc),
-        ):
+        for where, value in (("horizon_s", self.horizon_s), ("dt_s", self.dt_s)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ScenarioError(f"{where}: must be positive and finite, got {value}")
         if self.horizon_s > MAX_HORIZON_S:
@@ -216,17 +211,6 @@ class Scenario:
                 )
         if self.datasheet is None and self.params is None:
             raise ScenarioError("module: datasheet or params required")
-        conv = self.converter
-        for where, value, ok, envelope in (
-            ("r_l_ohm", conv.r_l, conv.r_l <= R_L_MAX, f"(0, {R_L_MAX}] ohm"),
-            ("l_h", conv.l, conv.l >= L_MIN, f">= {L_MIN} H"),
-            ("c_pv_f", conv.c_pv, conv.c_pv >= C_PV_MIN, f">= {C_PV_MIN:.3g} F"),
-            ("v_out_v", conv.v_out, conv.v_out <= V_OUT_MAX, f"(0, {V_OUT_MAX}] V"),
-        ):
-            if not ok:
-                raise ScenarioError(
-                    f"converter.{where}: {value} outside the plant envelope {envelope}"
-                )
         for where, value in (("n_series", self.n_series), ("n_parallel", self.n_parallel)):
             if value < 1:
                 raise ScenarioError(f"array.{where}: must be at least 1, got {value}")
@@ -252,7 +236,13 @@ class Scenario:
 
 
 def resolve_module(scn: Scenario) -> ModuleParams:
-    return scn.params if scn.params is not None else calibrate_module(scn.datasheet)
+    """The scenario's module: its params, or the calibration of its datasheet."""
+    if scn.params is not None:
+        return scn.params
+    try:
+        return calibrate_module(scn.datasheet)
+    except CalibrationError as exc:
+        raise ScenarioError(f"module.datasheet: {exc}") from exc
 
 
 # highest array open-circuit voltage a scenario may reach: the 0.01 V sweep
@@ -440,15 +430,13 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     controller = _section(
         ctl_doc, "controller", ControllerConfig, known=("detector",), detector=detector
     )
-    scn = _section(
+    return _section(
         doc, "", Scenario,
         known=("name", "array", "module", "levels", "timeline", "converter", "controller"),
         name=_get(doc, "name", "", _text, name), n_series=n_series, n_parallel=n_parallel,
         sample_module=sample, events=tuple(events), datasheet=datasheet, params=params,
         converter=converter, controller=controller,
     )
-    scn.validate()
-    return scn
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -479,15 +467,23 @@ def build_reference_model(
     else, so it is computed once per ``(module, n_series, n_parallel)``
     per process and shared (``ReferenceModel`` is frozen)."""
 
-    def mpp_at(cond: ModuleCondition) -> tuple[float, float]:
-        spec = ArraySpec.uniform(module, n_series, n_parallel, cond)
-        return oracle_gmpp(sweep_curve(spec, 0.02))
+    mpps: dict[tuple[float, float], tuple[float, float]] = {}
 
-    v_sc, p_sc = mpp_at(ModuleCondition(1.0, 25.0))
+    def mpp_at(s: float, t: float) -> tuple[float, float]:
+        """(V, P) of the MPP at irradiance ``s`` and temperature ``t``, swept once."""
+        if (s, t) not in mpps:
+            spec = ArraySpec.uniform(module, n_series, n_parallel, ModuleCondition(s, t))
+            v, p = oracle_gmpp(sweep_curve(spec, 0.02))
+            if not p > 0.0:
+                raise ValidationError(f"no positive MPP power at commissioning ({s} kW/m^2, {t} C)")
+            mpps[s, t] = v, p
+        return mpps[s, t]
+
+    v_sc, p_sc = mpp_at(1.0, 25.0)
     i_mpp_sc = p_sc / v_sc
 
     temps = (0.0, 25.0, 55.0)
-    v_at_t = [mpp_at(ModuleCondition(1.0, t))[0] for t in temps]
+    v_at_t = [mpp_at(1.0, t)[0] for t in temps]
     slope = np.polyfit(temps, v_at_t, 1)[0]
     rho = float(slope / v_sc)
 
@@ -499,7 +495,7 @@ def build_reference_model(
         ln_ratios, dvs = [], []
         base = v_sc * (1.0 - abs(rho) * (t_row - 25.0))
         for s in s_grid:
-            v_s, p_s = mpp_at(ModuleCondition(s, t_row))
+            v_s, p_s = mpp_at(s, t_row)
             ln_ratios.append(math.log((p_s / v_s) / i_mpp_sc))
             dvs.append(v_s - base)
         order = np.argsort(ln_ratios)
@@ -518,6 +514,16 @@ def build_reference_model(
         irr_ln_ratio=tuple(ln_rows),
         irr_dv_arr=tuple(dv_rows),
     )
+
+
+def commission(scn: Scenario, module: ModuleParams) -> ReferenceModel:
+    """:func:`build_reference_model` of the scenario's array on its resolved
+    ``module``; a module commissioning rejects is an error of its section."""
+    try:
+        return build_reference_model(module, scn.n_series, scn.n_parallel)
+    except ValidationError as exc:
+        section = "module.params" if scn.params is not None else "module.datasheet"
+        raise ScenarioError(f"{section}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +660,9 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     runs as one :func:`advance` call at the held command, sampled at each
     tick start, with the same samples, checks and bits as one tick at a
     time; :func:`_idle_end` finds where it ends."""
-    scn.validate()
     # every event's array is checked before anything is swept
     specs = [base_array_spec(scn, k) for k in range(len(scn.events))]
-    ref = build_reference_model(specs[0].module, scn.n_series, scn.n_parallel)
+    ref = commission(scn, specs[0].module)
     cfg = scn.controller
     conv = scn.converter
     dt = scn.dt_s
@@ -942,7 +947,7 @@ def random_scenario(seed: int, index: int) -> Scenario:
             strings.append(f"{n1}-{n2}-{n3}")
         events.append(TimelineEvent(round(t, 4), ShadingPattern.parse(strings, levels)))
         t += 0.45
-    scn = Scenario(
+    return Scenario(
         name=f"corpus-{index:04d}",
         n_series=5,
         n_parallel=3,
@@ -953,7 +958,6 @@ def random_scenario(seed: int, index: int) -> Scenario:
         seed=seed + index,
         dt_s=2e-5,
     )
-    return scn
 
 
 def _corpus_worker(args: tuple[int, int]) -> dict:

@@ -49,6 +49,13 @@ class ValidationError(ValueError):
         self.field = field
 
 
+def check_field(name: str, value: float, ok: bool, envelope: str) -> None:
+    """Raise a :class:`ValidationError` naming field ``name`` unless ``value``
+    is finite and ``ok``, the caller's bound; ``envelope`` says both in words."""
+    if not (math.isfinite(value) and ok):
+        raise ValidationError(f"{name} must be {envelope}, got {value}", name)
+
+
 class CalibrationError(RuntimeError):
     """Datasheet fit did not reach the required fidelity."""
 
@@ -76,17 +83,17 @@ class ModuleDatasheet:
     pmax_thermal_coeff: float = -0.0044  # fraction per degC, negative
 
     def __post_init__(self) -> None:
-        if not self.p_max > 0.0:
-            raise ValidationError("p_max must be positive", "p_max")
-        if not (0.0 < self.v_mpp < self.v_oc):
-            raise ValidationError("require 0 < v_mpp < v_oc", "v_mpp")
-        if not (0.0 < self.i_mpp < self.i_sc):
-            raise ValidationError("require 0 < i_mpp < i_sc", "i_mpp")
+        # v_oc and i_sc are bounded by the MPP checks that follow them
+        check_field("p_max", self.p_max, self.p_max > 0.0, "finite and positive")
+        check_field("v_oc", self.v_oc, True, "finite")
+        check_field("i_sc", self.i_sc, True, "finite")
+        check_field("v_mpp", self.v_mpp, 0.0 < self.v_mpp < self.v_oc, f"in (0, v_oc {self.v_oc})")
+        check_field("i_mpp", self.i_mpp, 0.0 < self.i_mpp < self.i_sc, f"in (0, i_sc {self.i_sc})")
         if abs(self.p_max - self.v_mpp * self.i_mpp) / self.p_max >= 0.02:
             raise ValidationError("p_max inconsistent with v_mpp*i_mpp (>2%)", "p_max")
         for name in ("rho_mod", "pmax_thermal_coeff"):
-            if getattr(self, name) >= 0.0:
-                raise ValidationError("thermal coefficients must be negative", name)
+            value = getattr(self, name)
+            check_field(name, value, value < 0.0, "finite and negative")
         if self.n_cells < 1:
             raise ValidationError("n_cells must be positive", "n_cells")
 
@@ -104,12 +111,12 @@ class ModuleParams:
     v_bypass: float = -0.7  # conducting bypass-diode clamp [V]
 
     def __post_init__(self) -> None:
-        if self.r_s < 0.0 or self.r_sh <= 0.0 or self.i_o_ref <= 0.0:
-            raise ValidationError("require r_s >= 0, r_sh > 0, i_o_ref > 0")
-        if not (1.0 <= self.ideality_a <= 2.0):
-            raise ValidationError("ideality factor must lie in [1, 2]")
-        if not (-1.0 <= self.v_bypass <= -0.5):
-            raise ValidationError("v_bypass must lie in [-1.0, -0.5] V")
+        for name in ("i_pv_ref", "i_o_ref", "r_sh"):
+            value = getattr(self, name)
+            check_field(name, value, value > 0.0, "finite and positive")
+        check_field("ideality_a", self.ideality_a, 1.0 <= self.ideality_a <= 2.0, "in [1, 2]")
+        check_field("r_s", self.r_s, self.r_s >= 0.0, "finite and non-negative")
+        check_field("v_bypass", self.v_bypass, -1.0 <= self.v_bypass <= -0.5, "in [-1.0, -0.5] V")
 
 
 @dataclass(frozen=True)
@@ -120,10 +127,9 @@ class ModuleCondition:
     temperature: float  # degC
 
     def __post_init__(self) -> None:
-        if self.irradiance < 0.0:
-            raise ValidationError("irradiance must be >= 0")
-        if not (-40.0 <= self.temperature <= 90.0):
-            raise ValidationError("temperature out of supported range [-40, 90] C")
+        check_field("irradiance", self.irradiance, self.irradiance >= 0.0, "finite and >= 0")
+        t = self.temperature
+        check_field("temperature", t, -40.0 <= t <= 90.0, "in [-40, 90] C")
 
 
 STC = ModuleCondition(irradiance=STC_IRRADIANCE, temperature=T_REF_C)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,9 @@ from pvmppt.harness import (
     load_scenario,
 )
 from pvmppt.pvmodel import (
+    ND195R1S,
+    ND195R1S_PARAMS,
+    STC,
     ArraySpec,
     ModuleCondition,
     ValidationError,
@@ -506,20 +510,43 @@ class TestPsiWeightedAverage:
             assert psi_arr == pytest.approx(num / den, rel=1e-3)
 
 
+def _float_fields(*instances):
+    """``(instance, name)`` for every float field of each instance's class."""
+    return [(x, f.name) for x in instances for f in fields(x) if f.type == "float"]
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    # rho, a temperature coefficient, may be negative
+    @pytest.mark.parametrize("value", [-1.0, *NON_FINITE])
     @pytest.mark.parametrize(
-        "cls, name",
+        "base, name",
         [
-            (DetectorConfig, "power_change_trigger"),
-            (DetectorConfig, "periodic_trigger_s"),
-            (DetectorConfig, "psi_probe_frac"),
-            (ControllerConfig, "settle_s"),
+            (base, name)
+            for base, name in _float_fields(DetectorConfig(), ControllerConfig(), simple_ref())
+            if name != "rho"
         ],
     )
-    def test_negative_or_non_finite_rejected_naming_field(self, cls, name, value):
+    def test_negative_or_non_finite_rejected_naming_field(self, base, name, value):
         with pytest.raises(ValidationError) as err:
-            cls(**{name: value})
+            replace(base, **{name: value})
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("value", [1e-3, *NON_FINITE])
+    def test_positive_or_non_finite_rho_rejected(self, value):
+        with pytest.raises(ValidationError) as err:
+            simple_ref(rho=value)
+        assert err.value.field == "rho"
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "base, name", _float_fields(ND195R1S, ND195R1S_PARAMS, STC, ConverterParams())
+    )
+    def test_non_finite_physics_field_rejected_naming_field(self, base, name, value):
+        with pytest.raises(ValidationError) as err:
+            replace(base, **{name: value})
         assert err.value.field == name
 
     @pytest.mark.parametrize("cls, name", [(ControllerConfig, "settle_s")])

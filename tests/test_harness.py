@@ -204,6 +204,17 @@ class TestCommissioningCache:
         assert models[0].v_mpp_arr_sc == pytest.approx(0.8 * ref_3x5.v_mpp_arr_sc, rel=1e-9)
         assert models[1].i_mpp_arr_sc == pytest.approx(2 / 3 * ref_3x5.i_mpp_arr_sc, rel=1e-9)
 
+    def test_each_commissioning_condition_is_swept_once(self, nd_module, ref_3x5, monkeypatch):
+        swept = []
+
+        def counted(spec, v_step):
+            swept.append(spec.conditions[0][0])
+            return sweep_curve(spec, v_step)
+
+        monkeypatch.setattr(harness, "sweep_curve", counted)
+        assert build_reference_model.__wrapped__(nd_module, 5, 3) == ref_3x5
+        assert len(swept) == len(set(swept)) == 29
+
     def test_cold_cache_run_is_byte_identical(self, tmp_path):
         scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
         warm = _emitted_bytes(scn, tmp_path, "warm")
@@ -334,9 +345,8 @@ class TestClosedLoop:
         assert replace(report_b, seed=report.seed) == report
 
     def test_misaligned_adc_rejected(self):
-        scn = short_psc1(dt_s=3e-5)  # 5e-4 / 3e-5 is not an integer
         with pytest.raises(ScenarioError, match="multiple"):
-            run_closed_loop(scn)
+            short_psc1(dt_s=3e-5)  # 5e-4 / 3e-5 is not an integer
 
     def test_inline_integrator_matches_step_ode(self, nd_module):
         # one ADC interval of the fast loop equals a step_ode sequence
@@ -772,7 +782,6 @@ class TestCorpusScenario:
         a = random_scenario(42, 3)
         b = random_scenario(42, 3)
         assert a == b
-        a.validate()
         assert a.events[0].pattern.as_strings() == ["5-0-0"] * 3
 
     def test_worst_events_name_rerunnable_scenarios(self):
@@ -1190,6 +1199,7 @@ class TestCli:
             ({("noise",): {"v_amplitude_v": 0.0, "i_amplitude_a": 0.0}}, "noise"),
             ({("module", "datasheet", "p_max_w"): -5.0}, "module.datasheet.p_max_w"),
             ({("module", "datasheet", "v_mpp_v"): 40.0}, "module.datasheet.v_mpp_v"),
+            ({("module", "datasheet", "v_oc_v"): 1e300}, "module.datasheet"),
             ({("name",): [1, 2]}, "name"),
         ],
         ids=(
@@ -1231,6 +1241,7 @@ class TestCli:
             "noise_section",
             "datasheet_power_negative",
             "datasheet_mpp_voltage_above_voc",
+            "datasheet_not_calibratable",
             "name_not_string",
         ),
     )
@@ -1271,6 +1282,39 @@ _PSC1_DOC = json.loads((SCENARIO_DIR / "benchmark_psc1.json").read_text())
 _MUTATIONS = ("drop", "nan", "negate", "huge", "string", "list", "object", "bool", "null")
 
 
+def _spelled(path) -> str:
+    """A key path as the loader spells it: ``a.b[1].c``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _nameable_paths(*docs) -> set[str]:
+    """The paths an error about ``docs`` may name: each key path of a
+    document, each prefix of one, and ``timeline[k].levels[j]`` for each root
+    level that an event without levels of its own inherits."""
+    paths = set()
+    for doc in docs:
+        paths.update(_json_paths(doc))
+        levels, timeline = doc.get("levels"), doc.get("timeline")
+        if isinstance(levels, list) and isinstance(timeline, list):
+            for k, ev in enumerate(timeline):
+                if isinstance(ev, dict) and "levels" not in ev:
+                    paths.update(("timeline", k, "levels", j) for j in range(len(levels)))
+    return {_spelled(p[:n]) for p in paths for n in range(1, len(p) + 1)}
+
+
+def _cli_names_a_path(argv, *docs) -> int:
+    """``cli_main(argv)``'s exit code, asserting that an exit 2 prints
+    ``error: <path>: ...`` with a path :func:`_nameable_paths` allows."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli_main(argv)
+    if rc == 2:
+        text = err.getvalue()
+        assert text.startswith("error: ") and ": " in text[7:], text
+        assert text[7:].split(": ", 1)[0] in _nameable_paths(*docs), text
+    return rc
+
+
 def _mutate(node, key, how):
     if how == "drop":
         del node[key]
@@ -1292,8 +1336,10 @@ def _mutate(node, key, how):
         max_size=3,
     )
 )
+@example([(("module", "datasheet", "v_oc_v"), "huge")])  # a datasheet the fit cannot meet
 def test_mutated_scenario_exits_cleanly(mutations):
-    """A mangled scenario file is swept (exit 0) or rejected (exit 2), never a traceback."""
+    """A mangled scenario file is swept (exit 0) or rejected (exit 2) naming a
+    path of the file, never a traceback."""
     doc = copy.deepcopy(_PSC1_DOC)
     for path, how in mutations:
         try:
@@ -1303,8 +1349,8 @@ def test_mutated_scenario_exits_cleanly(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli_main(["sweep", "--scenario", str(scenario), "--out", str(Path(tmp) / "c.csv")])
+        argv = ["sweep", "--scenario", str(scenario), "--out", str(Path(tmp) / "c.csv")]
+        rc = _cli_names_a_path(argv, _PSC1_DOC, doc)
     assert rc in (0, 2)
 
 
@@ -1393,6 +1439,19 @@ def test_module_params_run_matches_datasheet_twin(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("i_pv_ref", [-8.68, 0, 1e-9])
+def test_non_positive_photocurrent_exits_naming_the_params(tmp_path, capsys, i_pv_ref):
+    """A module with no photocurrent, or one too small to give any power at a
+    commissioning condition, is an error of ``module.params``."""
+    doc = copy.deepcopy(_PSC1_PARAMS_DOC)
+    doc["module"]["params"]["i_pv_ref_a"] = i_pv_ref
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    for argv in (["run", "--out", str(tmp_path / "o")], ["detect", "--event-index", "1"]):
+        assert cli_main([*argv, "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err.startswith("error: module.params")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.lists(
@@ -1403,7 +1462,8 @@ def test_module_params_run_matches_datasheet_twin(tmp_path):
 )
 @example([(("converter", "r_l_ohm"), "huge")])
 def test_mutated_scenario_runs_or_exits_cleanly(mutations):
-    """A mangled scenario file runs the closed loop (exit 0) or is rejected (exit 2)."""
+    """A mangled scenario file runs the closed loop (exit 0) or is rejected
+    (exit 2) naming a path of the file."""
     doc = copy.deepcopy(_PSC1_RUN_DOC)
     for path, how in mutations:
         try:
@@ -1413,8 +1473,8 @@ def test_mutated_scenario_runs_or_exits_cleanly(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli_main(["run", "--scenario", str(scenario), "--out", str(Path(tmp) / "o")])
+        argv = ["run", "--scenario", str(scenario), "--out", str(Path(tmp) / "o")]
+        rc = _cli_names_a_path(argv, _PSC1_RUN_DOC, doc)
     assert rc in (0, 2)
 
 
