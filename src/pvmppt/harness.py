@@ -182,6 +182,10 @@ class Scenario:
             raise ScenarioError(
                 f"dt_s: {self.dt_s} s gives {n_sub:.3g} sub-steps, above the {MAX_SUBSTEPS} maximum"
             )
+        if round(adc / self.dt_s) < 1:
+            raise ScenarioError(
+                f"controller.adc_period_s: {adc} s is shorter than one dt_s of {self.dt_s} s"
+            )
         if abs(round(adc / self.dt_s) * self.dt_s - adc) > 1e-12:
             raise ScenarioError("controller.adc_period_s: must be a multiple of dt_s")
         if self.dt_s > MAX_DT:

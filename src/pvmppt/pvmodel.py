@@ -18,6 +18,7 @@ cubic/exponential temperature law with a 1.12 eV band gap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -30,6 +31,8 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import interp as _interp
 
 from .solver import SolverError, bounded_lm, golden_section_max, solve_decreasing
+
+_float64 = np.float64  # one global lookup per float query, not two
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 ELECTRON_CHARGE_C = 1.602176634e-19
@@ -117,6 +120,8 @@ class ModuleParams:
         check_field("ideality_a", self.ideality_a, 1.0 <= self.ideality_a <= 2.0, "in [1, 2]")
         check_field("r_s", self.r_s, self.r_s >= 0.0, "finite and non-negative")
         check_field("v_bypass", self.v_bypass, -1.0 <= self.v_bypass <= -0.5, "in [-1.0, -0.5] V")
+        if self.n_cells < 1:
+            raise ValidationError("n_cells must be positive", "n_cells")
 
 
 @dataclass(frozen=True)
@@ -181,24 +186,90 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class PvCurve:
-    """Dense P-V/I-V samples of one array under fixed conditions."""
+    """Dense P-V/I-V samples of one array under fixed conditions.
+
+    The curve shows its samples as read-only views, so the sample lists
+    that :meth:`current_at` keeps cannot go stale through them.  The
+    compiled kernel is handed writeable views of the same memory
+    (``_xp``, ``_fp``): ``np.interp`` copies a read-only argument on every
+    call, ~7 us for a 13,001-sample curve.  Memory that is itself
+    read-only is copied once, when the curve is built."""
 
     v: np.ndarray
     i: np.ndarray
     p: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name, private in (("v", "_xp"), ("i", "_fp"), ("p", None)):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            w = a.view()
+            try:
+                w.flags.writeable = True
+            except ValueError:  # the memory is read-only
+                w = a.copy()
+            object.__setattr__(self, name, _read_only(w.view()))
+            if private:
+                object.__setattr__(self, private, w)
+
+    def __reduce__(self):
+        # rebuilt through __init__: the copy's arrays are read-only too, and
+        # the sample lists are not carried along
+        return PvCurve, (self.v, self.i, self.p)
+
     def __len__(self) -> int:
         return len(self.v)
 
+    @cached_property
+    def _lists(self) -> tuple[list[float], list[float], float, float, float]:
+        """``(v, i)`` as Python lists, ``v[0]``, ``v[-1]`` and the samples per
+        volt, built on the first float query.  For fewer than two samples,
+        currents of another length, or voltages that are not ascending (NaN
+        fails) over a finite, positive span, the range is empty and every
+        query goes to the kernel."""
+        v = self.v
+        if len(v) >= 2 and len(self.i) == len(v) and (v[1:] >= v[:-1]).all():
+            xs = v.tolist()
+            x0, x_end = xs[0], xs[-1]
+            scale = (len(xs) - 1) / (x_end - x0) if x_end > x0 else 0.0
+            if 0.0 < scale < math.inf:  # also 0 for an infinite span
+                xs.append(math.inf)  # brackets a guess rounded up to the last sample
+                return xs, self.i.tolist(), x0, x_end, scale
+        return [], [], math.inf, -math.inf, 0.0
+
     def current_at(self, v: float | np.ndarray):
-        """``np.interp(v, self.v, self.i, right=0.0)``, called on the compiled
-        kernel that ``np.interp`` forwards to: same bits, without its
-        per-call dispatch and ``fp`` checks (the open-loop plant source
-        calls this four times per RK4 step)."""
-        return _interp(v, self.v, self.i, None, 0.0)
+        """``np.interp(v, self.v, self.i, right=0.0)``, bit for bit, as an
+        ``np.float64`` for a scalar.
+
+        A Python float inside ``[v[0], v[-1])`` is answered from the sample
+        lists with the compiled kernel's own arithmetic: the open-loop plant
+        source calls this four times per RK4 step, and a kernel call pays
+        numpy's array set-up for one float.  Everything else goes to the
+        compiled kernel that ``np.interp`` forwards to."""
+        if type(v) is float:
+            xs, ys, x0, x_end, scale = self._lists
+            if x0 <= v < x_end:  # NaN fails
+                j = int((v - x0) * scale)
+                x, x1 = xs[j], xs[j + 1]
+                if not x <= v < x1:
+                    j = bisect_right(xs, v) - 1
+                    x, x1 = xs[j], xs[j + 1]
+                y = ys[j]
+                if v == x:
+                    return _float64(y)
+                y1 = ys[j + 1]
+                slope = (y1 - y) / (x1 - x)
+                r = slope * (v - x) + y
+                if r != r:  # NaN one way: numpy tries the other
+                    r = slope * (v - x1) + y1
+                    if r != r and y == y1:
+                        r = y
+                return _float64(r)
+        return _interp(v, self._xp, self._fp, None, 0.0)
 
     def power_at(self, v: float | np.ndarray):
-        return v * self.current_at(v)
+        """``v * np.interp(v, ...)`` on the compiled kernel: the golden-section
+        searches ask ~30 points of a curve, too few to repay its lists."""
+        return v * _interp(v, self._xp, self._fp, None, 0.0)
 
 
 # ---------------------------------------------------------------------------

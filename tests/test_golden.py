@@ -1,8 +1,9 @@
 """Golden digests: the bytes ``pvmppt run`` and ``pvmppt detect`` write for the
-shipped scenario files.
+shipped scenario files, and the open-loop traces of acceptance criterion 3.
 
 A change that claims to keep behaviour must keep these SHA-256 digests, on
-both RK4 paths: the compiled kernel and the Python loop.  They were recorded
+both RK4 paths: the compiled kernel and the Python loop (the open-loop
+swept-curve source always runs the Python loop).  They were recorded
 with numpy 2.4.6 on Python 3.11.7.  Every shipped scenario runs on the
 built-in ND195R1S module, whose fit is pinned as the literals
 ``pvmodel.ND195R1S_PARAMS``, so the digests depend on those literals and not
@@ -18,6 +19,8 @@ import pytest
 
 import pvmppt.converter as converter
 from pvmppt.cli import main as cli_main
+from pvmppt.converter import CommandSegment, CommandSignal, ConverterParams
+from pvmppt.pvmodel import ArraySpec, ModuleDatasheet, calibrate_module, sweep_curve
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -60,6 +63,31 @@ DETECT_DIGESTS = {
     "benchmark_psc3": "998a2fb395e24b6a235bb24fa123b7329e8c76191bf51995ceb4c3f80f180af8",
     "benchmark_psc4": "397a5b92150e1c97332b92ef90a57bca25800485e715c26113fdcdab8f1763ca",
     "benchmark_psc5": "5073018b77ed855e01b89a8857636c359908f235135d94e09defe549224a870d",
+}
+
+# acceptance criterion 3: command -> SHA-256 of the repr of the list of
+# (t, v_ref, duty, v_pv, i_pv, p) samples that ``converter.run`` gives every
+# 5e-5 s, fed by the 156 W module as a uniform 5x1 string swept at 0.01 V
+OPEN_LOOP_DIGESTS = {
+    "step": "6d8d086fc18e3c915f148c51d329977d79343ee961510120ec8d19ca86191524",
+    "ramp": "7537b10fb2ad4a682d046c301df48dbf5af19e701e3ea11b1bcc893319add573",
+}
+OPEN_LOOP_COMMANDS = {
+    "step": CommandSignal(
+        (
+            CommandSegment("hold", 30.0, duration_s=0.02),
+            CommandSegment("hold", 60.0, duration_s=0.1),
+        ),
+        v_start=30.0,
+    ),
+    "ramp": CommandSignal(
+        (
+            CommandSegment("hold", 60.0, duration_s=0.005),
+            CommandSegment("ramp", 100.0, rate_v_per_s=4000.0),
+            CommandSegment("hold", 100.0, duration_s=0.01),
+        ),
+        v_start=60.0,
+    ),
 }
 
 
@@ -107,3 +135,20 @@ def test_detect_output_byte_identical(tmp_path, name):
     ]
     assert cli_main(argv) == 0
     assert _sha256(out) == DETECT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(OPEN_LOOP_DIGESTS))
+def test_open_loop_trace_byte_identical(name):
+    ds = ModuleDatasheet(
+        p_max=156.0, v_oc=26.0, i_sc=8.0, v_mpp=20.8, i_mpp=7.5,
+        pmax_thermal_coeff=-0.0044, rho_mod=-0.0033, n_cells=42,
+    )
+    curve = sweep_curve(ArraySpec.uniform(calibrate_module(ds), 5, 1), 0.01)
+    trace = converter.run(
+        OPEN_LOOP_COMMANDS[name],
+        lambda v: float(curve.current_at(max(v, 0.0))),
+        ConverterParams(),
+        sample_period=5e-5,
+    )
+    rows = [(r.t, r.v_ref, r.duty, r.v_pv, r.i_pv, r.p) for r in trace]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == OPEN_LOOP_DIGESTS[name]

@@ -1119,6 +1119,7 @@ class TestCli:
         "edits, field",
         [
             ({("controller", "adc_period_s"): 0}, "controller.adc_period_s"),
+            ({("controller", "adc_period_s"): 1e-300}, "controller.adc_period_s"),
             ({("horizon_s",): float("nan")}, "horizon_s"),
             ({("dt_s",): 1e-4}, "dt_s"),
             ({("timeline", 1, "t_s"): float("nan")}, "timeline[1].t_s"),
@@ -1204,6 +1205,7 @@ class TestCli:
         ],
         ids=(
             "adc_period_zero",
+            "adc_period_below_dt",
             "horizon_nan",
             "dt_above_max",
             "event_time_nan",
@@ -1450,6 +1452,17 @@ def test_non_positive_photocurrent_exits_naming_the_params(tmp_path, capsys, i_p
     for argv in (["run", "--out", str(tmp_path / "o")], ["detect", "--event-index", "1"]):
         assert cli_main([*argv, "--scenario", str(scenario)]) == 2
         assert capsys.readouterr().err.startswith("error: module.params")
+
+
+@pytest.mark.parametrize("n_cells", [0, -3])
+def test_cell_count_below_one_exits_naming_it(tmp_path, capsys, n_cells):
+    doc = copy.deepcopy(_PSC1_PARAMS_DOC)
+    doc["module"]["params"]["n_cells"] = n_cells
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    for argv in (["run", "--out", str(tmp_path / "o")], ["detect", "--event-index", "1"]):
+        assert cli_main([*argv, "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err.startswith("error: module.params.n_cells: ")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

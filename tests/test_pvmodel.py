@@ -1,5 +1,8 @@
 """Electrical model tests: calibration, composition, sweep, oracle."""
 
+import copy
+import math
+import pickle
 import random
 import struct
 import time
@@ -553,24 +556,75 @@ class TestSweepAndOracle:
             oracle_gmpp(empty)
 
     def test_current_at_matches_np_interp(self, nd_module):
-        curve = sweep_curve(two_level_string(nd_module, 4, 2, 2.0), 0.01)
-        voc = float(curve.v[-1])
+        """Every query gives np.interp's type and bits: the float queries that
+        the sample lists answer and the ones that go to the compiled kernel."""
+        from pvmppt.pvmodel import PvCurve
+
+        spec = two_level_string(nd_module, 4, 2, 2.0)
+        curve = sweep_curve(spec, 0.01)
+        v_s, i_s = spec._strings.curve(0)  # the string's own, non-uniform samples
+        k = len(curve) // 3
+        v_rep = np.insert(curve.v, k, curve.v[k])
+        i_rep = np.insert(curve.i, k, curve.i[k] + 0.5)
+        n = len(curve) // 2
+        curves = {
+            "sweep": curve,
+            "non-uniform": PvCurve(v_s, i_s, v_s * i_s),
+            "repeated sample": PvCurve(v_rep, i_rep, v_rep * i_rep),
+            "prefix view": PvCurve(curve.v[:n], curve.i[:n], curve.p[:n]),
+            # a NaN on one side of a segment makes numpy retry from the other
+            "non-finite currents": PvCurve(
+                np.arange(6.0), np.array([1.0, math.inf, 2.0, math.nan, math.inf, math.inf]),
+                np.zeros(6),
+            ),
+        }
         rnd = random.Random(5)
-        scalars = (
-            [rnd.uniform(-1.0, voc + 1.0) for _ in range(2000)]
-            + curve.v.tolist()
-            + [0.0, -0.0, voc, float("nan")]
-        )
-        for v in scalars:
-            got = curve.current_at(v)
-            want = np.interp(v, curve.v, curve.i, right=0.0)
-            assert type(got) is type(want)
-            assert np.array_equal(got, want, equal_nan=True) and repr(got) == repr(want)
-        arr = np.array(scalars)
-        got = curve.current_at(arr)
-        want = np.interp(arr, curve.v, curve.i, right=0.0)
-        assert type(got) is type(want) and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        for name, c in curves.items():
+            samples = c.v.tolist()
+            scalars = [rnd.uniform(-1.0, samples[-1] + 1.0) for _ in range(2000)]
+            for x in samples:
+                scalars += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+            scalars += [0.0, -0.0, math.inf, -math.inf, math.nan]
+            others = [np.float64(x) for x in scalars[:500:7]] + [0, 5, 100, -3, 10**6]
+            for v in scalars + others:
+                got = c.current_at(v)
+                want = np.interp(v, c.v, c.i, right=0.0)
+                assert type(got) is type(want) and got.tobytes() == want.tobytes(), (name, v)
+            assert c._lists[0], name  # the float queries were answered from the lists
+            # numpy's kernel copies a read-only argument on every call
+            assert c._xp.flags.writeable and c._fp.flags.writeable, name
+            with np.errstate(invalid="ignore"):  # inf * 0.0, on both sides
+                for v in scalars[:2000] + scalars[-5:] + others:
+                    got = c.power_at(v)
+                    want = v * np.interp(v, c.v, c.i, right=0.0)
+                    assert type(got) is type(want) and got.tobytes() == want.tobytes(), (name, v)
+                arr = np.array(scalars)
+                for method, want in (
+                    (c.current_at, np.interp(arr, c.v, c.i, right=0.0)),
+                    (c.power_at, arr * np.interp(arr, c.v, c.i, right=0.0)),
+                ):
+                    got = method(arr)
+                    assert type(got) is type(want) and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+        # curves the lists cannot answer: every query goes to the kernel
+        for v_k in ([1.0], [1.0, 1.0], [0.0, 2.0, 1.0, 3.0], [0.0, math.nan, 2.0], [0.0, math.inf]):
+            c = PvCurve(np.array(v_k), np.arange(len(v_k), dtype=float), np.zeros(len(v_k)))
+            for v in (0.5, 1.0, 1.5, 2.5):
+                got, want = c.current_at(v), np.interp(v, c.v, c.i, right=0.0)
+                assert type(got) is type(want) and got.tobytes() == want.tobytes(), (v_k, v)
+            assert not c._lists[0], v_k
+        with pytest.raises(ValueError, match="same length"):  # as np.interp
+            PvCurve(np.arange(3.0), np.arange(2.0), np.zeros(3)).current_at(0.5)
+        for a in (curve.v, curve.i, curve.p):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        # copies of a curve that has answered float queries: read-only, same answers
+        queries = [0.37, 51.234, float(curve.v[100]), float(curve.v[-1]) - 1e-9]
+        answers = [curve.current_at(v).tobytes() for v in queries]
+        for twin in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
+            assert all(getattr(twin, f).tobytes() == getattr(curve, f).tobytes() for f in "vip")
+            assert not any(getattr(twin, f).flags.writeable for f in "vip")
+            assert [twin.current_at(v).tobytes() for v in queries] == answers
 
 
 @pytest.fixture(scope="module")
