@@ -25,6 +25,7 @@ ramps to V_e and P&O resumes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -106,7 +107,7 @@ class ReferenceModel:
     The table rows (one per commissioning temperature) map the measured
     MPP current ratio ln(I/I_mpp_sc) to the residual array MPP voltage
     shift left after the temperature update; lookups interpolate
-    linearly between rows.
+    linearly between two rows, so a table has two or more, in rising order.
     """
 
     v_mpp_arr_sc: float
@@ -127,6 +128,8 @@ class ReferenceModel:
         check_field("rho", self.rho, self.rho <= 0.0, "finite and <= 0")
         if not (len(self.irr_t_rows) == len(self.irr_ln_ratio) == len(self.irr_dv_arr)):
             raise ValidationError("irradiance table rows must match")
+        if len(self.irr_t_rows) == 1 or list(self.irr_t_rows) != sorted(set(self.irr_t_rows)):
+            raise ValidationError("irradiance table: two or more rows, in rising temperature")
 
 
 def check_sample(v: float, i: float) -> None:
@@ -176,18 +179,10 @@ def update_references(
             return float(np.interp(ln_r, ref.irr_ln_ratio[k], ref.irr_dv_arr[k]))
 
         rows = ref.irr_t_rows
-        if t_sample_c <= rows[0]:
-            j0, j1 = 0, min(1, len(rows) - 1)
-        elif t_sample_c >= rows[-1]:
-            j0, j1 = max(len(rows) - 2, 0), len(rows) - 1
-        else:
-            j1 = next(j for j, tr in enumerate(rows) if tr >= t_sample_c)
-            j0 = j1 - 1
-        if j0 == j1:
-            dv = row_dv(j0)
-        else:
-            frac = (t_sample_c - rows[j0]) / (rows[j1] - rows[j0])
-            dv = row_dv(j0) + frac * (row_dv(j1) - row_dv(j0))
+        j1 = min(max(bisect_left(rows, t_sample_c), 1), len(rows) - 1)
+        j0 = j1 - 1
+        frac = (t_sample_c - rows[j0]) / (rows[j1] - rows[j0])
+        dv = row_dv(j0) + frac * (row_dv(j1) - row_dv(j0))
         v_arr += dv
         v_mod += dv * ref.v_mpp_mod_sc / ref.v_mpp_arr_sc
     return v_arr, v_mod
@@ -303,7 +298,7 @@ class ScanEpisode:
 class ControllerState:
     """Mutable controller memory; one instance per plant."""
 
-    v_cmd_max: float  # the link voltage: the command stays in [0, v_cmd_max]
+    v_cmd_max: float  # the link voltage: between ticks the command is in [0, v_cmd_max]
     mode: Mode = Mode.PO
     v_ref: float = 0.0
     po_direction: int = 1
@@ -327,9 +322,8 @@ class ControllerState:
 def make_controller_state(
     ref: ReferenceModel, cfg: ControllerConfig, v_cmd_max: float
 ) -> ControllerState:
-    return ControllerState(
-        v_cmd_max, v_ref=ref.v_mpp_arr_sc, next_po_t=cfg.po_period_s, uic_current=ref.i_mpp_arr_sc
-    )
+    return ControllerState(v_cmd_max, v_ref=min(ref.v_mpp_arr_sc, v_cmd_max),
+                           next_po_t=cfg.po_period_s, uic_current=ref.i_mpp_arr_sc)
 
 
 def po_step(state: ControllerState, m: Measurement, step_v: float) -> ControllerState:
@@ -338,7 +332,6 @@ def po_step(state: ControllerState, m: Measurement, step_v: float) -> Controller
     if math.isfinite(state.last_power) and p < state.last_power:
         state.po_direction = -state.po_direction
     state.v_ref += state.po_direction * step_v
-    state.v_ref = max(state.v_ref, 0.0)
     state.last_power = p
     state.rest_v.append(m.v)
     state.rest_i.append(m.i)
@@ -381,9 +374,8 @@ def scan_step(
             state.mode = Mode.SETTLE_TO_BEST
             cmd_offset = min(max(m.v - state.v_ref, -20.0), 20.0)
             state.slew_target = ep.v_e - cmd_offset
-            state.settle_until = math.nan
         else:
-            state.v_ref = max(state.v_ref - dv, 0.0)
+            state.v_ref -= dv
     return state
 
 
@@ -393,7 +385,6 @@ def _begin_detection(state: ControllerState, m: Measurement, ref: ReferenceModel
     v_arr_u, v_mod_u = update_references(ref, m.t_sample_mod, i_arr=i_corr)
     state.readings = DetectionReadings(v_rest, v_arr_u, v_mod_u)
     state.slew_target = v_arr_u
-    state.settle_until = math.nan
     state.mode = Mode.DETECT_SETTLE
 
 
@@ -439,10 +430,6 @@ def _detect_tick(
     if not math.isnan(state.slew_target):
         _slew(state, m, cfg)
         return
-    if math.isfinite(state.settle_until) and m.t < state.settle_until:
-        return
-    state.settle_until = math.nan
-
     r = state.readings
     probe_dv = cfg.detector.probe_dv(r.v_arr_upd)
     if not r.trimmed:
@@ -467,12 +454,14 @@ def tick_is_idle(state: ControllerState, t: float, cfg: ControllerConfig) -> boo
     """True when :func:`controller_tick` at time ``t`` would return the
     command it holds and leave ``state`` as it is, whatever the measurement:
     P&O before its next perturbation, or a detection or the settle to the
-    best point waiting out ``settle_until`` with no slew target.  Never while
-    the command lies outside ``[0, v_cmd_max]``, which the tick's clamp
-    would move.  :func:`controller_tick` returns early on it, so the
-    closed loop may skip the ticks it holds for."""
-    if not 0.0 <= state.v_ref <= state.v_cmd_max:
-        return False
+    best point waiting out ``settle_until`` (set by ``_slew`` on arrival)
+    with no slew target.  The controller's only wait rule: the tick returns
+    early on it and acts otherwise, and the closed loop skips the ticks it
+    holds for.  Holding is exact because between ticks the command lies in
+    ``[0, v_cmd_max]``, where :func:`make_controller_state` starts it and
+    each acting tick clamps it.  The detection settle has no 1e-12 s
+    tolerance: ``t + settle_s`` often falls just past a tick, so it may
+    wait one tick more, and adding the tolerance moves every psc golden run."""
     mode = state.mode
     if mode is Mode.PO:
         return not t + 1e-12 >= state.next_po_t
@@ -480,7 +469,7 @@ def tick_is_idle(state: ControllerState, t: float, cfg: ControllerConfig) -> boo
         return False
     if mode is Mode.SETTLE_TO_BEST:
         return not t + 1e-12 >= state.settle_until
-    return math.isfinite(state.settle_until) and t < state.settle_until
+    return t < state.settle_until
 
 
 def controller_tick(
@@ -501,25 +490,24 @@ def controller_tick(
         return state.v_ref, state
     mode = state.mode
     if mode is Mode.PO:
-        if m.t + 1e-12 >= state.next_po_t:
-            state.next_po_t = m.t + cfg.po_period_s
-            last = state.detections[-1] if state.detections else None
-            trigger = not cfg.po_only and (
-                (
-                    math.isfinite(state.last_power)
-                    and abs(m.p - state.last_power)
-                    > cfg.detector.power_change_trigger * max(state.last_power, 1e-9)
-                )
-                or m.t - (last.t if last else 0.0) >= cfg.detector.periodic_trigger_s
+        state.next_po_t = m.t + cfg.po_period_s
+        last = state.detections[-1] if state.detections else None
+        trigger = not cfg.po_only and (
+            (
+                math.isfinite(state.last_power)
+                and abs(m.p - state.last_power)
+                > cfg.detector.power_change_trigger * max(state.last_power, 1e-9)
             )
-            if trigger:
-                _begin_detection(state, m, ref)
-            else:
-                po_step(state, m, cfg.po_step_v)
-                # the rest current is a uniform operating current unless the
-                # last verdict found partial shading
-                if not (last and last.is_psc) and len(state.rest_i) == state.rest_i.maxlen:
-                    state.uic_current = sum(state.rest_i) / len(state.rest_i)
+            or m.t - (last.t if last else 0.0) >= cfg.detector.periodic_trigger_s
+        )
+        if trigger:
+            _begin_detection(state, m, ref)
+        else:
+            po_step(state, m, cfg.po_step_v)
+            # the rest current is a uniform operating current unless the
+            # last verdict found partial shading
+            if not (last and last.is_psc) and len(state.rest_i) == state.rest_i.maxlen:
+                state.uic_current = sum(state.rest_i) / len(state.rest_i)
     elif mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE):
         _detect_tick(state, m, cfg, read_sample_module)
     elif mode in (Mode.SCAN_UP, Mode.SCAN_DOWN):
@@ -528,7 +516,7 @@ def controller_tick(
         if not math.isnan(state.slew_target):
             if _slew(state, m, cfg):
                 state.episode.t_arrived = m.t
-        elif m.t + 1e-12 >= state.settle_until:
+        else:
             state.episodes.append(state.episode)
             state.episode = None
             state.mode = Mode.PO

@@ -65,7 +65,7 @@ from .pvmodel import (
     string_current,
     sweep_curve,
 )
-from .solver import golden_section_max
+from .solver import SolverError, golden_section_max
 
 TRACE_HEADER = "t,v_ref,duty,v_pv,i_pv,p,mode,p_e,v_e"
 
@@ -239,6 +239,11 @@ class Scenario:
             e.pattern.expand(self.n_series, where=f"timeline[{k}].pattern")
 
 
+def _module_section(scn: Scenario) -> str:
+    """The section of the scenario file the module comes from."""
+    return "module.params" if scn.params is not None else "module.datasheet"
+
+
 def resolve_module(scn: Scenario) -> ModuleParams:
     """The scenario's module: its params, or the calibration of its datasheet."""
     if scn.params is not None:
@@ -257,7 +262,8 @@ V_OC_MAX = SWEEP_SAMPLES_MAX * 0.01
 def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
     """The array of timeline event ``event_idx``.  Rejects an array whose
     open-circuit voltage is above ``V_OC_MAX`` (a value the spec keeps, so
-    its sweep reuses it)."""
+    its sweep reuses it), or a module whose open-circuit root the model
+    cannot find."""
     n = len(scn.events)
     if not 0 <= event_idx < n:
         raise ScenarioError(
@@ -272,8 +278,11 @@ def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
         conditions=grid,
         sample_module=scn.sample_module,
     )
-    voc = array_open_circuit_voltage(spec)
-    if math.ceil(voc / 0.01) > SWEEP_SAMPLES_MAX:
+    try:
+        voc = array_open_circuit_voltage(spec)
+    except SolverError as exc:
+        raise ScenarioError(f"{_module_section(scn)}: open-circuit voltage: {exc}") from exc
+    if voc / 0.01 > SWEEP_SAMPLES_MAX:  # ceil(voc/0.01) above it, with no overflow at inf
         raise ScenarioError(
             f"array.n_series: {scn.n_series} modules per string give timeline[{event_idx}] "
             f"an open-circuit voltage of {voc:.2f} V, above the {V_OC_MAX:.0f} V maximum"
@@ -522,12 +531,12 @@ def build_reference_model(
 
 def commission(scn: Scenario, module: ModuleParams) -> ReferenceModel:
     """:func:`build_reference_model` of the scenario's array on its resolved
-    ``module``; a module commissioning rejects is an error of its section."""
+    ``module``; a module commissioning rejects, or one whose equations the
+    model cannot solve, is an error of its section."""
     try:
         return build_reference_model(module, scn.n_series, scn.n_parallel)
-    except ValidationError as exc:
-        section = "module.params" if scn.params is not None else "module.datasheet"
-        raise ScenarioError(f"{section}: {exc}") from exc
+    except (ValidationError, SolverError) as exc:
+        raise ScenarioError(f"{_module_section(scn)}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +713,7 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
         )
 
     state = make_controller_state(ref, cfg, conv.v_out)
-    v = state.v_ref
+    v = ref.v_mpp_arr_sc  # the plant starts there, even above a lower link
     il = windows[0]["plant"](v)
     trace = Trace(adc)
 

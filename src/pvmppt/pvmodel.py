@@ -506,6 +506,8 @@ class _StringCurves:
         i_sorted = master[::-1]
         keep = np.concatenate(([True], np.diff(v_sorted) > 0.0))
         keep &= v_sorted > self.v_floor
+        if not keep.any():
+            raise ValidationError("every string sample lies on the bypass clamp: nothing to sweep")
         self._curves[key] = _read_only(v_sorted[keep]), _read_only(i_sorted[keep])
         return self._curves[key]
 

@@ -92,6 +92,26 @@ class TestUpdateReferences:
         with pytest.raises(ValidationError):
             simple_ref(rho=0.001)
 
+    @staticmethod
+    def _table(rows, dvs):
+        """A reference whose table shifts by ``dvs[k]`` at every current in row k."""
+        flat = tuple((dv, dv) for dv in dvs)
+        return simple_ref(rho=0.0, irr_t_rows=rows, irr_ln_ratio=((-1.0, 0.0),) * len(rows),
+                          irr_dv_arr=flat)
+
+    @pytest.mark.parametrize("t, dv", [(-30.0, 0.0), (0.0, 1.0), (15.0, 1.5), (30.0, 2.0),
+                                       (45.0, 3.0), (60.0, 4.0), (90.0, 6.0)])
+    def test_table_interpolates_between_its_two_nearest_rows(self, t, dv):
+        """Inside the rows the two around ``t``; outside, the two end rows
+        extrapolated."""
+        ref = self._table((0.0, 30.0, 60.0), (1.0, 2.0, 4.0))
+        assert update_references(ref, t, i_arr=ref.i_mpp_arr_sc)[0] == 118.0 + dv
+
+    @pytest.mark.parametrize("rows", [(25.0,), (30.0, 0.0, 60.0), (0.0, 30.0, 30.0)])
+    def test_table_needs_two_rising_rows(self, rows):
+        with pytest.raises(ValidationError, match="two or more rows"):
+            self._table(rows, (1.0,) * len(rows))
+
     def test_irradiance_correction_lowers_reference_at_low_current(self, ref_3x5):
         full_arr, full_mod = update_references(ref_3x5, 25.0, i_arr=ref_3x5.i_mpp_arr_sc)
         low_arr, low_mod = update_references(ref_3x5, 25.0, i_arr=0.1 * ref_3x5.i_mpp_arr_sc)
@@ -465,16 +485,16 @@ class TestTickIsIdle:
     def test_scan_acts_on_every_tick(self, mode):
         assert not tick_is_idle(self._state(mode, settle_until=1.0), 0.05, self.CFG)
 
-    @pytest.mark.parametrize("v_ref, clamped", [(118.0, 100.0), (-2.0, 0.0)])
-    def test_command_outside_the_cap_is_clamped_not_held(self, v_ref, clamped):
-        """A start command above a 100 V link: P&O waits, yet the tick must
-        still clamp the command."""
+    @pytest.mark.parametrize("v_cmd_max, v_start", [(100.0, 100.0), (250.0, 118.0)])
+    def test_start_command_lies_inside_the_cap(self, v_cmd_max, v_start):
+        """The start command is the reference MPP voltage, or the link below
+        it, so the first P&O wait holds a command the tick's clamp keeps."""
         cfg = self.CFG
-        s = self._state(v_ref=v_ref, next_po_t=0.02, v_cmd_max=100.0)
-        assert not tick_is_idle(s, 0.0, cfg)
+        s = make_controller_state(simple_ref(), cfg, v_cmd_max)
+        assert s.v_ref == v_start
+        assert tick_is_idle(s, 0.0, cfg)
         cmd, s = controller_tick(s, Measurement(v=50.0, i=5.0, t=0.0), cfg, simple_ref(), None)
-        assert cmd == s.v_ref == clamped
-        assert tick_is_idle(s, 0.0005, cfg)
+        assert cmd == s.v_ref == v_start
 
 
 class TestPsiWeightedAverage:

@@ -1,5 +1,6 @@
 """Golden digests: the bytes ``pvmppt run`` and ``pvmppt detect`` write for the
-shipped scenario files, and the open-loop traces of acceptance criterion 3.
+shipped scenario files and for psc3 behind a low link, and the open-loop
+traces of acceptance criterion 3.
 
 A change that claims to keep behaviour must keep these SHA-256 digests, on
 both RK4 paths: the compiled kernel and the Python loop (the open-loop
@@ -12,6 +13,7 @@ that environment, not a reason to re-record.
 """
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
@@ -53,6 +55,19 @@ RUN_DIGESTS = {
     ("uniform_stc", ()): (
         "1975aafc77b521f3a469154f140a18614bf93918c166e34d4af0bd3cc84938f2",
         "392debc9f690358dc7ebe97367409d5c6529d5094b0559e2e0a2c7e29b72ccaf",
+    ),
+}
+
+# benchmark_psc3 with ``converter.v_out_v`` 100, below its 118 V start
+# command: extra ``pvmppt run`` arguments -> (report.json, trace.csv)
+LOW_LINK_DIGESTS = {
+    (): (
+        "4f5658d48aec5d10e4702f4125edbb46a9e9a234aab25a9a25a3130f5f0df23b",
+        "cf7335298b3328790082a5702e416fd8bfd6bb66d9eb626f09b8e8b211b26557",
+    ),
+    ("--controller", "po"): (
+        "72bbbeb56e84b55820c3179ffb014d6fdb2cdc17ec60213a63d39586855655e7",
+        "c42dff88e8ced7d31889b51140b11f19bbfb87b54356405953fc5e44db15a90f",
     ),
 }
 
@@ -112,11 +127,25 @@ def rk4_path(request, monkeypatch):
     ids=[name + "".join(extra).replace("--controller", "-") for name, extra in RUN_DIGESTS],
 )
 def test_run_outputs_byte_identical(tmp_path, name, extra):
-    out = tmp_path / "out"
-    argv = ["run", "--scenario", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out)]
-    assert cli_main(argv + list(extra)) == 0
-    got = (_sha256(out / "report.json"), _sha256(out / "trace.csv"))
+    got = _run_digests(tmp_path, SCENARIO_DIR / f"{name}.json", extra)
     assert got == RUN_DIGESTS[(name, extra)]
+
+
+@pytest.mark.parametrize("extra", list(LOW_LINK_DIGESTS), ids=["ramp", "po"])
+def test_low_link_run_outputs_byte_identical(tmp_path, extra):
+    doc = json.loads((SCENARIO_DIR / "benchmark_psc3.json").read_text())
+    doc["converter"]["v_out_v"] = 100.0
+    scenario = tmp_path / "psc3_100v.json"
+    scenario.write_text(json.dumps(doc))
+    assert _run_digests(tmp_path, scenario, extra) == LOW_LINK_DIGESTS[extra]
+
+
+def _run_digests(tmp_path: Path, scenario: Path, extra: tuple[str, ...]) -> tuple[str, str]:
+    """``pvmppt run`` on ``scenario``: the digests of (report.json, trace.csv)."""
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(scenario), "--out", str(out)]
+    assert cli_main(argv + list(extra)) == 0
+    return _sha256(out / "report.json"), _sha256(out / "trace.csv")
 
 
 @pytest.mark.parametrize("name", list(DETECT_DIGESTS))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from pvmppt.cli import main as cli_main
 from pvmppt import control
-from pvmppt.control import ControllerConfig, ControllerState, Measurement, Mode, controller_tick
+from pvmppt.control import ControllerConfig, ControllerState, Mode, controller_tick
 from pvmppt.converter import (
     ConverterParams,
     ConverterState,
@@ -46,7 +46,6 @@ from pvmppt.harness import (
     load_scenario,
     prune_violations,
     random_scenario,
-    resolve_module,
     run_closed_loop,
     run_corpus,
     scenario_from_dict,
@@ -483,10 +482,6 @@ IDLE_CASES = [
 IDLE_IDS = [f"{scn.name}-{scn.converter.v_out:g}V" for scn in IDLE_CASES]
 
 
-def _no_readout():
-    raise AssertionError("an idle tick read the sample module")
-
-
 def _error(fn, *args):
     """The type and message of what ``fn(*args)`` raised."""
     with pytest.raises(Exception) as err:
@@ -543,48 +538,6 @@ def _idle_states(draw):
 class TestIdleStretches:
     """The closed loop runs each stretch of ticks on which ``tick_is_idle``
     holds as one ``advance`` call that samples each tick start."""
-
-    @pytest.mark.parametrize("scn", IDLE_CASES, ids=IDLE_IDS)
-    def test_idle_tick_changes_nothing(self, scn, monkeypatch):
-        """At every tick of every held stretch, the whole controller tick,
-        its early return switched off, on a deep copy of the state returns
-        the held command and leaves an equal state, for measurements that
-        would make an active tick act."""
-        real = control.tick_is_idle
-        monkeypatch.setattr(control, "tick_is_idle", lambda state, t, cfg: False)
-        ref = build_reference_model(resolve_module(scn), scn.n_series, scn.n_parallel)
-        cfg = scn.controller
-        last_state = []
-        checked = []
-
-        def idle(state, t, cfg):
-            last_state[:] = [state]  # the state a stretch found idle holds
-            return real(state, t, cfg)
-
-        def held(*args):
-            state = last_state[0]
-            # the samples go into the trace's columns: their length is the first tick
-            first = len(args[-1][0])
-            for tick in range(first, first + args[4]):
-                t = tick * cfg.adc_period_s
-                assert real(state, t, cfg)
-                k = len(checked)
-                # no current, a huge current in a hot module, the command itself
-                m = Measurement(
-                    v=(0.0, 10.0, state.v_ref)[k % 3], i=(0.0, 1e3, 5.0)[k % 3], t=t,
-                    t_sample_mod=(25.0, 80.0, -10.0)[k % 3],
-                )
-                copied = copy.deepcopy(state)
-                cmd, after = controller_tick(copied, m, cfg, ref, _no_readout)
-                assert struct.pack("<d", cmd) == struct.pack("<d", state.v_ref)
-                assert after == state
-                checked.append(t)
-
-        monkeypatch.setattr(harness, "tick_is_idle", idle)
-        _spy_on_stretches(monkeypatch, held)
-        trace, _ = run_closed_loop(scn)
-        assert 0.5 * len(trace) < len(checked) < len(trace)
-        assert checked == sorted(set(checked))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -903,13 +856,14 @@ class TestCli:
     @pytest.mark.parametrize("run", [False, True], ids=["import", "run_psc1"])
     def test_cli_process_never_imports_scipy(self, tmp_path, run):
         # the built-in module is pinned and other datasheets are fitted
-        # in-house, so neither a bare import nor a whole run loads scipy
+        # in-house, so neither a bare import nor a whole run loads scipy;
+        # nor the process pool, which only run_corpus imports
         code = "import sys\nimport pvmppt.cli\n"
         if run:
             scenario = SCENARIO_DIR / "benchmark_psc1.json"
             argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
             code += f"assert pvmppt.cli.main({argv!r}) == 0\n"
-        code += "print('scipy' in sys.modules)\n"
+        code += "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
@@ -917,7 +871,7 @@ class TestCli:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        assert done.stdout.splitlines()[-1] == "False False"
 
     def test_run_po_baseline_flag(self, tmp_path):
         out = tmp_path / "po"
@@ -1463,6 +1417,25 @@ def test_cell_count_below_one_exits_naming_it(tmp_path, capsys, n_cells):
     for argv in (["run", "--out", str(tmp_path / "o")], ["detect", "--event-index", "1"]):
         assert cli_main([*argv, "--scenario", str(scenario)]) == 2
         assert capsys.readouterr().err.startswith("error: module.params.n_cells: ")
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("r_s_ohm", 1000, "module.params"),  # short-circuit current root does not converge
+        ("i_pv_ref_a", 1e6, "module.params"),  # likewise
+        ("i_o_ref_a", 1e-300, "module.params"),  # no open-circuit root in the bracket
+        ("r_s_ohm", 1e300, "module.params"),  # no string sample above the bypass clamp
+        ("i_pv_ref_a", 1e300, "array.n_series"),  # an infinite open-circuit voltage
+    ],
+)
+def test_module_the_model_cannot_solve_exits_naming_it(tmp_path, capsys, key, value, field):
+    doc = copy.deepcopy(_PSC1_PARAMS_DOC)
+    doc["module"]["params"][key] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli_main(["run", "--out", str(tmp_path / "o"), "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
