@@ -50,6 +50,8 @@ class Mode(str, Enum):
 # by several percent, and below ~1e-16 both probes fall on one voltage
 PSI_PROBE_FRAC_MIN = 1e-9
 
+TICK_MAX = 2**50  # where waits end at the latest: a Scenario takes at most 1.2e7 sub-steps
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -303,9 +305,8 @@ class ControllerState:
     v_ref: float = 0.0
     po_direction: int = 1
     last_power: float = math.nan
-    # timers / scheduling
-    next_po_t: float = 0.0
-    settle_until: float = math.nan
+    # the tick on which P&O's next step or a settle (from _slew) is due
+    deadline: int = 0
     # P&O rest estimation (one oscillation cycle)
     rest_v: deque = field(default_factory=lambda: deque(maxlen=4))
     rest_i: deque = field(default_factory=lambda: deque(maxlen=4))
@@ -323,7 +324,26 @@ def make_controller_state(
     ref: ReferenceModel, cfg: ControllerConfig, v_cmd_max: float
 ) -> ControllerState:
     return ControllerState(v_cmd_max, v_ref=min(ref.v_mpp_arr_sc, v_cmd_max),
-                           next_po_t=cfg.po_period_s, uic_current=ref.i_mpp_arr_sc)
+                           deadline=deadline_tick(0, cfg.po_period_s, cfg.adc_period_s),
+                           uic_current=ref.i_mpp_arr_sc)
+
+
+def deadline_tick(tick: int, wait_s: float, adc: float, exact: bool = False) -> int:
+    """Where a wait of ``wait_s`` from tick ``tick`` ends: the first ``j >= tick``
+    with ``j*adc + tol >= tick*adc + wait_s``, at most ``TICK_MAX``.  ``tol``
+    is 1e-12 s, so a wait ending a rounding error past a tick ends on it, or 0
+    for an ``exact`` wait: a detection's settle may so wait one tick more (the
+    tolerance would move every psc golden run).  The comparison decides: below
+    ``TICK_MAX`` ``j*adc`` rises by over ``adc/2`` a tick, so a guess from
+    ``wait_s / adc`` is a step or two from ``j``."""
+    tol = 0.0 if exact else 1e-12
+    due = tick * adc + wait_s
+    j = min(tick + int(min(max(wait_s - tol, 0.0) / adc, TICK_MAX)), TICK_MAX)
+    while j > tick and (j - 1) * adc + tol >= due:
+        j -= 1
+    while j < TICK_MAX and j * adc + tol < due:
+        j += 1
+    return j
 
 
 def po_step(state: ControllerState, m: Measurement, step_v: float) -> ControllerState:
@@ -401,10 +421,9 @@ def _finish_detection(
         state.v_ref = r.center_cmd
         state.mode = Mode.PO
         state.last_power = m.p
-        state.next_po_t = m.t + cfg.po_period_s
 
 
-def _slew(state: ControllerState, m: Measurement, cfg: ControllerConfig) -> bool:
+def _slew(state: ControllerState, tick: int, cfg: ControllerConfig) -> bool:
     """Move the command one ramp step toward ``slew_target``, held in
     ``[0, v_cmd_max]``.  On arrival, clear the target, start the settle
     time and return True."""
@@ -416,19 +435,20 @@ def _slew(state: ControllerState, m: Measurement, cfg: ControllerConfig) -> bool
         return False
     state.v_ref = target
     state.slew_target = math.nan
-    state.settle_until = m.t + cfg.settle_s
+    exact = state.mode is not Mode.SETTLE_TO_BEST
+    state.deadline = deadline_tick(tick, cfg.settle_s, cfg.adc_period_s, exact)
     return True
 
 
 def _detect_tick(
-    state: ControllerState, m: Measurement, cfg: ControllerConfig,
+    state: ControllerState, tick: int, m: Measurement, cfg: ControllerConfig,
     read_sample_module: Callable[[], float],
 ) -> None:
     """Advance the detection sequence: reach the reference, trim the
     open-loop offset, read the sample module, probe PSI on both sides.
     The next step is the first reading still missing."""
     if not math.isnan(state.slew_target):
-        _slew(state, m, cfg)
+        _slew(state, tick, cfg)
         return
     r = state.readings
     probe_dv = cfg.detector.probe_dv(r.v_arr_upd)
@@ -450,47 +470,40 @@ def _detect_tick(
         _finish_detection(state, m, cfg, (m.v, m.p))
 
 
-def tick_is_idle(state: ControllerState, t: float, cfg: ControllerConfig) -> bool:
-    """True when :func:`controller_tick` at time ``t`` would return the
-    command it holds and leave ``state`` as it is, whatever the measurement:
-    P&O before its next perturbation, or a detection or the settle to the
-    best point waiting out ``settle_until`` (set by ``_slew`` on arrival)
-    with no slew target.  The controller's only wait rule: the tick returns
-    early on it and acts otherwise, and the closed loop skips the ticks it
-    holds for.  Holding is exact because between ticks the command lies in
-    ``[0, v_cmd_max]``, where :func:`make_controller_state` starts it and
-    each acting tick clamps it.  The detection settle has no 1e-12 s
-    tolerance: ``t + settle_s`` often falls just past a tick, so it may
-    wait one tick more, and adding the tolerance moves every psc golden run."""
+def resume_tick(state: ControllerState) -> int:
+    """The controller's only wait rule: on a tick before this one
+    :func:`controller_tick` holds its command and leaves ``state`` as it is,
+    whatever the measurement, and the closed loop runs those ticks as one
+    stretch.  It is ``state.deadline`` while P&O waits for its next step, or
+    a detection or the settle to the best point waits out its settle with no
+    slew target; 0 while a scan or a slew acts on every tick.  Holding is
+    exact: between ticks the command lies in ``[0, v_cmd_max]``, where
+    :func:`make_controller_state` starts it and each acting tick clamps it."""
     mode = state.mode
-    if mode is Mode.PO:
-        return not t + 1e-12 >= state.next_po_t
     if mode is Mode.SCAN_UP or mode is Mode.SCAN_DOWN or not math.isnan(state.slew_target):
-        return False
-    if mode is Mode.SETTLE_TO_BEST:
-        return not t + 1e-12 >= state.settle_until
-    return t < state.settle_until
+        return 0
+    return state.deadline
 
 
 def controller_tick(
     state: ControllerState,
+    tick: int,
     m: Measurement,
     cfg: ControllerConfig,
     ref: ReferenceModel,
     read_sample_module: Callable[[], float],
 ) -> tuple[float, ControllerState]:
-    """Advance the controller by one ADC sample; returns the new command.
+    """Advance the controller by ``m``, the ADC sample of tick ``tick``; returns the new command.
 
     P&O acts at its own (slower) cadence; detection and scanning act on
     every sample.  Detection is entered from P&O on a noticeable power
     change or periodically.  ``read_sample_module()`` returns the sample
     module's voltage at the present array voltage; it is called once per
     detection, on the trim tick that holds the array at its reference."""
-    if tick_is_idle(state, m.t, cfg):
+    if tick < resume_tick(state):
         return state.v_ref, state
     mode = state.mode
     if mode is Mode.PO:
-        state.next_po_t = m.t + cfg.po_period_s
         last = state.detections[-1] if state.detections else None
         trigger = not cfg.po_only and (
             (
@@ -509,12 +522,12 @@ def controller_tick(
             if not (last and last.is_psc) and len(state.rest_i) == state.rest_i.maxlen:
                 state.uic_current = sum(state.rest_i) / len(state.rest_i)
     elif mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE):
-        _detect_tick(state, m, cfg, read_sample_module)
+        _detect_tick(state, tick, m, cfg, read_sample_module)
     elif mode in (Mode.SCAN_UP, Mode.SCAN_DOWN):
         scan_step(state, m, ref, cfg)
     elif mode is Mode.SETTLE_TO_BEST:
         if not math.isnan(state.slew_target):
-            if _slew(state, m, cfg):
+            if _slew(state, tick, cfg):
                 state.episode.t_arrived = m.t
         else:
             state.episodes.append(state.episode)
@@ -522,9 +535,10 @@ def controller_tick(
             state.mode = Mode.PO
             state.last_power = m.p
             state.po_direction = 1
-            state.next_po_t = m.t + cfg.po_period_s
             state.rest_v.clear()
             state.rest_i.clear()
 
+    if state.mode is Mode.PO:  # P&O stepped or resumes: its next step is due
+        state.deadline = deadline_tick(tick, cfg.po_period_s, cfg.adc_period_s)
     state.v_ref = min(max(state.v_ref, 0.0), state.v_cmd_max)
     return state.v_ref, state

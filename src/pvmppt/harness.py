@@ -12,7 +12,6 @@ import json
 import math
 import os
 import random
-from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from itertools import chain, islice
@@ -33,7 +32,7 @@ from .control import (
     controller_tick,
     detection_verdict,
     make_controller_state,
-    tick_is_idle,
+    resume_tick,
     update_references,
 )
 from .converter import (
@@ -261,9 +260,10 @@ V_OC_MAX = SWEEP_SAMPLES_MAX * 0.01
 
 def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
     """The array of timeline event ``event_idx``.  Rejects an array whose
-    open-circuit voltage is above ``V_OC_MAX`` (a value the spec keeps, so
-    its sweep reuses it), or a module whose open-circuit root the model
-    cannot find."""
+    open-circuit voltage is above ``V_OC_MAX``, a module whose open-circuit
+    root the model cannot find, or one whose strings have no sample above
+    the bypass clamp.  The spec keeps that voltage and its string curves, so
+    its sweep reuses them."""
     n = len(scn.events)
     if not 0 <= event_idx < n:
         raise ScenarioError(
@@ -287,6 +287,11 @@ def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
             f"array.n_series: {scn.n_series} modules per string give timeline[{event_idx}] "
             f"an open-circuit voltage of {voc:.2f} V, above the {V_OC_MAX:.0f} V maximum"
         )
+    try:
+        for s in range(spec.n_parallel):
+            spec._strings.curve(s)
+    except ValidationError as exc:
+        raise ScenarioError(f"{_module_section(scn)}: {exc}") from exc
     return spec
 
 
@@ -669,10 +674,10 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     the brute-force oracle of the part of that window's curve the
     converter can hold behind its link.
 
-    A stretch of ticks on which the controller is idle (``tick_is_idle``)
-    runs as one :func:`advance` call at the held command, sampled at each
-    tick start, with the same samples, checks and bits as one tick at a
-    time; :func:`_idle_end` finds where it ends."""
+    The ticks before the controller's ``resume_tick``, on which it holds
+    its command, run as one :func:`advance` call at that command, sampled
+    at each tick start, with the same samples, checks and bits as one tick
+    at a time."""
     # every event's array is checked before anything is swept
     specs = [base_array_spec(scn, k) for k in range(len(scn.events))]
     ref = commission(scn, specs[0].module)
@@ -725,20 +730,18 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
         t_sample = w["t_sample"]
         tick, tick_end = w["tick_start"], w["tick_end"]
         while tick < tick_end:
-            held_end = _idle_end(state, tick, tick_end, cfg)
+            held_end = min(resume_tick(state), tick_end)
             if held_end > tick:
                 v, il = _held_stretch(state, trace, v, il, held_end - tick, cur, conv, dt,
                                       sub_per_tick)
                 tick = held_end
                 continue
-            t = tick * adc
-            tick += 1
-
             i = cur(v)
-            m = Measurement(v=v, i=i, t=t, t_sample_mod=t_sample)
+            m = Measurement(v=v, i=i, t=tick * adc, t_sample_mod=t_sample)
 
             prev_cmd = state.v_ref
-            new_ref, state = controller_tick(state, m, cfg, ref, read_sample_module)
+            new_ref, state = controller_tick(state, tick, m, cfg, ref, read_sample_module)
+            tick += 1
             slew = state.mode is not Mode.PO
             _open_block(trace, state, conv.v_out)
             trace.v_pv.append(v)
@@ -764,19 +767,6 @@ def _open_block(trace: Trace, state: ControllerState, v_out: float) -> None:
         ep.p_e if ep else math.nan,
         ep.v_e if ep else math.nan,
     )
-
-
-def _idle_end(state: ControllerState, tick: int, tick_end: int, cfg: ControllerConfig) -> int:
-    """The first tick in ``[tick, tick_end)``, ``tick < tick_end``, on which
-    ``tick_is_idle`` is false, or ``tick_end``.  With ``state`` fixed the
-    predicate holds on a prefix of the ticks (it compares ``t`` against a
-    held deadline, and ``k*adc`` rises with ``k``), so bisection finds the
-    same end as asking at every tick."""
-    adc = cfg.adc_period_s
-    if not tick_is_idle(state, tick * adc, cfg):
-        return tick
-    ticks = range(tick + 1, tick_end)
-    return tick + 1 + bisect_left(ticks, True, key=lambda k: not tick_is_idle(state, k * adc, cfg))
 
 
 def _held_stretch(

@@ -493,11 +493,14 @@ class _StringCurves:
         # beyond a branch's own short-circuit region np.interp right-fills the
         # bypass clamp voltage, so the master grid runs to the largest current
         i_top = max(i_asc[-1] for (i_asc, _), _ in branches)
-        master = np.unique(
+        master = np.sort(
             np.concatenate(
                 [i_asc for (i_asc, _), _ in branches] + [np.linspace(0.0, i_top, 1025)]
             )
         )
+        # np.unique's values (the currents hold no NaN), without the numpy.ma
+        # import it makes
+        master = master[np.concatenate(([True], master[1:] != master[:-1]))]
         v_str = np.zeros_like(master)
         for (i_asc, v_asc), n in branches:
             v_str += n * np.interp(master, i_asc, v_asc)

@@ -19,7 +19,9 @@ None of these runs in the simulator:
   its lookup reads a list, where ``PlantCurve`` copies the samples that
   fall on the grid and reads them through a ``memoryview``;
 - the datasheet fit is solved by scipy instead of the package's own
-  Levenberg–Marquardt.
+  Levenberg–Marquardt;
+- a controller wait is a float time compared with each tick's time, where
+  the controller stores the first tick on which the wait is over.
 """
 
 import math
@@ -228,3 +230,21 @@ def scipy_fit(ds: ModuleDatasheet) -> ModuleParams:
         except CalibrationError:
             pass
     return params
+
+
+def float_wait_over(t: float, due: float, exact: bool) -> bool:
+    """The float wait rule: a wait that falls due at ``due`` (the time it
+    started plus its length) is over at tick time ``t`` when
+    ``t + 1e-12 >= due`` (P&O and the settle to the best point), or when
+    ``t`` is not before ``due`` (an ``exact`` wait: a detection's settle)."""
+    if exact:
+        return not t < due
+    return t + 1e-12 >= due
+
+
+def first_tick_over(tick: int, wait_s: float, adc: float, exact: bool, limit: int) -> int | None:
+    """The first tick in ``[tick, limit)`` on which a wait of ``wait_s``
+    started on tick ``tick`` is over by :func:`float_wait_over`, each tick
+    ``j`` taken at ``j * adc``; None if there is none."""
+    due = tick * adc + wait_s
+    return next((j for j in range(tick, limit) if float_wait_over(j * adc, due, exact)), None)

@@ -6,23 +6,28 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvmppt.control import (
     PSI_PROBE_FRAC_MIN,
+    TICK_MAX,
     ControllerConfig,
     DetectionReadings,
     DetectorConfig,
     Measurement,
     Mode,
     ReferenceModel,
+    ScanEpisode,
     compute_psi,
     controller_tick,
     criteria_fired,
+    deadline_tick,
     detection_verdict,
     make_controller_state,
     po_step,
+    resume_tick,
     scan_step,
-    tick_is_idle,
     update_references,
 )
 from pvmppt.converter import ConverterParams
@@ -44,7 +49,7 @@ from pvmppt.pvmodel import (
     sweep_curve,
 )
 
-from oracles import array_current, scalar_string_current
+from oracles import array_current, first_tick_over, scalar_string_current
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -353,7 +358,7 @@ class IdealPlantDriver:
         self.ref = ref
         self.cfg = cfg
         self.state = make_controller_state(ref, cfg, V_LINK)
-        self.t = 0.0
+        self.tick = 0
         self.v = 0.0
         self.modes = []
         self.sample_reads = []  # (mode, trimmed, seed) at each sample-module read
@@ -363,7 +368,8 @@ class IdealPlantDriver:
         i = float(self.curve.current_at(self.v))
         s_idx, pos = self.spec.sample_module
         t_samp = self.spec.conditions[s_idx][pos].temperature
-        return Measurement(v=self.v, i=i, t=self.t, t_sample_mod=t_samp)
+        t = self.tick * self.cfg.adc_period_s
+        return Measurement(v=self.v, i=i, t=t, t_sample_mod=t_samp)
 
     def read_sample_module(self):
         r = self.state.readings
@@ -376,10 +382,11 @@ class IdealPlantDriver:
         n = round(seconds / self.cfg.adc_period_s)
         for _ in range(n):
             controller_tick(
-                self.state, self.measurement(), self.cfg, self.ref, self.read_sample_module
+                self.state, self.tick, self.measurement(), self.cfg, self.ref,
+                self.read_sample_module,
             )
             self.modes.append(self.state.mode)
-            self.t += self.cfg.adc_period_s
+            self.tick += 1
         return self.state
 
 
@@ -457,7 +464,7 @@ class TestControllerTick:
         assert (ep.ticks_up + ep.ticks_down) * cfg.adc_period_s <= budget + 2 * cfg.adc_period_s
 
 
-class TestTickIsIdle:
+class TestResumeTick:
     CFG = ControllerConfig()
 
     def _state(self, mode=Mode.PO, **fields):
@@ -468,22 +475,22 @@ class TestTickIsIdle:
         return s
 
     def test_po_waits_for_its_next_step(self):
-        s = self._state(next_po_t=0.02)
-        assert tick_is_idle(s, 0.0195, self.CFG)
-        assert not tick_is_idle(s, 0.02 - 1e-12, self.CFG)  # the tick's own tolerance
+        s = self._state()
+        assert s.deadline == resume_tick(s) == 40  # po_period_s 0.02 at adc_period_s 5e-4
+        m = Measurement(v=118.0, i=24.0, t=39 * self.CFG.adc_period_s)
+        assert controller_tick(s, 39, m, self.CFG, simple_ref(), None) == (118.0, s)
+        assert s.last_power != s.last_power and s.deadline == 40  # untouched
+        controller_tick(s, 40, replace(m, t=0.02), self.CFG, simple_ref(), None)
+        assert s.last_power == m.p and s.deadline == 80
 
     @pytest.mark.parametrize("mode", [Mode.DETECT_SETTLE, Mode.DETECT_PROBE, Mode.SETTLE_TO_BEST])
     def test_settle_waits_without_a_slew_target(self, mode):
-        assert tick_is_idle(self._state(mode, settle_until=0.1), 0.05, self.CFG)
-        assert not tick_is_idle(self._state(mode, settle_until=0.1, slew_target=90.0), 0.05, self.CFG)
-        assert not tick_is_idle(self._state(mode, settle_until=0.1), 0.1, self.CFG)
-
-    def test_detection_without_a_settle_time_acts(self):
-        assert not tick_is_idle(self._state(Mode.DETECT_SETTLE), 0.05, self.CFG)
+        assert resume_tick(self._state(mode, deadline=200)) == 200
+        assert resume_tick(self._state(mode, deadline=200, slew_target=90.0)) == 0
 
     @pytest.mark.parametrize("mode", [Mode.SCAN_UP, Mode.SCAN_DOWN])
     def test_scan_acts_on_every_tick(self, mode):
-        assert not tick_is_idle(self._state(mode, settle_until=1.0), 0.05, self.CFG)
+        assert resume_tick(self._state(mode, deadline=200)) == 0
 
     @pytest.mark.parametrize("v_cmd_max, v_start", [(100.0, 100.0), (250.0, 118.0)])
     def test_start_command_lies_inside_the_cap(self, v_cmd_max, v_start):
@@ -492,9 +499,91 @@ class TestTickIsIdle:
         cfg = self.CFG
         s = make_controller_state(simple_ref(), cfg, v_cmd_max)
         assert s.v_ref == v_start
-        assert tick_is_idle(s, 0.0, cfg)
-        cmd, s = controller_tick(s, Measurement(v=50.0, i=5.0, t=0.0), cfg, simple_ref(), None)
+        assert 0 < resume_tick(s)
+        cmd, s = controller_tick(s, 0, Measurement(v=50.0, i=5.0, t=0.0), cfg, simple_ref(), None)
         assert cmd == s.v_ref == v_start
+
+
+_ADCS = st.one_of(
+    st.sampled_from((5e-4, 1e-4, 2e-5, 1e-3, 3e-4, 7e-4, 0.0123456, 1e-3 / 3)),
+    st.floats(1e-6, 0.05),
+)
+
+
+@st.composite
+def _waits(draw, adc):
+    """A wait of k ticks, within the 1e-12 s tolerance of it, between two
+    ticks, one a scenario sets, or one past every run."""
+    k = draw(st.integers(0, 300))
+    return draw(st.one_of(
+        st.sampled_from((0.0, -1e-12, 1e-12, -2e-12, 2e-12, -5e-13, 5e-13)).map(
+            lambda off: k * adc + off
+        ),
+        st.sampled_from((0.3, -0.3, 0.5, 0.999)).map(lambda frac: (k + frac) * adc),
+        st.sampled_from((0.0123456, 0.0077, 0.02, 1e300)),
+    ))
+
+
+_START_TICKS = st.one_of(st.just(0), st.integers(0, 2000), st.integers(0, 12_000_000))
+
+
+def _oracle_limit(tick: int, wait_s: float, adc: float) -> int:
+    """How far past ``tick`` the oracle looks: a few ticks past the wait, or
+    2000 ticks for a wait longer than that."""
+    return tick + min(int(wait_s / adc) + 5, 2000)
+
+
+class TestDeadlineTick:
+    """The stored deadline is the first tick on which the float wait rule
+    (``oracles.float_wait_over``) is over."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data(), tick=_START_TICKS, exact=st.booleans())
+    def test_first_tick_the_float_rule_acts_on(self, data, tick, exact):
+        adc = data.draw(_ADCS)
+        wait = data.draw(_waits(adc))
+        limit = _oracle_limit(tick, wait, adc)
+        want = first_tick_over(tick, wait, adc, exact, limit)
+        got = deadline_tick(tick, wait, adc, exact)
+        if want is None:
+            assert limit <= got <= TICK_MAX
+        else:
+            assert got == want
+
+    def test_a_wait_past_every_run_holds_to_the_last_tick(self):
+        assert deadline_tick(0, 1e300, 5e-4) == TICK_MAX
+        assert deadline_tick(12_000_000, 1.7e308, 1e-300, exact=True) == TICK_MAX
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), tick=_START_TICKS,
+           mode=st.sampled_from((Mode.PO, Mode.DETECT_SETTLE, Mode.SETTLE_TO_BEST)))
+    def test_each_wait_stores_its_rule(self, data, tick, mode):
+        """A P&O step stores its next step by the toleranced rule; arrival on
+        a slew target stores the settle: exact in a detection, toleranced in
+        the settle to the best point."""
+        adc = data.draw(_ADCS)
+        wait = data.draw(_waits(adc))
+        if mode is Mode.PO:
+            cfg = ControllerConfig(adc_period_s=adc, po_period_s=max(wait, adc), po_only=True)
+            wait, fields = cfg.po_period_s, {"deadline": tick}
+        else:
+            cfg = ControllerConfig(adc_period_s=adc, po_period_s=1e300, settle_s=max(wait, 0.0))
+            wait, fields = cfg.settle_s, {"slew_target": 100.0, "v_ref": 100.0}
+        s = make_controller_state(simple_ref(), cfg, V_LINK)
+        s.mode = mode
+        for name, value in fields.items():
+            setattr(s, name, value)
+        s.readings = DetectionReadings(118.0, 118.0, 23.6)
+        s.episode = ScanEpisode(0.0, 100.0, 2000.0, floor_v=23.6)
+        m = Measurement(v=100.0, i=20.0, t=tick * adc)
+        controller_tick(s, tick, m, cfg, simple_ref(), None)
+        limit = _oracle_limit(tick, wait, adc)
+        want = first_tick_over(tick, wait, adc, mode is Mode.DETECT_SETTLE, limit)
+        assert s.mode is mode and math.isnan(s.slew_target)
+        if want is None:
+            assert limit <= s.deadline <= TICK_MAX
+        else:
+            assert s.deadline == want
 
 
 class TestPsiWeightedAverage:

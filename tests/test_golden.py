@@ -1,6 +1,7 @@
 """Golden digests: the bytes ``pvmppt run`` and ``pvmppt detect`` write for the
-shipped scenario files and for psc3 behind a low link, and the open-loop
-traces of acceptance criterion 3.
+shipped scenario files, for psc3 behind a low link and for psc1 with waits
+that end between ticks or past the horizon, the open-loop traces of
+acceptance criterion 3, and one digest over 130 closed-loop runs.
 
 A change that claims to keep behaviour must keep these SHA-256 digests, on
 both RK4 paths: the compiled kernel and the Python loop (the open-loop
@@ -15,6 +16,7 @@ that environment, not a reason to re-record.
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,14 @@ import pytest
 import pvmppt.converter as converter
 from pvmppt.cli import main as cli_main
 from pvmppt.converter import CommandSegment, CommandSignal, ConverterParams
+from pvmppt.harness import (
+    Scenario,
+    emit_report,
+    emit_trace,
+    load_scenario,
+    random_scenario,
+    run_closed_loop,
+)
 from pvmppt.pvmodel import ArraySpec, ModuleDatasheet, calibrate_module, sweep_curve
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -70,6 +80,26 @@ LOW_LINK_DIGESTS = {
         "c42dff88e8ced7d31889b51140b11f19bbfb87b54356405953fc5e44db15a90f",
     ),
 }
+
+# benchmark_psc1 with this ``controller`` section (P&O and settle waits that
+# end between ticks, or past the horizon) -> (report.json, trace.csv)
+WAIT_DIGESTS = {
+    (("po_period_s", 0.0123456), ("settle_s", 0.0077)): (
+        "5d16b96c095e232fd2cdc23e3fba033628b40a7da08b854536b8b8135cd54131",
+        "5cc6e670889fbb715cf4399021f2390e013f27820ea9f98de5205d69eabf7e66",
+    ),
+    (("po_period_s", 1e300),): (
+        "a6481b3a47b827e675f53d074d5be79afd306b1935628d56cd5d6673df884613",
+        "1a6fe7ec978a57c89b3a62095c7ebbb127a52d492556ebd3295ac7c62a084d7d",
+    ),
+    (("settle_s", 1e300),): (
+        "5599fa93e17d68cdc73e2f22ab036774b2e6fdaf459fe5504da1ae3b3d70ca5b",
+        "5f3fe284ff284e5db8ad477c9cf95272e26ba8671af4e9cacba40d195cde0b99",
+    ),
+}
+
+# trace.csv then report.json of each run in _many_runs(), in order
+MANY_RUNS_DIGEST = "1c44249ac9039b6bb0c6dbf5c83184c273eaff6353a23438473a2ef6d9ab9b70"
 
 # scenario file -> ``pvmppt detect --event-index 1 --prior-irradiance 1.0 --out``
 DETECT_DIGESTS = {
@@ -138,6 +168,49 @@ def test_low_link_run_outputs_byte_identical(tmp_path, extra):
     scenario = tmp_path / "psc3_100v.json"
     scenario.write_text(json.dumps(doc))
     assert _run_digests(tmp_path, scenario, extra) == LOW_LINK_DIGESTS[extra]
+
+
+@pytest.mark.parametrize(
+    "controller",
+    list(WAIT_DIGESTS),
+    ids=["between-ticks", "po-1e300", "settle-1e300"],
+)
+def test_wait_run_outputs_byte_identical(tmp_path, controller):
+    doc = json.loads((SCENARIO_DIR / "benchmark_psc1.json").read_text())
+    doc["controller"] = dict(controller)
+    scenario = tmp_path / "psc1_waits.json"
+    scenario.write_text(json.dumps(doc))
+    assert _run_digests(tmp_path, scenario, ()) == WAIT_DIGESTS[controller]
+
+
+def _many_runs() -> list[Scenario]:
+    """The five psc files behind links of 60, 100, 110, 120 and 250 V under
+    both controllers, then ``random_scenario(2026 | 4051, 0..39)``."""
+    runs = []
+    for k in range(1, 6):
+        scn = load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json")
+        for v_out in (60.0, 100.0, 110.0, 120.0, 250.0):
+            linked = replace(scn, converter=replace(scn.converter, v_out=v_out))
+            for po_only in (False, True):
+                runs.append(replace(linked, controller=replace(scn.controller, po_only=po_only)))
+    return runs + [random_scenario(seed, i) for seed in (2026, 4051) for i in range(40)]
+
+
+def test_many_runs_byte_identical(tmp_path, request):
+    """One digest over the bytes of 130 closed-loop runs, on the compiled
+    kernel: the Python loop takes ~10x as long on them, and the digests
+    above pin that path."""
+    if request.node.callspec.params["rk4_path"] == "python":
+        pytest.skip("pinned on the compiled kernel")
+    digest = hashlib.sha256()
+    trace_csv, report_json = tmp_path / "trace.csv", tmp_path / "report.json"
+    for scn in _many_runs():
+        trace, report = run_closed_loop(scn)
+        emit_trace(trace, trace_csv)
+        emit_report(report, report_json)
+        digest.update(trace_csv.read_bytes())
+        digest.update(report_json.read_bytes())
+    assert digest.hexdigest() == MANY_RUNS_DIGEST
 
 
 def _run_digests(tmp_path: Path, scenario: Path, extra: tuple[str, ...]) -> tuple[str, str]:

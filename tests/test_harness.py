@@ -23,10 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvmppt.cli import main as cli_main
-from pvmppt import control
-from pvmppt.control import ControllerConfig, ControllerState, Mode, controller_tick
+from pvmppt.control import Mode, controller_tick
 from pvmppt.converter import (
-    ConverterParams,
     ConverterState,
     PlantCurve,
     _grid_source,
@@ -395,12 +393,12 @@ class TestGatedReadout:
     def test_readout_only_on_trim_ticks(self, scn, monkeypatch):
         read_ticks = []
 
-        def tick(state, m, cfg, ref, read_sample_module):
+        def tick(state, k, m, cfg, ref, read_sample_module):
             def reader():
-                read_ticks.append(round(m.t / cfg.adc_period_s))
+                read_ticks.append(k)
                 return read_sample_module()
 
-            return controller_tick(state, m, cfg, ref, reader)
+            return controller_tick(state, k, m, cfg, ref, reader)
 
         monkeypatch.setattr(harness, "controller_tick", tick)
         trace, report = run_closed_loop(scn)
@@ -505,55 +503,14 @@ def _spy_on_stretches(monkeypatch, seen) -> None:
 @pytest.fixture
 def tick_by_tick(monkeypatch):
     """Switches the held stretches off: every tick goes through
-    ``controller_tick`` as one tick at a time."""
-    return lambda: monkeypatch.setattr(harness, "tick_is_idle", lambda state, t, cfg: False)
-
-
-_ADC = ControllerConfig().adc_period_s
-# a deadline on a tick, within the ticks' 1e-12 tolerance of one, or between two
-_deadline = st.builds(
-    lambda k, off: k * _ADC + off,
-    st.integers(0, 300),
-    st.sampled_from((0.0, -1e-12, 1e-12, -2e-12, 2e-12, 0.3 * _ADC, -0.3 * _ADC)),
-)
-
-
-@st.composite
-def _idle_states(draw):
-    """P&O waiting for ``next_po_t``, a detection settle, the settle to the
-    best point, a set slew target, a scan, and a command outside
-    ``[0, v_cmd_max]``."""
-    s = ControllerState(ConverterParams().v_out)
-    s.mode = draw(st.sampled_from(list(Mode)))
-    s.next_po_t = draw(_deadline)
-    s.settle_until = draw(st.one_of(_deadline, st.just(math.nan)))
-    s.slew_target = draw(st.sampled_from((math.nan, math.nan, 90.0)))
-    s.v_ref = draw(st.one_of(
-        st.floats(0.0, s.v_cmd_max),
-        st.sampled_from((-1.0, -5e-324, s.v_cmd_max + 1e-9, s.v_cmd_max + 10.0)),
-    ))
-    return s
+    ``controller_tick``, which holds on the ticks before its own
+    ``resume_tick``, one tick at a time."""
+    return lambda: monkeypatch.setattr(harness, "resume_tick", lambda state: 0)
 
 
 class TestIdleStretches:
-    """The closed loop runs each stretch of ticks on which ``tick_is_idle``
-    holds as one ``advance`` call that samples each tick start."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        state=_idle_states(),
-        tick=st.integers(0, 300),
-        span=st.integers(1, 80),
-    )
-    def test_stretch_ends_at_the_first_active_tick(self, state, tick, span):
-        """The loop's stretch end, found by bisection, is the first tick at
-        which ``tick_is_idle`` is false, as asking at every tick finds it."""
-        cfg = ControllerConfig()
-        want = next(
-            (k for k in range(tick, tick + span) if not control.tick_is_idle(state, k * _ADC, cfg)),
-            tick + span,
-        )
-        assert harness._idle_end(state, tick, tick + span, cfg) == want
+    """The closed loop runs the ticks before the controller's
+    ``resume_tick`` as one ``advance`` call that samples each tick start."""
 
     @pytest.mark.parametrize("scn", IDLE_CASES, ids=IDLE_IDS)
     def test_held_stretches_give_the_tick_by_tick_bytes(self, scn, tmp_path, tick_by_tick):
@@ -857,13 +814,15 @@ class TestCli:
     def test_cli_process_never_imports_scipy(self, tmp_path, run):
         # the built-in module is pinned and other datasheets are fitted
         # in-house, so neither a bare import nor a whole run loads scipy;
-        # nor the process pool, which only run_corpus imports
-        code = "import sys\nimport pvmppt.cli\n"
+        # nor the process pool, which only run_corpus imports; nor numpy.ma
+        # (np.unique imports it), unless numpy loads it itself (numpy<2 does)
+        code = "import sys\nimport numpy\nma = 'numpy.ma' in sys.modules\nimport pvmppt.cli\n"
         if run:
             scenario = SCENARIO_DIR / "benchmark_psc1.json"
             argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
             code += f"assert pvmppt.cli.main({argv!r}) == 0\n"
-        code += "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        code += "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules,\n"
+        code += "      'numpy.ma' in sys.modules and not ma)\n"
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
@@ -871,7 +830,7 @@ class TestCli:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False False"
+        assert done.stdout.splitlines()[-1] == "False False False"
 
     def test_run_po_baseline_flag(self, tmp_path):
         out = tmp_path / "po"
@@ -1420,21 +1379,25 @@ def test_cell_count_below_one_exits_naming_it(tmp_path, capsys, n_cells):
 
 
 @pytest.mark.parametrize(
-    "key, value, field",
+    "key, value, field, command",
     [
-        ("r_s_ohm", 1000, "module.params"),  # short-circuit current root does not converge
-        ("i_pv_ref_a", 1e6, "module.params"),  # likewise
-        ("i_o_ref_a", 1e-300, "module.params"),  # no open-circuit root in the bracket
-        ("r_s_ohm", 1e300, "module.params"),  # no string sample above the bypass clamp
-        ("i_pv_ref_a", 1e300, "array.n_series"),  # an infinite open-circuit voltage
+        ("r_s_ohm", 1000, "module.params", "run"),  # short-circuit current root does not converge
+        ("i_pv_ref_a", 1e6, "module.params", "run"),  # likewise
+        ("i_o_ref_a", 1e-300, "module.params", "run"),  # no open-circuit root in the bracket
+        ("r_s_ohm", 1e300, "module.params", "run"),  # no string sample above the bypass clamp
+        ("r_s_ohm", 1e300, "module.params", "sweep"),  # likewise, with no commissioning
+        ("i_pv_ref_a", 1e300, "array.n_series", "run"),  # an infinite open-circuit voltage
     ],
 )
-def test_module_the_model_cannot_solve_exits_naming_it(tmp_path, capsys, key, value, field):
+def test_module_the_model_cannot_solve_exits_naming_it(
+    tmp_path, capsys, key, value, field, command
+):
     doc = copy.deepcopy(_PSC1_PARAMS_DOC)
     doc["module"]["params"][key] = value
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc))
-    assert cli_main(["run", "--out", str(tmp_path / "o"), "--scenario", str(scenario)]) == 2
+    argv = [command, "--out", str(tmp_path / "o"), "--scenario", str(scenario)]
+    assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
