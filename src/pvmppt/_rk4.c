@@ -1,11 +1,11 @@
 /* RK4 sub-steps of the averaged boost plant on a uniform-grid current table.
  *
- * A line-for-line copy of the loop in pvmppt.converter._python_advance, with
- * the lookup of pvmppt.converter.PlantCurve inlined.  Every expression keeps
- * the Python operation order, so that a build without floating-point
- * contraction (-ffp-contract=off) and without -ffast-math gives the same
- * bits.  Plain C, no Python.h: pvmppt.converter compiles it on first use and
- * calls it through ctypes.
+ * The loop of pvmppt.converter._python_advance, the same operations in the
+ * same order, with the lookup of pvmppt.converter.PlantCurve inlined.  Every
+ * expression keeps the Python operation order, so that a build without
+ * floating-point contraction (-ffp-contract=off) and without -ffast-math
+ * gives the same bits.  Plain C, no Python.h: pvmppt.converter compiles it
+ * on first use and calls it through ctypes.
  *
  * state holds (v_pv, i_L) on entry and, on a zero return, on exit.  A
  * non-zero return means a lookup met a NaN voltage or would step off the

@@ -13,12 +13,12 @@ at zero (ideal diode, discontinuous-conduction guard).  An open-loop
 :func:`run` makes one call per command piece and sample interval.
 
 When the current source is a :func:`PlantCurve` table, it runs its
-sub-steps in ``_rk4.c``, a plain-C copy of the Python loop.  The
-first such call compiles it with ``cc`` into the user's cache
-(``$XDG_CACHE_HOME/pvmppt``, by default ``~/.cache/pvmppt``) and accepts it
-only if it gives the Python loop's bits on a fixed probe.  Without a
-compiler, or if anything in that fails, the Python loop runs, silently and
-with the same results.
+sub-steps in ``_rk4.c``, plain C that performs the Python loop's
+operations in the same order.  The first such call compiles it with
+``cc`` into the user's cache (``$XDG_CACHE_HOME/pvmppt``, by default
+``~/.cache/pvmppt``) and accepts it only if it gives the Python loop's
+bits on a fixed probe.  Without a compiler, or if anything in that
+fails, the Python loop runs, silently and with the same results.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from types import FunctionType
 from typing import Callable
 
 import numpy as np
@@ -227,15 +228,18 @@ def advance(
 
     A :func:`PlantCurve` source runs in the compiled kernel when it loads;
     every other source, and any call the kernel declines, runs the Python
-    loop, which gives the same bits.
+    loop, which gives the same bits.  ``table`` is read only off a plain
+    function, as :func:`PlantCurve` returns: on a bound method the lookup
+    would fail, at a cost, on every call.
     """
-    table = getattr(i_of_v, "table", None)
-    if table is not None:
-        kernel = _native_rk4()
-        if kernel is not None:
-            out = kernel(v, il, w0, dw, n_ticks, n_sub, dt, table, params, samples)
-            if out is not None:
-                return out
+    if type(i_of_v) is FunctionType:
+        table = getattr(i_of_v, "table", None)
+        if table is not None:
+            kernel = _native_rk4()
+            if kernel is not None:
+                out = kernel(v, il, w0, dw, n_ticks, n_sub, dt, table, params, samples)
+                if out is not None:
+                    return out
     return _python_advance(v, il, w0, dw, n_ticks, n_sub, dt, i_of_v, params, samples)
 
 
@@ -243,29 +247,41 @@ def _python_advance(
     v: float, il: float, w0: float, dw: float, n_ticks: int, n_sub: int, dt: float, i_of_v,
     params: ConverterParams, samples: tuple[list, list] | None,
 ) -> tuple[float, float]:
-    """The RK4 loop of :func:`advance` in Python: the reference that
-    ``_rk4.c`` copies line for line, and the fallback."""
+    """The RK4 loop of :func:`advance` in Python: the reference whose
+    operations ``_rk4.c`` performs in the same order, and the fallback.
+
+    Python groups ``0.5 * dt * k`` as ``(0.5 * dt) * k``, so ``half_dt``
+    and ``sixth_dt`` are taken out of the loop with the same bits.  At a
+    held command (``dw == 0.0``, either sign) ``w0 + dw * (k + 0.5)`` is
+    ``w0 + dw * 0.5`` for every ``k >= 0``, so the floored ``w`` is taken
+    once per call."""
     inv_c, inv_l, r_l, w_floor = _plant_constants(params)
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    held = dw == 0.0
+    if held:
+        x = w0 + dw * 0.5
+        w = x if x > w_floor else w_floor
     for t in range(n_ticks):
         if samples is not None:
             samples[0].append(v)
             samples[1].append(i_of_v(v))
         for k in range(t * n_sub, (t + 1) * n_sub):
-            x = w0 + dw * (k + 0.5)
-            w = x if x > w_floor else w_floor
+            if not held:
+                x = w0 + dw * (k + 0.5)
+                w = x if x > w_floor else w_floor
             k1v = (i_of_v(v) - il) * inv_c
             k1i = (v - r_l * il - w) * inv_l
-            v2, i2 = v + 0.5 * dt * k1v, il + 0.5 * dt * k1i
+            v2, i2 = v + half_dt * k1v, il + half_dt * k1i
             k2v = (i_of_v(v2) - i2) * inv_c
             k2i = (v2 - r_l * i2 - w) * inv_l
-            v3, i3 = v + 0.5 * dt * k2v, il + 0.5 * dt * k2i
+            v3, i3 = v + half_dt * k2v, il + half_dt * k2i
             k3v = (i_of_v(v3) - i3) * inv_c
             k3i = (v3 - r_l * i3 - w) * inv_l
             v4, i4 = v + dt * k3v, il + dt * k3i
             k4v = (i_of_v(v4) - i4) * inv_c
             k4i = (v4 - r_l * i4 - w) * inv_l
-            v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            il += dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+            v += sixth_dt * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            il += sixth_dt * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
             if il < 0.0:
                 il = 0.0
             if v < 0.0:
@@ -580,12 +596,20 @@ def run(
         # this piece's steps: those from n whose midpoints lie before its
         # end, compared as command_value compares them
         end = bisect.bisect_left(range(n_steps), t0 + dur, lo=n, key=lambda k: (k + 0.5) * DT)
+        hold = v_from == v_to
+        if hold and n < end:
+            # a hold's command is one value in [t0, t0 + dur), which holds
+            # these steps' midpoints and their sample times from t0 on
+            v_hold = command_value(pieces, (n + 0.5) * DT)
+            duty = duty_for_voltage(v_hold, params.v_out)
         while n < end:
             m = min(n - n % per_sample + per_sample, end)
-            duty = duty_for_voltage(command_value(pieces, (n + 0.5) * DT), params.v_out)
+            if not hold:
+                duty = duty_for_voltage(command_value(pieces, (n + 0.5) * DT), params.v_out)
             if n % per_sample == 0:
-                record(n, s.v_pv, command_value(pieces, n * DT), duty)
-            if v_from == v_to:
+                v_cmd = v_hold if hold and n * DT >= t0 else command_value(pieces, n * DT)
+                record(n, s.v_pv, v_cmd, duty)
+            if hold:
                 s = step_ode(s, duty, DT, i_of_v, params, m - n)
             else:
                 slope = (v_to - v_from) / dur

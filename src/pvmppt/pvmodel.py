@@ -32,8 +32,6 @@ except ImportError:  # numpy < 2
 
 from .solver import SolverError, bounded_lm, golden_section_max, solve_decreasing
 
-_float64 = np.float64  # one global lookup per float query, not two
-
 BOLTZMANN_J_PER_K = 1.380649e-23
 ELECTRON_CHARGE_C = 1.602176634e-19
 BAND_GAP_EV = 1.12
@@ -237,14 +235,15 @@ class PvCurve:
         return [], [], math.inf, -math.inf, 0.0
 
     def current_at(self, v: float | np.ndarray):
-        """``np.interp(v, self.v, self.i, right=0.0)``, bit for bit, as an
-        ``np.float64`` for a scalar.
+        """``np.interp(v, self.v, self.i, right=0.0)``, bit for bit.
 
-        A Python float inside ``[v[0], v[-1])`` is answered from the sample
-        lists with the compiled kernel's own arithmetic: the open-loop plant
-        source calls this four times per RK4 step, and a kernel call pays
-        numpy's array set-up for one float.  Everything else goes to the
-        compiled kernel that ``np.interp`` forwards to."""
+        A Python float query returns a Python float with those bits; numpy
+        scalars, ints and arrays return what ``np.interp`` returns.  A float
+        inside ``[v[0], v[-1])`` is answered from the sample lists with the
+        compiled kernel's own arithmetic: the open-loop plant source calls
+        this four times per RK4 step, and a kernel call pays numpy's array
+        set-up for one float.  Everything else goes to the compiled kernel
+        that ``np.interp`` forwards to."""
         if type(v) is float:
             xs, ys, x0, x_end, scale = self._lists
             if x0 <= v < x_end:  # NaN fails
@@ -255,7 +254,7 @@ class PvCurve:
                     x, x1 = xs[j], xs[j + 1]
                 y = ys[j]
                 if v == x:
-                    return _float64(y)
+                    return y
                 y1 = ys[j + 1]
                 slope = (y1 - y) / (x1 - x)
                 r = slope * (v - x) + y
@@ -263,7 +262,8 @@ class PvCurve:
                     r = slope * (v - x1) + y1
                     if r != r and y == y1:
                         r = y
-                return _float64(r)
+                return r
+            return float(_interp(v, self._xp, self._fp, None, 0.0))
         return _interp(v, self._xp, self._fp, None, 0.0)
 
     def power_at(self, v: float | np.ndarray):

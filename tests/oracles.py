@@ -21,7 +21,10 @@ None of these runs in the simulator:
 - the datasheet fit is solved by scipy instead of the package's own
   Levenberg–Marquardt;
 - a controller wait is a float time compared with each tick's time, where
-  the controller stores the first tick on which the wait is over.
+  the controller stores the first tick on which the wait is over;
+- the Python RK4 loop computes every sub-step's command and step factors
+  inside the loop, where ``converter._python_advance`` takes the ones
+  that do not change out of it.
 """
 
 import math
@@ -29,6 +32,7 @@ import math
 import numpy as np
 from scipy.optimize import least_squares
 
+from pvmppt.converter import ConverterParams, _plant_constants
 from pvmppt.pvmodel import (
     ArraySpec,
     CalibrationError,
@@ -248,3 +252,38 @@ def first_tick_over(tick: int, wait_s: float, adc: float, exact: bool, limit: in
     ``j`` taken at ``j * adc``; None if there is none."""
     due = tick * adc + wait_s
     return next((j for j in range(tick, limit) if float_wait_over(j * adc, due, exact)), None)
+
+
+def reference_advance(
+    v: float, il: float, w0: float, dw: float, n_ticks: int, n_sub: int, dt: float, i_of_v,
+    params: ConverterParams, samples: tuple[list, list] | None,
+) -> tuple[float, float]:
+    """``converter._python_advance`` with nothing taken out of its loop:
+    every sub-step computes its command ``w`` and the products
+    ``0.5 * dt * k`` and ``dt / 6.0 * s`` afresh."""
+    inv_c, inv_l, r_l, w_floor = _plant_constants(params)
+    for t in range(n_ticks):
+        if samples is not None:
+            samples[0].append(v)
+            samples[1].append(i_of_v(v))
+        for k in range(t * n_sub, (t + 1) * n_sub):
+            x = w0 + dw * (k + 0.5)
+            w = x if x > w_floor else w_floor
+            k1v = (i_of_v(v) - il) * inv_c
+            k1i = (v - r_l * il - w) * inv_l
+            v2, i2 = v + 0.5 * dt * k1v, il + 0.5 * dt * k1i
+            k2v = (i_of_v(v2) - i2) * inv_c
+            k2i = (v2 - r_l * i2 - w) * inv_l
+            v3, i3 = v + 0.5 * dt * k2v, il + 0.5 * dt * k2i
+            k3v = (i_of_v(v3) - i3) * inv_c
+            k3i = (v3 - r_l * i3 - w) * inv_l
+            v4, i4 = v + dt * k3v, il + dt * k3i
+            k4v = (i_of_v(v4) - i4) * inv_c
+            k4i = (v4 - r_l * i4 - w) * inv_l
+            v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            il += dt / 6.0 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+            if il < 0.0:
+                il = 0.0
+            if v < 0.0:
+                v = 0.0
+    return v, il

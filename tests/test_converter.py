@@ -1,11 +1,14 @@
 """Averaged boost converter tests: statics, dynamics, command handling."""
 
+import math
 import shutil
+import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -34,7 +37,7 @@ from pvmppt.pvmodel import (
     sweep_curve,
 )
 
-from oracles import array_current, interpolated_plant
+from oracles import array_current, interpolated_plant, reference_advance
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
@@ -45,6 +48,7 @@ SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.json"))
 B_RAMP_V = 3.2
 
 TABLE_PLANT = ConverterParams()  # r_l=0.3, L=600 uH, C=100 uF, 250 V link
+W_FLOOR = (1.0 - converter.MAX_DUTY) * TABLE_PLANT.v_out  # 2.5 V
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +165,55 @@ class TestAdvance:
         assert v_at == states and i_at == [i_of_v(x) for x in states]
         if source == "dark":  # the link sits above v_pv: the clamp holds i_L at 0
             assert il == 0.0
+
+    @staticmethod
+    def _outcome(fn, case, source, sampled):
+        """``fn``'s end state and samples as bits, or the type and message of
+        what it raised with the samples taken before."""
+        samples = ([], []) if sampled else None
+        try:
+            end = struct.pack("<2d", *fn(*case, source, TABLE_PLANT, samples))
+        except Exception as exc:
+            end = type(exc), str(exc)
+        if samples is None:
+            return end, None
+        return end, struct.pack(f"<{len(samples[0]) + len(samples[1])}d", *samples[0], *samples[1])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @example("plant_curve", 60.0, 5.0, 80.0, -0.5, 2, 8, 5e-6, True)  # slews down
+    @example("bound_method", 60.0, 5.0, 80.0, 0.5, 3, 8, 2e-5, False)  # and up
+    @example("plant_curve", 40.0, 2.0, W_FLOOR + 1.0, -0.3, 2, 8, 2e-5, True)  # to the floor
+    @given(
+        kind=st.sampled_from(["plant_curve", "bound_method"]),
+        v=st.one_of(
+            st.floats(-5.0, 140.0), st.sampled_from([-0.0, -1e300, math.nan, math.inf, -math.inf])
+        ),
+        il=st.one_of(st.floats(-2.0, 12.0), st.sampled_from([-0.0, -1.0, math.nan, math.inf])),
+        w0=st.one_of(
+            st.floats(0.0, 250.0),
+            st.sampled_from([W_FLOOR, math.nextafter(W_FLOOR, 0.0), 0.0, -0.0, math.nan, math.inf]),
+        ),
+        dw=st.one_of(
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+            st.floats(-5.0, 5.0),
+            st.integers(-500, 500).map(lambda k: k / 100),
+        ),
+        n_ticks=st.integers(0, 3),
+        n_sub=st.integers(0, 8),
+        dt=st.one_of(st.sampled_from([5e-6, 2e-5, 1e-4]), st.floats(1e-7, 2e-5)),
+        sampled=st.booleans(),
+    )
+    def test_python_loop_keeps_the_reference_bits(
+        self, spec_130v_8a, kind, v, il, w0, dw, n_ticks, n_sub, dt, sampled
+    ):
+        """The Python loop takes ``0.5 * dt``, ``dt / 6.0`` and a held
+        command out of its sub-steps; the loop that computes them in every
+        sub-step gives the same state, samples and exceptions."""
+        curve = sweep_curve(spec_130v_8a, 0.01)
+        source = PlantCurve(curve) if kind == "plant_curve" else curve.current_at
+        case = (v, il, w0, dw, n_ticks, n_sub, dt)
+        got = self._outcome(converter._python_advance, case, source, sampled)
+        assert got == self._outcome(reference_advance, case, source, sampled)
 
 
 class TestRun:
@@ -623,8 +676,17 @@ class TestRunStretches:
         monkeypatch.setattr(converter, "_native_rk4", lambda: None)
         self.same(native, run(cmd, plant, TABLE_PLANT, sample_period=5e-5))
 
-    def test_one_call_per_piece_and_sample(self, array_130v_8a, monkeypatch):
-        holds, slews = [], []
+    def test_one_call_per_piece_and_sample(self, spec_130v_8a, monkeypatch):
+        """The criterion-3 step and ramp at 5e-5 s sampling make one plant
+        call per piece and sample: 2,700 ``step_ode`` holds and 200 slews,
+        the calls the benchmark's open-loop workload traces.  Its source, a
+        bound method over a ``PvCurve``, runs them all on the Python loop,
+        and so does a callable object that carries a ``table``; a
+        ``PlantCurve`` closure reaches the compiled kernel."""
+        curve = sweep_curve(spec_130v_8a, 0.01)
+        plant = PlantCurve(curve)
+        native = converter._native_rk4() is not None  # its probe runs the Python loop
+        holds, slews, calls = [], [], Counter()
 
         def counting_step_ode(s, duty, dt, i_of_v, params, n=1):
             holds.append(n)
@@ -635,15 +697,45 @@ class TestRunStretches:
                 slews.append((n_ticks, n_sub))
             return advance(v, il, w0, dw, n_ticks, n_sub, *rest)
 
+        def counting(name):
+            inner = getattr(converter, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return counted
+
         monkeypatch.setattr(converter, "step_ode", counting_step_ode)
         monkeypatch.setattr(converter, "advance", counting_advance)
-        run(STEP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5)
-        assert holds == [10] * 2400 and slews == []
-        holds.clear()
-        run(RAMP_CMD, array_130v_8a, TABLE_PLANT, sample_period=5e-5)
-        # 100 hold samples, then 200 ramp samples, then 200 hold samples
-        assert holds == [10] * 300
-        assert slews == [(1, 10)] * 200
+        for name in ("_python_advance", "_native_rk4"):
+            monkeypatch.setattr(converter, name, counting(name))
+
+        class Source:  # the shape of the benchmark's open-loop source
+            def current(self, v):
+                return float(curve.current_at(max(v, 0.0)))
+
+        class Tabled:
+            table = plant.table
+
+            def __call__(self, v):
+                return plant(v)
+
+        for source in (Source().current, Tabled()):
+            holds.clear()
+            slews.clear()
+            calls.clear()
+            run(STEP_CMD, source, TABLE_PLANT, sample_period=5e-5)
+            assert holds == [10] * 2400 and slews == []
+            run(RAMP_CMD, source, TABLE_PLANT, sample_period=5e-5)
+            # 100 hold samples, then 200 ramp samples, then 200 hold samples
+            assert holds == [10] * 2700
+            assert slews == [(1, 10)] * 200
+            assert calls == Counter(_python_advance=2900)
+        calls.clear()
+        run(STEP_CMD, plant, TABLE_PLANT, sample_period=5e-5)
+        assert native == (shutil.which("cc") is not None)
+        assert calls == Counter(_native_rk4=2400, _python_advance=0 if native else 2400)
 
     def test_step_count_below_one_rejected(self):
         with pytest.raises(ValidationError, match="step count"):
