@@ -17,7 +17,6 @@ from .converter import (
     CommandSegment,
     CommandSignal,
     ConverterParams,
-    ConverterState,
     TraceRecord,
     duty_for_voltage,
     step_ode,

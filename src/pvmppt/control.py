@@ -215,16 +215,31 @@ def criteria_fired(
 
 
 @dataclass
-class DetectionOutcome:
-    psi: float | None  # None: the array was dark at the probes, no verdict
-    dv_arr_ratio: float  # signed
-    dv_mod_ratio: float  # signed
-    fired: tuple[bool, bool, bool]
-    is_psc: bool
+class Detection:
+    """One detection's readings and verdict, filled in as its sequence runs:
+    at the trigger, the P&O rest voltage and the updated (array, module) MPP
+    references; once the open-loop trim has landed the array on the array
+    reference, the command there, the sample-module voltage and the (v, p)
+    reading that seeds a scan; then the low (v, p) PSI probe.
+    :func:`detection_verdict` completes it with the verdict."""
+
     v_rest: float
     v_mpp_arr_updated: float
     v_mpp_mod_updated: float
+    trimmed: bool = False
+    center_cmd: float = math.nan
+    v_sample: float = math.nan
+    seed: tuple[float, float] | None = None
+    lo: tuple[float, float] | None = None
+    psi: float | None = None  # None: the array was dark at the probes, no verdict
+    dv_arr_ratio: float = math.nan  # signed
+    dv_mod_ratio: float = math.nan  # signed
+    fired: tuple[bool, bool, bool] = (False, False, False)
     t: float = math.nan  # controller time of the verdict; NaN for a static one
+
+    @property
+    def is_psc(self) -> bool:
+        return any(self.fired)
 
     def to_dict(self) -> dict:
         return {
@@ -239,41 +254,20 @@ class DetectionOutcome:
         }
 
 
-@dataclass
-class DetectionReadings:
-    """One detection's readings, filled in as its sequence runs: at the
-    trigger, the P&O rest voltage and the updated (array, module) MPP
-    references; once the open-loop trim has landed the array on the array
-    reference, the command there, the sample-module voltage and the (v, p)
-    reading that seeds a scan; then the low (v, p) PSI probe."""
-
-    v_rest: float
-    v_arr_upd: float
-    v_mod_upd: float
-    trimmed: bool = False
-    center_cmd: float = math.nan
-    v_sample: float = math.nan
-    seed: tuple[float, float] | None = None
-    lo: tuple[float, float] | None = None
-
-
 def detection_verdict(
-    r: DetectionReadings, probe_hi: tuple[float, float], cfg: DetectorConfig, t: float = math.nan
-) -> DetectionOutcome:
-    """Judge one detection from its readings and the high (v, p) PSI probe.
+    d: Detection, probe_hi: tuple[float, float], cfg: DetectorConfig, t: float = math.nan
+) -> None:
+    """Complete ``d`` in place with its verdict, from its readings and the
+    high (v, p) PSI probe, judged at controller time ``t``.
 
     A dark array (mean probe power not positive) has no slope to judge: it
     gets no verdict, ``psi`` None and no criterion fired, so P&O resumes."""
-    dv_arr = (r.v_rest - r.v_arr_upd) / r.v_arr_upd
-    dv_mod = (r.v_sample - r.v_mod_upd) / r.v_mod_upd
-    if 0.5 * (r.lo[1] + probe_hi[1]) <= 0.0:
-        psi, fired = None, (False, False, False)
-    else:
-        psi = compute_psi(r.lo, probe_hi)
-        fired = criteria_fired(psi, dv_arr, dv_mod, cfg)
-    return DetectionOutcome(
-        psi, dv_arr, dv_mod, fired, any(fired), r.v_rest, r.v_arr_upd, r.v_mod_upd, t
-    )
+    d.t = t
+    d.dv_arr_ratio = (d.v_rest - d.v_mpp_arr_updated) / d.v_mpp_arr_updated
+    d.dv_mod_ratio = (d.v_sample - d.v_mpp_mod_updated) / d.v_mpp_mod_updated
+    if 0.5 * (d.lo[1] + probe_hi[1]) > 0.0:
+        d.psi = compute_psi(d.lo, probe_hi)
+        d.fired = criteria_fired(d.psi, d.dv_arr_ratio, d.dv_mod_ratio, cfg)
 
 
 @dataclass
@@ -298,7 +292,9 @@ class ScanEpisode:
 
 @dataclass
 class ControllerState:
-    """Mutable controller memory; one instance per plant."""
+    """Mutable controller memory; one instance per plant.  ``detection`` is
+    set from a trigger until its verdict, ``episode`` from a positive verdict
+    until P&O resumes; each record is then appended to its list."""
 
     v_cmd_max: float  # the link voltage: between ticks the command is in [0, v_cmd_max]
     mode: Mode = Mode.PO
@@ -311,13 +307,11 @@ class ControllerState:
     rest_v: deque = field(default_factory=lambda: deque(maxlen=4))
     rest_i: deque = field(default_factory=lambda: deque(maxlen=4))
     uic_current: float = math.nan
-    # ``readings`` is set from a trigger until its verdict
-    readings: DetectionReadings | None = None
     slew_target: float = math.nan  # _slew holds it in [0, v_cmd_max]
-    # scan bookkeeping: ``episode`` is set from a positive verdict until P&O resumes
+    detection: Detection | None = None
+    detections: list[Detection] = field(default_factory=list)
     episode: ScanEpisode | None = None
     episodes: list[ScanEpisode] = field(default_factory=list)
-    detections: list[DetectionOutcome] = field(default_factory=list)
 
 
 def make_controller_state(
@@ -346,7 +340,7 @@ def deadline_tick(tick: int, wait_s: float, adc: float, exact: bool = False) -> 
     return j
 
 
-def po_step(state: ControllerState, m: Measurement, step_v: float) -> ControllerState:
+def po_step(state: ControllerState, m: Measurement, step_v: float) -> None:
     """One perturb-and-observe update at the P&O cadence."""
     p = m.p
     if math.isfinite(state.last_power) and p < state.last_power:
@@ -355,12 +349,11 @@ def po_step(state: ControllerState, m: Measurement, step_v: float) -> Controller
     state.last_power = p
     state.rest_v.append(m.v)
     state.rest_i.append(m.i)
-    return state
 
 
 def scan_step(
     state: ControllerState, m: Measurement, ref: ReferenceModel, cfg: ControllerConfig
-) -> ControllerState:
+) -> None:
     """One ramp-scan update at the ADC cadence.
 
     Updates the incumbent (V_e, P_e), advances the ramp command, and
@@ -396,14 +389,13 @@ def scan_step(
             state.slew_target = ep.v_e - cmd_offset
         else:
             state.v_ref -= dv
-    return state
 
 
 def _begin_detection(state: ControllerState, m: Measurement, ref: ReferenceModel) -> None:
     v_rest = sum(state.rest_v) / len(state.rest_v) if state.rest_v else m.v
     i_corr = state.uic_current if math.isfinite(state.uic_current) else None
     v_arr_u, v_mod_u = update_references(ref, m.t_sample_mod, i_arr=i_corr)
-    state.readings = DetectionReadings(v_rest, v_arr_u, v_mod_u)
+    state.detection = Detection(v_rest, v_arr_u, v_mod_u)
     state.slew_target = v_arr_u
     state.mode = Mode.DETECT_SETTLE
 
@@ -411,14 +403,14 @@ def _begin_detection(state: ControllerState, m: Measurement, ref: ReferenceModel
 def _finish_detection(
     state: ControllerState, m: Measurement, cfg: ControllerConfig, probe_hi: tuple[float, float]
 ) -> None:
-    r, state.readings = state.readings, None
-    outcome = detection_verdict(r, probe_hi, cfg.detector, t=m.t)
-    state.detections.append(outcome)
-    if outcome.is_psc:
-        state.episode = ScanEpisode(m.t, *r.seed, floor_v=r.v_mod_upd)
+    d, state.detection = state.detection, None
+    detection_verdict(d, probe_hi, cfg.detector, t=m.t)
+    state.detections.append(d)
+    if d.is_psc:
+        state.episode = ScanEpisode(m.t, *d.seed, floor_v=d.v_mpp_mod_updated)
         state.mode = Mode.SCAN_UP
     else:
-        state.v_ref = r.center_cmd
+        state.v_ref = d.center_cmd
         state.mode = Mode.PO
         state.last_power = m.p
 
@@ -450,22 +442,22 @@ def _detect_tick(
     if not math.isnan(state.slew_target):
         _slew(state, tick, cfg)
         return
-    r = state.readings
-    probe_dv = cfg.detector.probe_dv(r.v_arr_upd)
-    if not r.trimmed:
+    d = state.detection
+    probe_dv = cfg.detector.probe_dv(d.v_mpp_arr_updated)
+    if not d.trimmed:
         # one open-loop trim so the measured array voltage lands on the
         # reference despite the r_L*i_L steady-state offset
-        r.trimmed = True
-        state.slew_target = state.v_ref + (r.v_arr_upd - m.v)
-    elif r.seed is None:
-        r.center_cmd = state.v_ref
-        r.v_sample = read_sample_module()
-        r.seed = (m.v, m.p)
+        d.trimmed = True
+        state.slew_target = state.v_ref + (d.v_mpp_arr_updated - m.v)
+    elif d.seed is None:
+        d.center_cmd = state.v_ref
+        d.v_sample = read_sample_module()
+        d.seed = (m.v, m.p)
         state.mode = Mode.DETECT_PROBE
-        state.slew_target = r.center_cmd - probe_dv
-    elif r.lo is None:
-        r.lo = (m.v, m.p)
-        state.slew_target = r.center_cmd + probe_dv
+        state.slew_target = d.center_cmd - probe_dv
+    elif d.lo is None:
+        d.lo = (m.v, m.p)
+        state.slew_target = d.center_cmd + probe_dv
     else:
         _finish_detection(state, m, cfg, (m.v, m.p))
 
@@ -492,7 +484,7 @@ def controller_tick(
     cfg: ControllerConfig,
     ref: ReferenceModel,
     read_sample_module: Callable[[], float],
-) -> tuple[float, ControllerState]:
+) -> float:
     """Advance the controller by ``m``, the ADC sample of tick ``tick``; returns the new command.
 
     P&O acts at its own (slower) cadence; detection and scanning act on
@@ -501,7 +493,7 @@ def controller_tick(
     module's voltage at the present array voltage; it is called once per
     detection, on the trim tick that holds the array at its reference."""
     if tick < resume_tick(state):
-        return state.v_ref, state
+        return state.v_ref
     mode = state.mode
     if mode is Mode.PO:
         last = state.detections[-1] if state.detections else None
@@ -541,4 +533,4 @@ def controller_tick(
     if state.mode is Mode.PO:  # P&O stepped or resumes: its next step is due
         state.deadline = deadline_tick(tick, cfg.po_period_s, cfg.adc_period_s)
     state.v_ref = min(max(state.v_ref, 0.0), state.v_cmd_max)
-    return state.v_ref, state
+    return state.v_ref

@@ -82,12 +82,6 @@ class ConverterParams:
 
 
 @dataclass(frozen=True)
-class ConverterState:
-    v_pv: float
-    i_l: float
-
-
-@dataclass(frozen=True)
 class CommandSegment:
     """One piece of the open-loop voltage command.
 
@@ -497,19 +491,20 @@ def _native_rk4():
 
 
 def step_ode(
-    s: ConverterState,
+    v: float,
+    il: float,
     duty: float,
     dt: float,
     i_of_v: Callable[[float], float],
     params: ConverterParams = ConverterParams(),
     n: int = 1,
-) -> ConverterState:
-    """``n`` RK4 steps of the averaged plant at a fixed duty.
+) -> tuple[float, float]:
+    """``n`` RK4 steps of the averaged plant at a fixed duty from ``v_pv = v``
+    and ``i_L = il``; returns ``(v_pv, i_L)`` at the end, as :func:`advance` does.
 
     ``i_of_v`` is the PV source's current at a voltage, e.g.
     ``PlantCurve(sweep_curve(spec, 0.01))``.  The duty is held exactly, so
-    one call of ``n`` steps gives the same ``v_pv`` and ``i_l`` bits as
-    ``n`` calls of one step.
+    one call of ``n`` steps gives the same bits as ``n`` calls of one step.
     """
     if dt > MAX_DT:
         raise ValidationError(f"dt {dt} above stability margin {MAX_DT}")
@@ -517,8 +512,7 @@ def step_ode(
         raise ValidationError(f"duty {duty} outside [0, {MAX_DUTY}]")
     if n < 1:
         raise ValidationError(f"step count {n} below 1")
-    v, il = advance(s.v_pv, s.i_l, (1.0 - duty) * params.v_out, 0.0, 1, n, dt, i_of_v, params, None)
-    return ConverterState(v_pv=v, i_l=il)
+    return advance(v, il, (1.0 - duty) * params.v_out, 0.0, 1, n, dt, i_of_v, params, None)
 
 
 def _command_profile(
@@ -559,8 +553,9 @@ def run(
 ) -> list[TraceRecord]:
     """Integrate the plant over an open-loop command and sample it.
 
-    The plant starts at the command's value at ``t = 0`` with the
-    source's current in the inductor.  Step ``n`` covers
+    The plant state is the two floats ``(v_pv, i_L)`` that :func:`step_ode`
+    and :func:`advance` return and take; it starts at the command's value
+    at ``t = 0`` with the source's current in the inductor.  Step ``n`` covers
     ``[n*DT, (n+1)*DT)`` in the command piece that holds its midpoint (past
     the last piece, a hold at the final value).  A piece's steps up to
     each sample are one call: a hold's one :func:`step_ode` call at its
@@ -579,8 +574,8 @@ def run(
     n_steps = round(horizon / DT)
     per_sample = max(round(sample_period / DT), 1)
 
-    v0 = command_value(pieces, 0.0)
-    s = ConverterState(v_pv=v0, i_l=i_of_v(v0))
+    v = command_value(pieces, 0.0)
+    il = i_of_v(v)
     v_end = command_value(pieces, horizon)
 
     trace: list[TraceRecord] = []
@@ -608,15 +603,14 @@ def run(
                 duty = duty_for_voltage(command_value(pieces, (n + 0.5) * DT), params.v_out)
             if n % per_sample == 0:
                 v_cmd = v_hold if hold and n * DT >= t0 else command_value(pieces, n * DT)
-                record(n, s.v_pv, v_cmd, duty)
+                record(n, v, v_cmd, duty)
             if hold:
-                s = step_ode(s, duty, DT, i_of_v, params, m - n)
+                v, il = step_ode(v, il, duty, DT, i_of_v, params, m - n)
             else:
                 slope = (v_to - v_from) / dur
                 w0 = v_from + slope * (n * DT - t0)
-                v, il = advance(s.v_pv, s.i_l, w0, slope * DT, 1, m - n, DT, i_of_v, params, None)
-                s = ConverterState(v_pv=v, i_l=il)
+                v, il = advance(v, il, w0, slope * DT, 1, m - n, DT, i_of_v, params, None)
             n = m
     if n_steps > 0:
-        record(n_steps, s.v_pv, v_end, duty_for_voltage(v_end, params.v_out))
+        record(n_steps, v, v_end, duty_for_voltage(v_end, params.v_out))
     return trace

@@ -22,8 +22,7 @@ import numpy as np
 from .control import (
     ControllerConfig,
     ControllerState,
-    DetectionOutcome,
-    DetectionReadings,
+    Detection,
     DetectorConfig,
     Measurement,
     Mode,
@@ -578,7 +577,7 @@ def detect_pattern(
     ref: ReferenceModel,
     cfg: DetectorConfig = DetectorConfig(),
     s_prior: float | None = None,
-) -> DetectionOutcome:
+) -> Detection:
     """Evaluate the three detection criteria on the exact array curve.
 
     ``s_prior`` is the last known uniform irradiance fraction used for
@@ -605,8 +604,9 @@ def detect_pattern(
     dv = cfg.probe_dv(v_arr_u)
     v_samp = float(_sample_module_voltage(spec, v_arr_u))
     lo, hi = ((v, float(curve.power_at(v))) for v in (v_arr_u - dv, v_arr_u + dv))
-    r = DetectionReadings(float(v_rest), v_arr_u, v_mod_u, v_sample=v_samp, lo=lo)
-    return detection_verdict(r, hi, cfg)
+    d = Detection(float(v_rest), v_arr_u, v_mod_u, v_sample=v_samp, lo=lo)
+    detection_verdict(d, hi, cfg)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +740,7 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
             m = Measurement(v=v, i=i, t=tick * adc, t_sample_mod=t_sample)
 
             prev_cmd = state.v_ref
-            new_ref, state = controller_tick(state, tick, m, cfg, ref, read_sample_module)
+            new_ref = controller_tick(state, tick, m, cfg, ref, read_sample_module)
             tick += 1
             slew = state.mode is not Mode.PO
             _open_block(trace, state, conv.v_out)

@@ -44,6 +44,9 @@ def solve_decreasing(
     Requires ``f(lo) >= 0 >= f(hi)``.  Newton steps are taken when a
     derivative is supplied and the step stays inside the bracket;
     otherwise the bracket is bisected, so convergence is guaranteed.
+    After two Newton steps in a row that each failed to halve ``|f|``,
+    the next step bisects too: on a steep exponential a Newton step can
+    stay inside the bracket yet barely shrink it.
     Stops when the bracket is within 1e-13 of its magnitude or, with
     ``ftol`` above 0, when the residual is within ``ftol``.
     """
@@ -58,6 +61,7 @@ def solve_decreasing(
 
     x = 0.5 * (lo + hi)
     fx = f(x)
+    slow = 0  # Newton steps in a row that failed to halve |f|
     for _ in range(_ROOT_MAX_ITER):
         if fx > 0.0:
             lo = x
@@ -68,16 +72,18 @@ def solve_decreasing(
             return x
 
         x_new = None
-        if fprime is not None:
+        if fprime is not None and slow < 2:
             d = fprime(x)
             if d != 0.0:
                 cand = x - fx / d
                 if lo < cand < hi:
                     x_new = cand
-        if x_new is None:
+        newton = x_new is not None
+        if not newton:
             x_new = 0.5 * (lo + hi)
-        x = x_new
-        fx = f(x)
+        f_new = f(x_new)
+        slow = slow + 1 if newton and abs(f_new) > 0.5 * abs(fx) else 0
+        x, fx = x_new, f_new
 
     raise SolverError("did not converge", lo, hi, f(lo), f(hi))
 

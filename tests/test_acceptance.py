@@ -26,6 +26,7 @@ from pvmppt.harness import (
     detect_pattern,
     load_scenario,
     prune_violations,
+    random_scenario,
     run_closed_loop,
     run_corpus,
 )
@@ -362,3 +363,64 @@ def test_criterion_9_po_baseline_failure(nd_module):
         f"\nACCEPTANCE 9 P&O baseline failure: deficit "
         f"{100 * deficit:.1f}% on pattern 1 -> PASS"
     )
+
+
+STRETCHED_WINDOW_S = 6.0  # longer than the detector's 5 s periodic trigger
+
+
+def _stretched(seed: int, index: int):
+    """``random_scenario(seed, index)`` with the same patterns, every shading
+    window stretched from the corpus's 0.45 s to ``STRETCHED_WINDOW_S``."""
+    scn = random_scenario(seed, index)
+    n_shading = len(scn.events) - 1
+    starts = [0.0] + [scn.events[1].t + STRETCHED_WINDOW_S * k for k in range(n_shading)]
+    events = tuple(replace(e, t=t) for e, t in zip(scn.events, starts))
+    return replace(scn, events=events, horizon_s=starts[-1] + STRETCHED_WINDOW_S)
+
+
+def _final_ratio(e: dict) -> float:
+    return e["final_power_w"] / e["oracle_power_w"]
+
+
+# corpus events that end under 0.99 of the oracle in their 0.45 s window:
+# (seed, index, event) -> what a window past the periodic trigger gives
+RECOVERED_AT_PAPER_SCALE = [(2026, 21, 1), (10, 97, 2), (4, 61, 2), (7, 75, 1)]
+KNOWN_MISSES = {
+    (9, 76, 1): "negative verdict",
+    (10, 75, 1): "negative verdict",
+    (8, 31, 2): "negative verdict",
+    (8, 97, 1): "scan bound",
+}
+
+
+def test_two_stage_claim_at_the_papers_time_scale():
+    """The paper's periodic trigger catches a shading change that barely
+    moves the local peak, but it never falls due inside a corpus window.
+    With windows longer than it, four corpus misses recover to >= 0.99 of
+    the oracle; four stay misses, of the kind named: every verdict in the
+    window negative, so no scan ran, or a scan whose samples all lay above
+    the oracle voltage."""
+    assert STRETCHED_WINDOW_S > DetectorConfig().periodic_trigger_s
+    lines = []
+    for seed, index, k in RECOVERED_AT_PAPER_SCALE:
+        short = run_closed_loop(random_scenario(seed, index))[1].events[k]
+        e = run_closed_loop(_stretched(seed, index))[1].events[k]
+        assert e["t_end_s"] - e["t_start_s"] == pytest.approx(STRETCHED_WINDOW_S)
+        assert _final_ratio(short) < 0.99 <= _final_ratio(e), (seed, index, k)
+        lines.append(
+            f"({seed}, {index}) event {k} {_final_ratio(short):.3f} -> {_final_ratio(e):.4f}"
+        )
+    for (seed, index, k), kind in KNOWN_MISSES.items():
+        trace, report = run_closed_loop(_stretched(seed, index))
+        e = report.events[k]
+        assert _final_ratio(e) < 0.99, (seed, index, k)
+        scan_v = [
+            r.v_pv for r in trace
+            if r.mode in ("scan_up", "scan_down") and e["t_start_s"] <= r.t < e["t_end_s"]
+        ]
+        if kind == "negative verdict":
+            assert e["detected"] is False and e["p_e_w"] is None and not scan_v
+        else:
+            assert e["detected"] is True and min(scan_v) > e["oracle_voltage_v"]
+        lines.append(f"({seed}, {index}) event {k} stays at {_final_ratio(e):.3f} ({kind})")
+    print("\nACCEPTANCE two-stage at 6 s windows: " + "; ".join(lines) + " -> PASS")

@@ -13,7 +13,7 @@ from pvmppt.control import (
     PSI_PROBE_FRAC_MIN,
     TICK_MAX,
     ControllerConfig,
-    DetectionReadings,
+    Detection,
     DetectorConfig,
     Measurement,
     Mode,
@@ -210,8 +210,9 @@ class TestDetectionVerdict:
     def test_verdict_from_readings(self, v_rest, v_sample_mod, p_hi):
         cfg = DetectorConfig()
         lo, hi = (118.8, 1000.0), (121.2, p_hi)
-        readings = DetectionReadings(v_rest, 120.0, 24.0, v_sample=v_sample_mod, lo=lo)
-        out = detection_verdict(readings, hi, cfg, t=0.5)
+        out = Detection(v_rest, 120.0, 24.0, v_sample=v_sample_mod, lo=lo)
+        assert detection_verdict(out, hi, cfg, t=0.5) is None  # completed in place
+        assert (out.v_sample, out.lo) == (v_sample_mod, lo)
         assert out.psi == compute_psi(lo, hi)
         assert out.dv_arr_ratio == (v_rest - 120.0) / 120.0
         assert out.dv_mod_ratio == (v_sample_mod - 24.0) / 24.0
@@ -223,15 +224,15 @@ class TestDetectionVerdict:
 
     def test_dark_probes_give_no_verdict(self):
         # readings that would fire dv_arr and dv_mod, but no probe power
-        readings = DetectionReadings(110.0, 120.0, 24.0, v_sample=0.0, lo=(118.8, 0.0))
-        out = detection_verdict(readings, (121.2, 0.0), DetectorConfig())
+        out = Detection(110.0, 120.0, 24.0, v_sample=0.0, lo=(118.8, 0.0))
+        detection_verdict(out, (121.2, 0.0), DetectorConfig())
         assert out.psi is None
         assert out.fired == (False, False, False) and out.is_psc is False
         assert out.to_dict()["psi_per_v"] is None
 
     def test_static_verdict_has_no_time_and_prints_eight_keys(self):
-        readings = DetectionReadings(120.0, 120.0, 24.0, v_sample=24.0, lo=(118.8, 1.0))
-        out = detection_verdict(readings, (121.2, 1.0), DetectorConfig())
+        out = Detection(120.0, 120.0, 24.0, v_sample=24.0, lo=(118.8, 1.0))
+        detection_verdict(out, (121.2, 1.0), DetectorConfig())
         assert math.isnan(out.t)
         assert list(out.to_dict()) == [
             "psi_per_v", "dv_arr_ratio", "dv_mod_ratio", "criteria_fired", "psc",
@@ -248,7 +249,7 @@ class TestPoStep:
     def test_rising_power_keeps_direction(self):
         s = self.make_state()
         m = Measurement(v=100.0, i=10.1, t=0.02)  # p = 1010 > 1000
-        po_step(s, m, 1.0)
+        assert po_step(s, m, 1.0) is None  # the state is changed in place
         assert s.po_direction == 1
         assert s.v_ref == 101.0
 
@@ -285,7 +286,8 @@ class TestScanStep:
 
     def test_best_updates_on_higher_power(self):
         s = self.scan_state()
-        scan_step(s, Measurement(v=120.0, i=14.0, t=0.0), simple_ref(), ControllerConfig())
+        m = Measurement(v=120.0, i=14.0, t=0.0)
+        assert scan_step(s, m, simple_ref(), ControllerConfig()) is None  # changed in place
         assert s.episode.p_e == pytest.approx(1680.0)
         assert s.episode.v_e == 120.0
 
@@ -372,7 +374,7 @@ class IdealPlantDriver:
         return Measurement(v=self.v, i=i, t=t, t_sample_mod=t_samp)
 
     def read_sample_module(self):
-        r = self.state.readings
+        r = self.state.detection
         self.sample_reads.append((self.state.mode, r.trimmed, r.seed))
         s_idx, pos = self.spec.sample_module
         i_str = string_current(self.spec, s_idx, self.v)
@@ -449,6 +451,37 @@ class TestControllerTick:
         final_p = float(drv.curve.power_at(drv.state.v_ref))
         assert final_p >= 0.99 * p_star
 
+    def test_one_record_per_detection(self, nd_module, ref_3x5):
+        """The record set on ``state.detection`` at a trigger is the one
+        appended to ``state.detections`` at its verdict, and ``detection``
+        is None on every tick outside a detection."""
+        uniform = ArraySpec.uniform(nd_module, 5, 3, sample_module=(0, 2))
+        drv = IdealPlantDriver(uniform, ref_3x5, ControllerConfig())
+        drv.run(0.2)
+        drv.spec = base_array_spec(load_scenario(SCENARIO_DIR / "benchmark_psc1.json"), 1)
+        drv.curve = sweep_curve(drv.spec, 0.01)
+        s = drv.state
+        opened, judged = [], []
+        for _ in range(round(0.5 / drv.cfg.adc_period_s)):
+            before, n_before = s.detection, len(s.detections)
+            drv.run(drv.cfg.adc_period_s)  # one tick
+            detecting = s.mode in (Mode.DETECT_SETTLE, Mode.DETECT_PROBE)
+            assert (s.detection is not None) == detecting
+            if before is None and s.detection is not None:
+                opened.append(s.detection)
+                assert len(s.detections) == n_before and math.isnan(s.detection.t)
+            elif before is not None:
+                assert s.detection in (before, None)
+                if s.detection is None:
+                    judged.append(s.detections[-1])
+                    assert len(s.detections) == n_before + 1
+                else:
+                    assert len(s.detections) == n_before
+        assert len(opened) == len(judged) == 1 and opened[0] is judged[0]
+        d = judged[0]
+        assert d.is_psc and d.t == s.episodes[-1].t_start
+        assert d.seed is not None and d.lo is not None and d.psi is not None
+
     def test_scan_episode_tick_budget(self, nd_module, ref_3x5):
         # liveness: both ramp legs fit in the worst-case tick budget
         cfg = ControllerConfig()
@@ -478,7 +511,7 @@ class TestResumeTick:
         s = self._state()
         assert s.deadline == resume_tick(s) == 40  # po_period_s 0.02 at adc_period_s 5e-4
         m = Measurement(v=118.0, i=24.0, t=39 * self.CFG.adc_period_s)
-        assert controller_tick(s, 39, m, self.CFG, simple_ref(), None) == (118.0, s)
+        assert controller_tick(s, 39, m, self.CFG, simple_ref(), None) == 118.0
         assert s.last_power != s.last_power and s.deadline == 40  # untouched
         controller_tick(s, 40, replace(m, t=0.02), self.CFG, simple_ref(), None)
         assert s.last_power == m.p and s.deadline == 80
@@ -500,7 +533,7 @@ class TestResumeTick:
         s = make_controller_state(simple_ref(), cfg, v_cmd_max)
         assert s.v_ref == v_start
         assert 0 < resume_tick(s)
-        cmd, s = controller_tick(s, 0, Measurement(v=50.0, i=5.0, t=0.0), cfg, simple_ref(), None)
+        cmd = controller_tick(s, 0, Measurement(v=50.0, i=5.0, t=0.0), cfg, simple_ref(), None)
         assert cmd == s.v_ref == v_start
 
 
@@ -573,7 +606,7 @@ class TestDeadlineTick:
         s.mode = mode
         for name, value in fields.items():
             setattr(s, name, value)
-        s.readings = DetectionReadings(118.0, 118.0, 23.6)
+        s.detection = Detection(118.0, 118.0, 23.6)
         s.episode = ScanEpisode(0.0, 100.0, 2000.0, floor_v=23.6)
         m = Measurement(v=100.0, i=20.0, t=tick * adc)
         controller_tick(s, tick, m, cfg, simple_ref(), None)

@@ -17,7 +17,6 @@ from pvmppt.converter import (
     CommandSegment,
     CommandSignal,
     ConverterParams,
-    ConverterState,
     PlantCurve,
     TraceRecord,
     _command_profile,
@@ -104,32 +103,30 @@ class TestStepOde:
         i_const = 6.0
         duty = 0.6
         v_eq = (1.0 - duty) * 250.0 + TABLE_PLANT.r_l * i_const
-        s = ConverterState(v_pv=v_eq, i_l=i_const)
-        s2 = step_ode(s, duty, 5e-6, lambda v: i_const, TABLE_PLANT)
-        assert s2.v_pv == pytest.approx(v_eq, rel=1e-6)
-        assert s2.i_l == pytest.approx(i_const, rel=1e-6)
+        v, il = step_ode(v_eq, i_const, duty, 5e-6, lambda v: i_const, TABLE_PLANT)
+        assert v == pytest.approx(v_eq, rel=1e-6)
+        assert il == pytest.approx(i_const, rel=1e-6)
 
     def test_dt_above_margin_rejected(self):
-        s = ConverterState(100.0, 5.0)
         with pytest.raises(ValidationError):
-            step_ode(s, 0.5, 5e-5, lambda v: 5.0, TABLE_PLANT)
+            step_ode(100.0, 5.0, 0.5, 5e-5, lambda v: 5.0, TABLE_PLANT)
 
     def test_inductor_current_clamped(self):
         # dark array, link voltage above v_pv: current would reverse
-        s = ConverterState(v_pv=10.0, i_l=0.0)
+        v, il = 10.0, 0.0
         for _ in range(200):
-            s = step_ode(s, 0.0, 5e-6, lambda v: 0.0, TABLE_PLANT)
-        assert s.i_l == 0.0
-        assert s.v_pv >= 0.0
+            v, il = step_ode(v, il, 0.0, 5e-6, lambda v: 0.0, TABLE_PLANT)
+        assert il == 0.0
+        assert v >= 0.0
 
     def test_rk4_convergence_on_dt_halving(self, array_130v_8a):
         def simulate(dt):
-            s = ConverterState(v_pv=60.0, i_l=array_130v_8a(60.0))
+            v, il = 60.0, array_130v_8a(60.0)
             duty = duty_for_voltage(80.0, 250.0)
             n = round(0.004 / dt)
             for _ in range(n):
-                s = step_ode(s, duty, dt, array_130v_8a, TABLE_PLANT)
-            return s.v_pv
+                v, il = step_ode(v, il, duty, dt, array_130v_8a, TABLE_PLANT)
+            return v
 
         v1 = simulate(4e-6)
         v2 = simulate(2e-6)
@@ -138,7 +135,7 @@ class TestStepOde:
     @pytest.mark.parametrize("duty", [-0.1, 1.0])
     def test_duty_outside_range_rejected(self, duty):
         with pytest.raises(ValidationError, match="duty"):
-            step_ode(ConverterState(100.0, 5.0), duty, 5e-6, lambda v: 5.0, TABLE_PLANT)
+            step_ode(100.0, 5.0, duty, 5e-6, lambda v: 5.0, TABLE_PLANT)
 
 
 class TestAdvance:
@@ -150,14 +147,13 @@ class TestAdvance:
     def test_fixed_command_equals_step_ode_sequence(self, array_130v_8a, v0, duty, source):
         i_of_v = array_130v_8a if source == "array" else (lambda v: 0.0)
         n, dt = 40, 5e-6
-        s = ConverterState(v_pv=v0, i_l=i_of_v(v0))
+        v, il = v0, i_of_v(v0)
         states = []
         for _ in range(n):
-            states.append(s.v_pv)
-            s = step_ode(s, duty, dt, i_of_v, TABLE_PLANT)
+            states.append(v)
+            v, il = step_ode(v, il, duty, dt, i_of_v, TABLE_PLANT)
         w = (1.0 - duty) * TABLE_PLANT.v_out
-        v, il = advance(v0, i_of_v(v0), w, 0.0, 1, n, dt, i_of_v, TABLE_PLANT, None)
-        assert (v, il) == (s.v_pv, s.i_l)
+        assert advance(v0, i_of_v(v0), w, 0.0, 1, n, dt, i_of_v, TABLE_PLANT, None) == (v, il)
         # as n ticks of one step, sampled where each step starts
         v_at, i_at = [], []
         end = advance(v0, i_of_v(v0), w, 0.0, n, 1, dt, i_of_v, TABLE_PLANT, (v_at, i_at))
@@ -489,19 +485,18 @@ class TestSampledCurveSource:
 
 def _run_per_step(command, i_of_v, params, sample_period=5e-4):
     """The open-loop run as it was written before stretches: one ``step_ode``
-    call per step, a fresh ``ConverterState`` after each."""
+    call per step."""
     dt = 5e-6
     pieces = _command_profile(command)
     horizon = sum(p[3] for p in pieces)
     n_steps = round(horizon / dt)
     per_sample = max(round(sample_period / dt), 1)
-    v0 = command_value(pieces, 0.0)
-    s = ConverterState(v_pv=v0, i_l=i_of_v(v0))
+    v = command_value(pieces, 0.0)
+    il = i_of_v(v)
     trace = []
 
-    def record(n, state, v_cmd, duty):
-        v_meas = state.v_pv
-        i_meas = i_of_v(state.v_pv)
+    def record(n, v_meas, v_cmd, duty):
+        i_meas = i_of_v(v_meas)
         trace.append(TraceRecord(n * dt, v_cmd, duty, v_meas, i_meas, v_meas * i_meas))
 
     for n in range(n_steps):
@@ -509,11 +504,11 @@ def _run_per_step(command, i_of_v, params, sample_period=5e-4):
         v_cmd = command_value(pieces, t_mid)
         duty = duty_for_voltage(v_cmd, params.v_out)
         if n % per_sample == 0:
-            record(n, s, command_value(pieces, n * dt), duty)
-        s = step_ode(s, duty, dt, i_of_v, params)
+            record(n, v, command_value(pieces, n * dt), duty)
+        v, il = step_ode(v, il, duty, dt, i_of_v, params)
     if n_steps > 0:
         v_cmd = command_value(pieces, horizon)
-        record(n_steps, s, v_cmd, duty_for_voltage(v_cmd, params.v_out))
+        record(n_steps, v, v_cmd, duty_for_voltage(v_cmd, params.v_out))
     return trace
 
 
@@ -688,9 +683,9 @@ class TestRunStretches:
         native = converter._native_rk4() is not None  # its probe runs the Python loop
         holds, slews, calls = [], [], Counter()
 
-        def counting_step_ode(s, duty, dt, i_of_v, params, n=1):
+        def counting_step_ode(v, il, duty, dt, i_of_v, params, n=1):
             holds.append(n)
-            return step_ode(s, duty, dt, i_of_v, params, n)
+            return step_ode(v, il, duty, dt, i_of_v, params, n)
 
         def counting_advance(v, il, w0, dw, n_ticks, n_sub, *rest):
             if dw != 0.0:
@@ -739,4 +734,4 @@ class TestRunStretches:
 
     def test_step_count_below_one_rejected(self):
         with pytest.raises(ValidationError, match="step count"):
-            step_ode(ConverterState(100.0, 5.0), 0.5, 5e-6, lambda v: 5.0, TABLE_PLANT, 0)
+            step_ode(100.0, 5.0, 0.5, 5e-6, lambda v: 5.0, TABLE_PLANT, 0)

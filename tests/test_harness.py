@@ -23,9 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvmppt.cli import main as cli_main
-from pvmppt.control import Mode, controller_tick
+from pvmppt.control import Detection, Mode, controller_tick
 from pvmppt.converter import (
-    ConverterState,
     PlantCurve,
     _grid_source,
     duty_for_voltage,
@@ -226,6 +225,18 @@ class TestStaticDetection:
         det = detect_pattern(spec, ref_3x5)
         assert det.is_psc is False
 
+    def test_static_verdict_is_the_controllers_record_judged(self, ref_3x5):
+        """``detect_pattern`` builds and judges the record the controller
+        keeps per detection; ``detect.json`` keeps its eight keys."""
+        spec = base_array_spec(load_scenario(SCENARIO_DIR / "benchmark_psc1.json"), 1)
+        det = detect_pattern(spec, ref_3x5, s_prior=1.0)
+        assert type(det) is Detection
+        assert det.psi is not None and det.is_psc and math.isnan(det.t)
+        assert list(det.to_dict()) == [
+            "psi_per_v", "dv_arr_ratio", "dv_mod_ratio", "criteria_fired", "psc",
+            "v_rest_v", "v_mpp_arr_updated_v", "v_mpp_mod_updated_v",
+        ]
+
     def test_benchmark_patterns_all_detected(self, nd_module, ref_3x5):
         for k in range(1, 6):
             spec = base_array_spec(load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json"), 1)
@@ -353,11 +364,11 @@ class TestClosedLoop:
         rows = list(run_closed_loop(scn)[0])
         v0 = rows[0].v_pv
         cmd = rows[0].v_ref
-        s = ConverterState(v_pv=v0, i_l=plant(v0))
+        v, il = v0, plant(v0)
         duty = duty_for_voltage(cmd, scn.converter.v_out)
         for _ in range(round(scn.controller.adc_period_s / scn.dt_s)):
-            s = step_ode(s, duty, scn.dt_s, plant, scn.converter)
-        assert rows[1].v_pv == pytest.approx(s.v_pv, abs=1e-9)
+            v, il = step_ode(v, il, duty, scn.dt_s, plant, scn.converter)
+        assert rows[1].v_pv == pytest.approx(v, abs=1e-9)
 
     @pytest.mark.parametrize("k, v_out", [(3, 100.0), (4, 110.0)])
     def test_link_capped_event_priced_at_the_holdable_gmpp(self, k, v_out):
@@ -1381,8 +1392,7 @@ def test_cell_count_below_one_exits_naming_it(tmp_path, capsys, n_cells):
 @pytest.mark.parametrize(
     "key, value, field, command",
     [
-        ("r_s_ohm", 1000, "module.params", "run"),  # short-circuit current root does not converge
-        ("i_pv_ref_a", 1e6, "module.params", "run"),  # likewise
+        ("i_pv_ref_a", 1e6, "array.n_parallel", "run"),  # a slope the integrator cannot step
         ("i_o_ref_a", 1e-300, "module.params", "run"),  # no open-circuit root in the bracket
         ("r_s_ohm", 1e300, "module.params", "run"),  # no string sample above the bypass clamp
         ("r_s_ohm", 1e300, "module.params", "sweep"),  # likewise, with no commissioning
@@ -1399,6 +1409,28 @@ def test_module_the_model_cannot_solve_exits_naming_it(
     argv = [command, "--out", str(tmp_path / "o"), "--scenario", str(scenario)]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_module_with_a_steep_short_circuit_root_runs(tmp_path):
+    """A 1000 ohm series resistance makes the short-circuit current a steep
+    exponential root, which the solver's bisection fallback finds: the run
+    writes a report whose numbers are all finite, every efficiency at most 1."""
+    doc = copy.deepcopy(_PSC1_PARAMS_DOC)
+    doc["module"]["params"]["r_s_ohm"] = 1000
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli_main(["run", "--out", str(tmp_path / "o"), "--scenario", str(scenario)]) == 0
+    events = json.loads((tmp_path / "o" / "report.json").read_text())["events"]
+
+    def numbers(x):
+        if isinstance(x, dict):
+            return [n for v in x.values() for n in numbers(v)]
+        if isinstance(x, list):
+            return [n for v in x for n in numbers(v)]
+        return [x] if isinstance(x, (int, float)) and not isinstance(x, bool) else []
+
+    assert len(events) == 2 and all(math.isfinite(n) for n in numbers(events))
+    assert all(0.0 < e["efficiency"] <= 1.0 for e in events)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

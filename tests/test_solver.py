@@ -88,3 +88,32 @@ def test_bounded_lm_clamps_a_linear_fit_to_the_box(target):
 def test_bounded_lm_rejects_a_start_outside_the_box():
     with pytest.raises(ValueError):
         bounded_lm(_rosenbrock, [-1.2, 3.0], [-2.0, -2.0], [2.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "i_pv, r_s, lo, hi",
+    [
+        (8.681265923739051, 1000.0, -6.26374681525219, 10.549392516112956),
+        (1e6, 0.2684770425842948, -600016.0, 1100001.0),
+    ],
+    ids=("r_s_1000", "i_pv_1e6"),
+)
+def test_steep_exponential_root_is_found(i_pv, r_s, lo, hi):
+    """The single-diode short-circuit equation of the calibrated ND195R1S
+    module (I_o 5.54e-9 A, A*Vt 1.40 V at 25 degC) with a 1000 ohm series
+    resistance or a 1e6 A photocurrent, on the bracket the module model grows
+    for it.  Newton steps from the steep side each move ~A*Vt/R_s and barely
+    shrink the residual; without the bisection fallback the bracket is still
+    [-6.26, 1.86] A, or [-600016, 248953] A, after 200 iterations."""
+    a, i_o, r_sh = 1.4028148200112873, 5.544017603266658e-09, 99999999.99999982
+
+    def f(i):
+        x = r_s * i
+        return i_pv - i_o * (math.exp(min(x / a, 500.0)) - 1.0) - x / r_sh - i
+
+    def fprime(i):
+        return -i_o * r_s / a * math.exp(min(r_s * i / a, 500.0)) - r_s / r_sh - 1.0
+
+    ftol = 1e-12 * i_pv
+    x = solve_decreasing(f, lo, hi, fprime, ftol=ftol)
+    assert lo < x < hi and abs(f(x)) <= ftol
