@@ -621,8 +621,9 @@ class Trace:
     ``v_pv`` and ``i_pv`` hold one value per row, and ``p`` is their
     product.  The command, duty, mode and scan incumbent are held once per
     block of rows (a held stretch or one active tick): :meth:`block` opens
-    one, and the rows appended to ``v_pv`` and ``i_pv`` after it hold its
-    values.  Iteration gives :class:`TraceRecord` rows."""
+    one, and the rows that the block's one sampled :func:`advance` call
+    appends to ``v_pv`` and ``i_pv`` hold its values.  Iteration gives
+    :class:`TraceRecord` rows."""
 
     def __init__(self, adc: float):
         self.adc = adc
@@ -674,10 +675,14 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     the brute-force oracle of the part of that window's curve the
     converter can hold behind its link.
 
-    The ticks before the controller's ``resume_tick``, on which it holds
-    its command, run as one :func:`advance` call at that command, sampled
-    at each tick start, with the same samples, checks and bits as one tick
-    at a time."""
+    Each block of the trace is one :func:`advance` call, sampled at each
+    tick start: the ticks before the controller's ``resume_tick``, on which
+    it holds its command, or one tick on which it acts, with the same bits
+    as one tick at a time.  The run's samples are checked as a
+    ``Measurement`` checks them, in one pass at the end; only a run that
+    fails it is checked sample by sample, to raise the first bad one's
+    error.  One tick at a time would have raised at the first bad sample,
+    so a bad sample among those taken wins over a later error."""
     # every event's array is checked before anything is swept
     specs = [base_array_spec(scn, k) for k in range(len(scn.events))]
     ref = commission(scn, specs[0].module)
@@ -725,32 +730,33 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     def read_sample_module() -> float:
         return _sample_module_voltage(w["spec"], v)
 
-    for w in windows:
-        cur = w["plant"]
-        t_sample = w["t_sample"]
-        tick, tick_end = w["tick_start"], w["tick_end"]
-        while tick < tick_end:
-            held_end = min(resume_tick(state), tick_end)
-            if held_end > tick:
-                v, il = _held_stretch(state, trace, v, il, held_end - tick, cur, conv, dt,
-                                      sub_per_tick)
-                tick = held_end
-                continue
-            i = cur(v)
-            m = Measurement(v=v, i=i, t=tick * adc, t_sample_mod=t_sample)
-
-            prev_cmd = state.v_ref
-            new_ref = controller_tick(state, tick, m, cfg, ref, read_sample_module)
-            tick += 1
-            slew = state.mode is not Mode.PO
-            _open_block(trace, state, conv.v_out)
-            trace.v_pv.append(v)
-            trace.i_pv.append(i)
-
-            # integrate [t, t+adc): command slews linearly in every mode but P&O
-            dcmd = (new_ref - prev_cmd) / sub_per_tick if slew else 0.0
-            base = prev_cmd if slew else new_ref
-            v, il = advance(v, il, base, dcmd, 1, sub_per_tick, dt, cur, conv, None)
+    samples = (trace.v_pv, trace.i_pv)
+    try:
+        for w in windows:
+            cur = w["plant"]
+            tick, tick_end = w["tick_start"], w["tick_end"]
+            while tick < tick_end:
+                n = min(resume_tick(state), tick_end) - tick
+                w0, dw = state.v_ref, 0.0
+                if n < 1:
+                    m = Measurement(v=v, i=cur(v), t=tick * adc, t_sample_mod=w["t_sample"])
+                    new_ref = controller_tick(state, tick, m, cfg, ref, read_sample_module)
+                    n = 1
+                    # over [t, t+adc) the command slews linearly in every mode but P&O
+                    if state.mode is Mode.PO:
+                        w0 = new_ref
+                    else:
+                        dw = (new_ref - w0) / sub_per_tick
+                _open_block(trace, state, conv.v_out)
+                v, il = advance(v, il, w0, dw, n, sub_per_tick, dt, cur, conv, samples)
+                tick += n
+    finally:
+        # a NaN or an infinity makes the sum non-finite; a finite sum that
+        # overflows only costs the sample-by-sample check
+        v_at, i_at = samples
+        if i_at and not (math.isfinite(sum(v_at) + sum(i_at)) and min(i_at) >= -1e-9):
+            for v_k, i_k in zip(v_at, i_at):
+                check_sample(v_k, i_k)
 
     report = _build_report(scn, windows, trace, state, adc)
     return trace, report
@@ -767,32 +773,6 @@ def _open_block(trace: Trace, state: ControllerState, v_out: float) -> None:
         ep.p_e if ep else math.nan,
         ep.v_e if ep else math.nan,
     )
-
-
-def _held_stretch(
-    state: ControllerState, trace: Trace, v: float, il: float, n: int,
-    cur, conv: ConverterParams, dt: float, sub_per_tick: int,
-) -> tuple[float, float]:
-    """Run ``n`` idle ticks at the held command as one block of ``trace``;
-    returns ``(v_pv, i_L)`` at the end.  The samples are checked as a
-    ``Measurement`` checks them, in one pass; only a stretch that fails it
-    is checked sample by sample, to raise the first bad one's error.  The
-    run one tick at a time would have raised at the first bad sample,
-    before integrating on, so a bad sample among those taken wins over an
-    error raised later in the stretch."""
-    _open_block(trace, state, conv.v_out)
-    start = len(trace)
-    try:
-        samples = (trace.v_pv, trace.i_pv)
-        v, il = advance(v, il, state.v_ref, 0.0, n, sub_per_tick, dt, cur, conv, samples)
-    finally:
-        v_at, i_at = trace.v_pv[start:], trace.i_pv[start:]
-        # a NaN or an infinity makes the sum non-finite; a finite sum that
-        # overflows only costs the sample-by-sample check
-        if i_at and not (math.isfinite(sum(v_at) + sum(i_at)) and min(i_at) >= -1e-9):
-            for v_k, i_k in zip(v_at, i_at):
-                check_sample(v_k, i_k)
-    return v, il
 
 
 def _build_report(scn, windows, trace: Trace, state: ControllerState, adc: float) -> RunReport:

@@ -450,7 +450,6 @@ class _StringCurves:
 
     def __init__(self, spec: ArraySpec):
         self.module = spec.module
-        self.v_floor = spec.n_series * spec.module.v_bypass
         self.keys = [self._key(row) for row in spec.conditions]
         self._x_oc: dict[ModuleCondition, float] = {}
         self._branches: dict[ModuleCondition, tuple[np.ndarray, np.ndarray]] = {}
@@ -504,11 +503,12 @@ class _StringCurves:
         v_str = np.zeros_like(master)
         for (i_asc, v_asc), n in branches:
             v_str += n * np.interp(master, i_asc, v_asc)
-        # ascending in voltage; drop the fully clamped tail (never queried at v>=0)
+        # ascending in voltage; drop the fully clamped tail (never queried at
+        # v>=0), whose voltage is the clamp summed group by group as above
         v_sorted = v_str[::-1]
         i_sorted = master[::-1]
         keep = np.concatenate(([True], np.diff(v_sorted) > 0.0))
-        keep &= v_sorted > self.v_floor
+        keep &= v_sorted > sum(n * self.module.v_bypass for _, n in key)
         if not keep.any():
             raise ValidationError("every string sample lies on the bypass clamp: nothing to sweep")
         self._curves[key] = _read_only(v_sorted[keep]), _read_only(i_sorted[keep])

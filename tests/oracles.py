@@ -79,6 +79,8 @@ def uncached_string_curve(spec: ArraySpec, string_idx: int) -> tuple[np.ndarray,
     branches = []
     for p, c, n in string_groups(spec, string_idx):
         branches.append((_module_branch_samples(p, c, _diode_voltage_var(p, c, 0.0)), n))
+    # a fully clamped sample sums the clamp group by group, in this order
+    v_clamped = sum(n * spec.module.v_bypass for _, n in branches)
     i_top = max(i_asc[-1] for (i_asc, _), _ in branches)
     master = np.unique(
         np.concatenate([i_asc for (i_asc, _), _ in branches] + [np.linspace(0.0, i_top, 1025)])
@@ -89,7 +91,7 @@ def uncached_string_curve(spec: ArraySpec, string_idx: int) -> tuple[np.ndarray,
     v_sorted = v_str[::-1]
     i_sorted = master[::-1]
     keep = np.concatenate(([True], np.diff(v_sorted) > 0.0))
-    keep &= v_sorted > spec.n_series * spec.module.v_bypass
+    keep &= v_sorted > v_clamped
     return v_sorted[keep], i_sorted[keep]
 
 

@@ -498,14 +498,13 @@ def _error(fn, *args):
     return type(err.value), str(err.value)
 
 
-def _spy_on_stretches(monkeypatch, seen) -> None:
-    """Call ``seen(*args)`` before each ``harness.advance`` call that takes
-    samples, that is, each held stretch."""
+def _spy_on_blocks(monkeypatch, seen) -> None:
+    """Call ``seen(*args)`` before each ``harness.advance`` call, that is,
+    each block of the trace: a held stretch or one acting tick."""
     advance = harness.advance
 
     def spy(*args):
-        if args[-1] is not None:
-            seen(*args)
+        seen(*args)
         return advance(*args)
 
     monkeypatch.setattr(harness, "advance", spy)
@@ -521,7 +520,8 @@ def tick_by_tick(monkeypatch):
 
 class TestIdleStretches:
     """The closed loop runs the ticks before the controller's
-    ``resume_tick`` as one ``advance`` call that samples each tick start."""
+    ``resume_tick`` as one ``advance`` call that samples each tick start,
+    and each acting tick as one such call of one tick."""
 
     @pytest.mark.parametrize("scn", IDLE_CASES, ids=IDLE_IDS)
     def test_held_stretches_give_the_tick_by_tick_bytes(self, scn, tmp_path, tick_by_tick):
@@ -540,16 +540,18 @@ class TestIdleStretches:
             return _grid_source(vals, h)
 
         monkeypatch.setattr(harness, "PlantCurve", poisoned)
-        held_at, samples = [], []
+        block_starts, samples = [], []
         check_sample = harness.check_sample
-        _spy_on_stretches(monkeypatch, lambda *a: held_at.append(len(samples)))
+        _spy_on_blocks(monkeypatch, lambda *a: block_starts.append(len(a[-1][0])))
         monkeypatch.setattr(
             harness, "check_sample", lambda v, i: samples.append(i) or check_sample(v, i)
         )
         scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
         got = _error(run_closed_loop, scn)
         assert got == (ValidationError, "array current cannot be negative")
-        assert samples[-1] < 0.0 and len(samples) - 1 > held_at[-1]  # not a stretch's first
+        # the run's rows are checked from the first: the last checked is the bad
+        # row, and it is not the first row of a block
+        assert samples[-1] < 0.0 and len(samples) - 1 not in block_starts
         tick_by_tick()
         assert _error(run_closed_loop, scn) == got
 
@@ -567,8 +569,10 @@ class TestIdleStretches:
         at a time never makes that call, and the held stretch, which does,
         still raises the sample's error."""
         scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
-        per_tick = 1 + 4 * round(scn.controller.adc_period_s / scn.dt_s)
-        bad_call = 1 + 5 * per_tick  # call 0 sets the inductor current
+        rk4_calls = 4 * round(scn.controller.adc_period_s / scn.dt_s)
+        # call 0 sets the inductor current; a held tick reads its sample, then
+        # runs its sub-steps
+        bad_call = 1 + 5 * (1 + rk4_calls)
         calls = []
 
         def source_of(curve):
@@ -586,13 +590,29 @@ class TestIdleStretches:
 
         monkeypatch.setattr(harness, "PlantCurve", source_of)
         stretches = []
-        _spy_on_stretches(monkeypatch, lambda *a: stretches.append(a[4]))
+        _spy_on_blocks(monkeypatch, lambda *a: stretches.append(a[4]))
         assert _error(run_closed_loop, scn) == (ValidationError, message)
         assert len(calls) == bad_call + 2 and stretches[0] > 5
         calls.clear()
         tick_by_tick()
+        # an acting tick reads its Measurement, then its sample: the bad value
+        # is tick 5's Measurement, which raises before the sample is read
+        bad_call = 1 + 5 * (2 + rk4_calls)
         assert _error(run_closed_loop, scn) == (ValidationError, message)
         assert len(calls) == bad_call + 1
+
+    def test_one_sampled_advance_call_per_block(self, monkeypatch):
+        """On the five psc files each block of the trace, a held stretch or
+        one acting tick, is one ``advance`` call that samples into the
+        trace's columns, and the calls' ticks are the trace's rows."""
+        calls = []
+        _spy_on_blocks(monkeypatch, lambda *a: calls.append((a[4], a[-1])))
+        for k in range(1, 6):
+            calls.clear()
+            trace, _ = run_closed_loop(load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json"))
+            assert len(calls) == len(list(trace.blocks()))
+            assert all(s[0] is trace.v_pv and s[1] is trace.i_pv for _, s in calls)
+            assert sum(n for n, _ in calls) == len(trace)
 
 
 def _po_only(scn):
@@ -1431,6 +1451,12 @@ def test_module_with_a_steep_short_circuit_root_runs(tmp_path):
 
     assert len(events) == 2 and all(math.isfinite(n) for n in numbers(events))
     assert all(0.0 < e["efficiency"] <= 1.0 for e in events)
+    # the string curves drop every fully clamped sample, so the array carries
+    # no current above its rated short circuit for the down-leg prune to miss
+    e = events[1]
+    curve = sweep_curve(base_array_spec(load_scenario(scenario), 1), 0.01)
+    assert prune_violations(curve, e["prunes"]) == []
+    assert e["final_power_w"] >= 0.99 * e["oracle_power_w"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -489,6 +489,18 @@ class TestStringMemo:
         assert twin._strings is not spec._strings
         assert twin_curve.i.tobytes() == curve.i.tobytes()
 
+    def test_no_kept_sample_on_the_summed_clamp(self):
+        """psc1's event 1 on a 1000 ohm module: a fully clamped sample of a
+        string with two groups sums to -3.4999999999999996 V, above
+        ``n_series*v_bypass``; no string keeps a sample at or below the clamp
+        summed group by group."""
+        base = base_array_spec(load_scenario(SCENARIO_DIR / "benchmark_psc1.json"), 1)
+        spec = replace(base, module=replace(base.module, r_s=1000.0))
+        assert any(len(key) > 1 for key in spec._strings.keys)
+        for s, key in enumerate(spec._strings.keys):
+            v_pts, _ = spec._strings.curve(s)
+            assert v_pts.min() > sum(n * spec.module.v_bypass for _, n in key)
+
     def test_shared_arrays_are_read_only(self, nd_module):
         spec = two_level_string(nd_module, 4, 2, 2.0)
         v_pts, i_pts = spec._strings.curve(0)
