@@ -19,7 +19,7 @@ from .harness import (
     run_closed_loop,
     run_corpus,
 )
-from .pvmodel import ValidationError, sweep_curve
+from .pvmodel import V_GRID, ValidationError, sweep_curve
 
 
 def _cmd_run(args) -> int:
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--event-index", type=int, default=0)
-    p_sweep.add_argument("--v-step", type=float, default=0.01)
+    p_sweep.add_argument("--v-step", type=float, default=V_GRID)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_det = sub.add_parser("detect", help="evaluate the detection criteria for one event")

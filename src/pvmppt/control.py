@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -105,7 +105,7 @@ class ReferenceModel:
     Built once from the calibrated plant model at commissioning time:
     standard-condition MPP voltages, their shared temperature coefficient, the
     rated open-circuit voltage and short-circuit current used by the
-    scan pruning rules, and an optional irradiance-correction table.
+    scan pruning rules, and the irradiance-correction table.
     The table rows (one per commissioning temperature) map the measured
     MPP current ratio ln(I/I_mpp_sc) to the residual array MPP voltage
     shift left after the temperature update; lookups interpolate
@@ -118,9 +118,9 @@ class ReferenceModel:
     v_oc_arr_rated: float
     i_sc_rated: float
     i_mpp_arr_sc: float
-    irr_t_rows: tuple[float, ...] = ()
-    irr_ln_ratio: tuple[tuple[float, ...], ...] = ()
-    irr_dv_arr: tuple[tuple[float, ...], ...] = ()
+    irr_t_rows: tuple[float, ...]
+    irr_ln_ratio: tuple[tuple[float, ...], ...]
+    irr_dv_arr: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         for name in ("v_mpp_arr_sc", "v_mpp_mod_sc", "v_oc_arr_rated", "i_sc_rated",
@@ -130,7 +130,7 @@ class ReferenceModel:
         check_field("rho", self.rho, self.rho <= 0.0, "finite and <= 0")
         if not (len(self.irr_t_rows) == len(self.irr_ln_ratio) == len(self.irr_dv_arr)):
             raise ValidationError("irradiance table rows must match")
-        if len(self.irr_t_rows) == 1 or list(self.irr_t_rows) != sorted(set(self.irr_t_rows)):
+        if len(self.irr_t_rows) < 2 or list(self.irr_t_rows) != sorted(set(self.irr_t_rows)):
             raise ValidationError("irradiance table: two or more rows, in rising temperature")
 
 
@@ -141,6 +141,16 @@ def check_sample(v: float, i: float) -> None:
         raise ValidationError("measurements must be finite")
     if i < -1e-9:
         raise ValidationError("array current cannot be negative")
+
+
+def check_samples(v_at: Sequence[float], i_at: Sequence[float]) -> None:
+    """:func:`check_sample` over paired columns, in one pass: only columns
+    that fail it are checked sample by sample, so the first bad sample's
+    error is the one raised.  A NaN or an infinity makes the sum non-finite;
+    a finite sum that overflows only costs the sample-by-sample check."""
+    if i_at and not (math.isfinite(sum(v_at) + sum(i_at)) and min(i_at) >= -1e-9):
+        for v, i in zip(v_at, i_at):
+            check_sample(v, i)
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,7 @@ def update_references(
     k = 1.0 - abs(ref.rho) * (t_sample_c - 25.0)
     v_arr = ref.v_mpp_arr_sc * k
     v_mod = ref.v_mpp_mod_sc * k
-    if i_arr is not None and ref.irr_t_rows:
+    if i_arr is not None:
         ratio = max(i_arr, 1e-6 * ref.i_mpp_arr_sc) / ref.i_mpp_arr_sc
         ln_r = math.log(ratio)
 

@@ -38,11 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .pvmodel import PvCurve, ValidationError, check_field
+from .pvmodel import V_GRID, PvCurve, ValidationError, check_field
 
 MAX_DT = 2e-5  # stability margin at the reference plant parameters
 MAX_DUTY = 0.99
-DT = 5e-6  # s, the open-loop RK4 step of :func:`run`
+DT = 5e-6  # s, the open-loop RK4 step of :func:`run` and a scenario's default dt_s
 
 # Plant envelope in which RK4 at MAX_DT is stable.  Linearised, the plant's
 # inductor pole and LC resonance give the step numbers r_l*MAX_DT/l and
@@ -148,14 +148,14 @@ def duty_for_voltage(v_ref: float, v_out: float) -> float:
 def PlantCurve(curve: PvCurve) -> Callable[[float], float]:
     """Uniform-grid current lookup of a swept curve: the plant's current source.
 
-    The grid step is 0.01 V, the step the closed loop sweeps at, so the
+    The grid step is ``V_GRID``, the step the closed loop sweeps at, so the
     table is read off the curve's own samples: a grid point equal to the
     curve's sample of the same index takes that sample's current, which is
     what ``np.interp`` returns there.  Only the grid points past that
-    prefix are interpolated: 1-2 at the top of a 0.01 V sweep, most of the
-    grid for a curve sampled on another grid.  The table is zero from V_oc
-    up."""
-    h = 0.01
+    prefix are interpolated: 1-2 at the top of a ``V_GRID`` sweep, most of
+    the grid for a curve sampled on another grid.  The table is zero from
+    V_oc up."""
+    h = V_GRID
     v = curve.v
     voc = float(v[-1])
     grid = np.arange(0.0, voc + 2 * h, h)
@@ -503,7 +503,7 @@ def step_ode(
     and ``i_L = il``; returns ``(v_pv, i_L)`` at the end, as :func:`advance` does.
 
     ``i_of_v`` is the PV source's current at a voltage, e.g.
-    ``PlantCurve(sweep_curve(spec, 0.01))``.  The duty is held exactly, so
+    ``PlantCurve(sweep_curve(spec))``.  The duty is held exactly, so
     one call of ``n`` steps gives the same bits as ``n`` calls of one step.
     """
     if dt > MAX_DT:

@@ -27,7 +27,7 @@ from .control import (
     Measurement,
     Mode,
     ReferenceModel,
-    check_sample,
+    check_samples,
     controller_tick,
     detection_verdict,
     make_controller_state,
@@ -35,6 +35,7 @@ from .control import (
     update_references,
 )
 from .converter import (
+    DT,
     MAX_DT,
     STEP_NUMBER_MAX,
     ConverterParams,
@@ -47,6 +48,7 @@ from .pvmodel import (
     ND195R1S,
     STC_IRRADIANCE,
     SWEEP_SAMPLES_MAX,
+    V_GRID,
     ArraySpec,
     CalibrationError,
     ModuleCondition,
@@ -76,8 +78,8 @@ BENCHMARK_SAMPLE = (0, 2)
 # periodic detections at the default 5 s trigger; a 60 s trace at the
 # 0.5 ms ADC cadence is 120k rows
 MAX_HORIZON_S = 60.0
-# most RK4 sub-steps a run may take: MAX_HORIZON_S at the default dt_s of 5e-6 s
-MAX_SUBSTEPS = round(MAX_HORIZON_S / 5e-6)
+# most RK4 sub-steps a run may take: MAX_HORIZON_S at the default dt_s
+MAX_SUBSTEPS = round(MAX_HORIZON_S / DT)
 
 
 class ScenarioError(ValueError):
@@ -164,7 +166,7 @@ class Scenario:
     converter: ConverterParams = ConverterParams()
     controller: ControllerConfig = ControllerConfig()
     seed: int = 0  # a label copied to report.json; the run draws nothing
-    dt_s: float = 5e-6
+    dt_s: float = DT
 
     def __post_init__(self) -> None:
         adc = self.controller.adc_period_s
@@ -252,9 +254,9 @@ def resolve_module(scn: Scenario) -> ModuleParams:
         raise ScenarioError(f"module.datasheet: {exc}") from exc
 
 
-# highest array open-circuit voltage a scenario may reach: the 0.01 V sweep
+# highest array open-circuit voltage a scenario may reach: the V_GRID sweep
 # of the closed loop and of detection takes at most SWEEP_SAMPLES_MAX samples
-V_OC_MAX = SWEEP_SAMPLES_MAX * 0.01
+V_OC_MAX = SWEEP_SAMPLES_MAX * V_GRID
 
 
 def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
@@ -281,7 +283,7 @@ def base_array_spec(scn: Scenario, event_idx: int = 0) -> ArraySpec:
         voc = array_open_circuit_voltage(spec)
     except SolverError as exc:
         raise ScenarioError(f"{_module_section(scn)}: open-circuit voltage: {exc}") from exc
-    if voc / 0.01 > SWEEP_SAMPLES_MAX:  # ceil(voc/0.01) above it, with no overflow at inf
+    if voc / V_GRID > SWEEP_SAMPLES_MAX:  # ceil(voc/V_GRID) above it, with no overflow at inf
         raise ScenarioError(
             f"array.n_series: {scn.n_series} modules per string give timeline[{event_idx}] "
             f"an open-circuit voltage of {voc:.2f} V, above the {V_OC_MAX:.0f} V maximum"
@@ -589,7 +591,7 @@ def detect_pattern(
         raise ValidationError(
             f"prior irradiance s_prior {s_prior} outside [0, {STC_IRRADIANCE}]", "s_prior"
         )
-    curve = sweep_curve(spec, 0.01)
+    curve = sweep_curve(spec, V_GRID)
     s_idx, pos = spec.sample_module
     t_s = spec.conditions[s_idx][pos].temperature
 
@@ -678,11 +680,10 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     Each block of the trace is one :func:`advance` call, sampled at each
     tick start: the ticks before the controller's ``resume_tick``, on which
     it holds its command, or one tick on which it acts, with the same bits
-    as one tick at a time.  The run's samples are checked as a
-    ``Measurement`` checks them, in one pass at the end; only a run that
-    fails it is checked sample by sample, to raise the first bad one's
-    error.  One tick at a time would have raised at the first bad sample,
-    so a bad sample among those taken wins over a later error."""
+    as one tick at a time.  The run's samples are checked by
+    :func:`check_samples` at the end, also when the run fails: one tick at
+    a time would have raised at the first bad sample, so a bad sample among
+    those taken wins over a later error."""
     # every event's array is checked before anything is swept
     specs = [base_array_spec(scn, k) for k in range(len(scn.events))]
     ref = commission(scn, specs[0].module)
@@ -698,7 +699,7 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     windows = []
     s_idx, pos = scn.sample_module
     for k, (e, spec) in enumerate(zip(scn.events, specs)):
-        curve = sweep_curve(spec, 0.01)
+        curve = sweep_curve(spec, V_GRID)
         slope = float(np.max(np.abs(np.diff(curve.i) / np.diff(curve.v))))
         if slope * dt / conv.c_pv > STEP_NUMBER_MAX:
             raise ScenarioError(
@@ -751,12 +752,7 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
                 v, il = advance(v, il, w0, dw, n, sub_per_tick, dt, cur, conv, samples)
                 tick += n
     finally:
-        # a NaN or an infinity makes the sum non-finite; a finite sum that
-        # overflows only costs the sample-by-sample check
-        v_at, i_at = samples
-        if i_at and not (math.isfinite(sum(v_at) + sum(i_at)) and min(i_at) >= -1e-9):
-            for v_k, i_k in zip(v_at, i_at):
-                check_sample(v_k, i_k)
+        check_samples(*samples)
 
     report = _build_report(scn, windows, trace, state, adc)
     return trace, report

@@ -515,12 +515,15 @@ class _StringCurves:
         return self._curves[key]
 
 
+# the voltage step of the closed loop's sweeps and of the plant table read
+# off them (:func:`pvmppt.converter.PlantCurve`)
+V_GRID = 0.01  # V
 # most samples one sweep takes, 16 MB per array: an open-circuit voltage
-# of 20 kV at the 0.01 V step the closed loop sweeps at
+# of 20 kV at the V_GRID step
 SWEEP_SAMPLES_MAX = 2_000_000
 
 
-def sweep_curve(spec: ArraySpec, v_step: float = 0.01) -> PvCurve:
+def sweep_curve(spec: ArraySpec, v_step: float = V_GRID) -> PvCurve:
     """Dense P-V sweep from 0 to the array open-circuit voltage."""
     if not (0.0 < v_step <= 0.05):
         raise ValidationError("v_step must lie in (0, 0.05] V")

@@ -36,19 +36,18 @@ def solve_decreasing(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    fprime: Callable[[float], float] | None = None,
-    ftol: float = 0.0,
+    fprime: Callable[[float], float],
+    ftol: float,
 ) -> float:
     """Find the root of a strictly decreasing ``f`` on ``[lo, hi]``.
 
-    Requires ``f(lo) >= 0 >= f(hi)``.  Newton steps are taken when a
-    derivative is supplied and the step stays inside the bracket;
-    otherwise the bracket is bisected, so convergence is guaranteed.
-    After two Newton steps in a row that each failed to halve ``|f|``,
-    the next step bisects too: on a steep exponential a Newton step can
-    stay inside the bracket yet barely shrink it.
-    Stops when the bracket is within 1e-13 of its magnitude or, with
-    ``ftol`` above 0, when the residual is within ``ftol``.
+    Requires ``f(lo) >= 0 >= f(hi)``.  A Newton step on ``fprime`` is taken
+    when it stays inside the bracket; otherwise the bracket is bisected, so
+    convergence is guaranteed.  After two Newton steps in a row that each
+    failed to halve ``|f|``, the next step bisects too: on a steep
+    exponential a Newton step can stay inside the bracket yet barely shrink
+    it.  Stops when the bracket is within 1e-13 of its magnitude or the
+    residual is within ``ftol``.
     """
     f_lo = f(lo)
     f_hi = f(hi)
@@ -68,11 +67,11 @@ def solve_decreasing(
         else:
             hi = x
         scale = max(abs(lo), abs(hi), 1.0)
-        if hi - lo <= _ROOT_XTOL * scale or (ftol > 0.0 and abs(fx) <= ftol):
+        if hi - lo <= _ROOT_XTOL * scale or abs(fx) <= ftol:
             return x
 
         x_new = None
-        if fprime is not None and slow < 2:
+        if slow < 2:
             d = fprime(x)
             if d != 0.0:
                 cand = x - fx / d

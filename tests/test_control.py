@@ -19,6 +19,7 @@ from pvmppt.control import (
     Mode,
     ReferenceModel,
     ScanEpisode,
+    check_samples,
     compute_psi,
     controller_tick,
     criteria_fired,
@@ -65,6 +66,10 @@ def simple_ref(**overrides) -> ReferenceModel:
         v_oc_arr_rated=148.5,
         i_sc_rated=26.04,
         i_mpp_arr_sc=24.44,
+        # a neutral irradiance correction: no shift at any current or temperature
+        irr_t_rows=(0.0, 50.0),
+        irr_ln_ratio=((-1.0, 0.0),) * 2,
+        irr_dv_arr=((0.0, 0.0),) * 2,
     )
     fields.update(overrides)
     return ReferenceModel(**fields)
@@ -112,7 +117,7 @@ class TestUpdateReferences:
         ref = self._table((0.0, 30.0, 60.0), (1.0, 2.0, 4.0))
         assert update_references(ref, t, i_arr=ref.i_mpp_arr_sc)[0] == 118.0 + dv
 
-    @pytest.mark.parametrize("rows", [(25.0,), (30.0, 0.0, 60.0), (0.0, 30.0, 30.0)])
+    @pytest.mark.parametrize("rows", [(), (25.0,), (30.0, 0.0, 60.0), (0.0, 30.0, 30.0)])
     def test_table_needs_two_rising_rows(self, rows):
         with pytest.raises(ValidationError, match="two or more rows"):
             self._table(rows, (1.0,) * len(rows))
@@ -734,3 +739,25 @@ class TestMeasurementValidation:
     def test_negative_current_rejected(self):
         with pytest.raises(ValidationError):
             Measurement(v=10.0, i=-1.0, t=0.0)
+
+    @pytest.mark.parametrize(
+        "v_at, i_at, message",
+        [
+            # the first bad sample's error is raised, not the one the sum sees
+            ([10.0, 10.0, math.nan], [1.0, -1.0, 1.0], "array current cannot be negative"),
+            ([10.0, math.inf, 10.0], [1.0, 1.0, -1.0], "measurements must be finite"),
+            ([10.0, 10.0], [1.0, math.nan], "measurements must be finite"),
+        ],
+    )
+    def test_columns_raise_their_first_bad_samples_error(self, v_at, i_at, message):
+        with pytest.raises(ValidationError, match=message):
+            check_samples(v_at, i_at)
+
+    @pytest.mark.parametrize(
+        "v_at, i_at",
+        # empty; a current within the ADC's -1e-9 A floor; a sum that
+        # overflows on finite samples
+        [([], []), ([10.0], [-1e-9]), ([1e308, 1e308], [1.0, 1.0])],
+    )
+    def test_good_columns_pass(self, v_at, i_at):
+        check_samples(v_at, i_at)

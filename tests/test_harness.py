@@ -30,7 +30,7 @@ from pvmppt.converter import (
     duty_for_voltage,
     step_ode,
 )
-from pvmppt import harness
+from pvmppt import control, harness
 from pvmppt.harness import (
     ScenarioError,
     ShadingPattern,
@@ -540,18 +540,26 @@ class TestIdleStretches:
             return _grid_source(vals, h)
 
         monkeypatch.setattr(harness, "PlantCurve", poisoned)
-        block_starts, samples = [], []
-        check_sample = harness.check_sample
+        block_starts, samples, run_end = [], [], []
+        check_sample, check_samples = control.check_sample, harness.check_samples
         _spy_on_blocks(monkeypatch, lambda *a: block_starts.append(len(a[-1][0])))
+        # every sample check, the acting ticks' Measurements among them; the
+        # run-end check's are those from len(samples) at its start
         monkeypatch.setattr(
-            harness, "check_sample", lambda v, i: samples.append(i) or check_sample(v, i)
+            control, "check_sample", lambda v, i: samples.append(i) or check_sample(v, i)
+        )
+        monkeypatch.setattr(
+            harness,
+            "check_samples",
+            lambda v_at, i_at: run_end.append(len(samples)) or check_samples(v_at, i_at),
         )
         scn = load_scenario(SCENARIO_DIR / "benchmark_psc1.json")
         got = _error(run_closed_loop, scn)
         assert got == (ValidationError, "array current cannot be negative")
         # the run's rows are checked from the first: the last checked is the bad
         # row, and it is not the first row of a block
-        assert samples[-1] < 0.0 and len(samples) - 1 not in block_starts
+        checked = samples[run_end[0]:]
+        assert checked[-1] < 0.0 and len(checked) - 1 not in block_starts
         tick_by_tick()
         assert _error(run_closed_loop, scn) == got
 

@@ -1,7 +1,9 @@
 """The same command gives the same bytes in fresh processes: under other
 string-hash seeds, with one corpus worker or two, and with no C compiler
-(the Python RK4 loop instead of the compiled kernel, from an empty cache)."""
+(the Python RK4 loop instead of the compiled kernel, from an empty cache).
+A fresh import loads only the modules it names and what they import."""
 
+import ast
 import json
 import os
 import subprocess
@@ -14,16 +16,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCENARIOS = SRC.parent / "scenarios"
 PSC1 = str(SCENARIOS / "benchmark_psc1.json")
 CORPUS = ["corpus", "--seed", "2026", "--count", "2", "--full"]
+PYTHONPATH = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 def _cli(out: Path, *argv: str, **env) -> dict[str, bytes]:
     """``pvmppt *argv --out out`` in a fresh process; the bytes it wrote at
     ``out``, one file or the files of a directory, by file name."""
     out.parent.mkdir(parents=True, exist_ok=True)
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "pvmppt.cli", *argv, "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": PYTHONPATH, **env}, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -86,3 +88,28 @@ def test_corpus_same_bytes_from_two_workers_one_and_without_a_compiler(tmp_path)
     assert _cli(tmp_path / "python" / "corpus.json", *CORPUS, "--jobs", "1",
                 **_no_cc(tmp_path)) == first
     assert not (tmp_path / "cache" / "pvmppt").exists()  # no kernel was built or looked for
+
+
+def _fresh(program: str):
+    """What ``program`` prints, as a Python value, run in a fresh process."""
+    done = subprocess.run(
+        [sys.executable, "-c", program], env={**os.environ, "PYTHONPATH": PYTHONPATH},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+def test_the_array_model_loads_without_the_controller_and_the_loop():
+    """The package root imports nothing: the array model needs only its solver."""
+    loaded = _fresh(
+        "import sys, pvmppt.pvmodel; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pvmppt'))"
+    )
+    assert loaded == ["pvmppt", "pvmppt.pvmodel", "pvmppt.solver"]
+
+
+def test_the_package_root_binds_no_public_name():
+    """Each name is imported from its module: ``pvmppt`` itself re-exports none."""
+    names = _fresh("import pvmppt; print([n for n in vars(pvmppt) if not n.startswith('_')])")
+    assert names == []

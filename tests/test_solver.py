@@ -22,27 +22,40 @@ def test_finds_root_of_decreasing_affine_exponential(root, slope, curve):
     def f(x):
         return -slope * (x - root) - curve * math.expm1(min(x - root, 100.0))
 
-    x = solve_decreasing(f, root - 60.0, root + 60.0)
+    def fprime(x):
+        return -slope - curve * math.exp(min(x - root, 100.0))
+
+    x = solve_decreasing(f, root - 60.0, root + 60.0, fprime, ftol=0.0)
     assert abs(x - root) < 1e-7 * max(abs(root), 1.0)
 
 
 @given(root=st.floats(-10.0, 10.0), slope=st.floats(0.5, 10.0))
 @settings(max_examples=100, deadline=None)
-def test_newton_accelerated_agrees_with_bisection(root, slope):
+def test_newton_finds_the_root_of_a_cubic(root, slope):
     def f(x):
         return -slope * (x - root) ** 3 - (x - root)
 
     def fprime(x):
         return -3.0 * slope * (x - root) ** 2 - 1.0
 
-    a = solve_decreasing(f, root - 5.0, root + 5.0)
-    b = solve_decreasing(f, root - 5.0, root + 5.0, fprime)
-    assert abs(a - b) < 1e-6
+    x = solve_decreasing(f, root - 5.0, root + 5.0, fprime, ftol=0.0)
+    assert abs(x - root) < 1e-6
+
+
+@given(root=st.floats(-10.0, 10.0), slope=st.floats(0.5, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_a_zero_derivative_falls_back_to_bisection(root, slope):
+    def f(x):
+        return -slope * (x - root)
+
+    x = solve_decreasing(f, root - 5.0, root + 5.0, lambda x: 0.0, ftol=0.0)
+    assert abs(x - root) < 1e-12 * max(abs(root), 1.0)
 
 
 def test_bad_bracket_reports_values():
     with pytest.raises(SolverError) as err:
-        solve_decreasing(lambda x: x, 1.0, 2.0)  # increasing: no sign change
+        # increasing: no sign change
+        solve_decreasing(lambda x: x, 1.0, 2.0, lambda x: 1.0, ftol=0.0)
     assert err.value.lo == 1.0
     assert err.value.hi == 2.0
 
