@@ -622,9 +622,10 @@ class Trace:
 
     ``v_pv`` and ``i_pv`` hold one value per row, and ``p`` is their
     product.  The command, duty, mode and scan incumbent are held once per
-    block of rows (a held stretch or one active tick): :meth:`block` opens
-    one, and the rows that the block's one sampled :func:`advance` call
-    appends to ``v_pv`` and ``i_pv`` hold its values.  Iteration gives
+    block of rows (a P&O step and the hold after it, a held wait, or one
+    acting tick of a slew or scan): :meth:`block` opens one, and the rows
+    that the block's one sampled :func:`advance` call appends to ``v_pv``
+    and ``i_pv`` hold its values.  Iteration gives
     :class:`TraceRecord` rows."""
 
     def __init__(self, adc: float):
@@ -678,9 +679,10 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     converter can hold behind its link.
 
     Each block of the trace is one :func:`advance` call, sampled at each
-    tick start: the ticks before the controller's ``resume_tick``, on which
-    it holds its command, or one tick on which it acts, with the same bits
-    as one tick at a time.  The run's samples are checked by
+    tick start, with the same bits as one tick at a time: the ticks before
+    the controller's ``resume_tick``, on which it holds its command; a P&O
+    step and the ticks up to P&O's next, which hold the new command; or
+    one tick of a slew or scan, on which the command moves.  The run's samples are checked by
     :func:`check_samples` at the end, also when the run fails: one tick at
     a time would have raised at the first bad sample, so a bad sample among
     those taken wins over a later error."""
@@ -742,11 +744,14 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
                 if n < 1:
                     m = Measurement(v=v, i=cur(v), t=tick * adc, t_sample_mod=w["t_sample"])
                     new_ref = controller_tick(state, tick, m, cfg, ref, read_sample_module)
-                    n = 1
-                    # over [t, t+adc) the command slews linearly in every mode but P&O
+                    # P&O steps the command and holds it until its next
+                    # step; in every other mode the command slews linearly
+                    # over [t, t+adc)
                     if state.mode is Mode.PO:
                         w0 = new_ref
+                        n = max(min(resume_tick(state), tick_end) - tick, 1)
                     else:
+                        n = 1
                         dw = (new_ref - w0) / sub_per_tick
                 _open_block(trace, state, conv.v_out)
                 v, il = advance(v, il, w0, dw, n, sub_per_tick, dt, cur, conv, samples)
@@ -948,16 +953,24 @@ def _corpus_worker(args: tuple[int, int]) -> dict:
     return out
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_corpus(seed: int, count: int, jobs: int = 1) -> dict:
     """Run a seeded randomized scenario batch and aggregate the metrics.
 
-    At most ``min(jobs, count, os.cpu_count())`` worker processes run: a
-    pool forks all its workers at once, so more would only cost memory."""
+    At most ``min(jobs, count, cpus)`` worker processes run, where ``cpus``
+    counts the CPUs this process may run on (its affinity set where the
+    platform has one, else ``os.cpu_count()``): a pool forks all its workers
+    at once, so more would only cost memory."""
     for where, value in (("count", count), ("jobs", jobs)):
         if value < 1:
             raise ValidationError(f"{where} must be at least 1, got {value}", where)
     args = [(seed, i) for i in range(count)]
-    workers = min(jobs, count, os.cpu_count() or 1)
+    workers = min(jobs, count, _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~16 ms no other command pays
 

@@ -500,7 +500,8 @@ def _error(fn, *args):
 
 def _spy_on_blocks(monkeypatch, seen) -> None:
     """Call ``seen(*args)`` before each ``harness.advance`` call, that is,
-    each block of the trace: a held stretch or one acting tick."""
+    each block of the trace: a held stretch, a P&O step with the hold after
+    it, or one acting tick of a slew or scan."""
     advance = harness.advance
 
     def spy(*args):
@@ -520,8 +521,9 @@ def tick_by_tick(monkeypatch):
 
 class TestIdleStretches:
     """The closed loop runs the ticks before the controller's
-    ``resume_tick`` as one ``advance`` call that samples each tick start,
-    and each acting tick as one such call of one tick."""
+    ``resume_tick`` as one ``advance`` call that samples each tick start, a
+    P&O step with the ticks before its next as one such call, and each
+    other acting tick as one such call of one tick."""
 
     @pytest.mark.parametrize("scn", IDLE_CASES, ids=IDLE_IDS)
     def test_held_stretches_give_the_tick_by_tick_bytes(self, scn, tmp_path, tick_by_tick):
@@ -610,9 +612,9 @@ class TestIdleStretches:
         assert len(calls) == bad_call + 1
 
     def test_one_sampled_advance_call_per_block(self, monkeypatch):
-        """On the five psc files each block of the trace, a held stretch or
-        one acting tick, is one ``advance`` call that samples into the
-        trace's columns, and the calls' ticks are the trace's rows."""
+        """On the five psc files each block of the trace is one ``advance``
+        call that samples into the trace's columns, and the calls' ticks are
+        the trace's rows."""
         calls = []
         _spy_on_blocks(monkeypatch, lambda *a: calls.append((a[4], a[-1])))
         for k in range(1, 6):
@@ -621,6 +623,31 @@ class TestIdleStretches:
             assert len(calls) == len(list(trace.blocks()))
             assert all(s[0] is trace.v_pv and s[1] is trace.i_pv for _, s in calls)
             assert sum(n for n, _ in calls) == len(trace)
+
+    @pytest.mark.parametrize("po_only, blocks", [(False, 697), (True, 225)])
+    def test_each_po_step_is_one_block(self, monkeypatch, po_only, blocks):
+        """A P&O step and the hold after it are one block and one ``advance``
+        call: two adjacent P&O calls never hold the same command at
+        ``dw = 0``, but where an event starts and the plant changes under
+        the command.  (A slew that arrives and the settle after it are two
+        blocks.)"""
+        calls = []
+        _spy_on_blocks(monkeypatch, lambda *a: calls.append((a[2], a[3])))
+        total = 0
+        for k in range(1, 6):
+            scn = load_scenario(SCENARIO_DIR / f"benchmark_psc{k}.json")
+            calls.clear()
+            trace, _ = run_closed_loop(_po_only(scn) if po_only else scn)
+            event_rows = {round(e.t / scn.controller.adc_period_s) for e in scn.events}
+            held = [
+                (start, w0) if mode == Mode.PO.value and dw == 0.0 else None
+                for (start, _, (_, _, mode, _, _)), (w0, dw) in zip(trace.blocks(), calls)
+            ]
+            assert len(held) == len(calls)
+            for a, b in zip(held, held[1:]):
+                assert not (a and b and a[1] == b[1]) or b[0] in event_rows
+            total += len(calls)
+        assert total == blocks
 
 
 def _po_only(scn):
@@ -746,12 +773,12 @@ class TestCorpusScenario:
             assert event["pattern"] == w["pattern"]
             assert event["final_power_w"] / event["oracle_power_w"] == w["ratio"]
 
-    def test_pool_never_larger_than_jobs_count_or_cores(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The pool sizes run_corpus asks for; each pool maps in this process."""
         sizes = []
 
         class SerialPool:
-            """Records the pool size asked for and maps in this process."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -765,10 +792,24 @@ class TestCorpusScenario:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    def test_pool_never_larger_than_jobs_count_or_cores(self, monkeypatch, pool_sizes):
+        # a platform with no affinity set: the cores os.cpu_count() gives
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         for cores, count, jobs in ((8, 2, 16), (8, 3, 2), (2, 3, 8), (None, 2, 8), (8, 2, 1)):
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
             assert run_corpus(2026, count, jobs)["count"] == count
-        assert sizes == [2, 2, 2]
+        assert pool_sizes == [2, 2, 2]
+
+    def test_pool_never_larger_than_the_affinity_set(self, monkeypatch, pool_sizes):
+        """Under ``taskset -c 0`` a 2-core machine leaves the process one CPU:
+        ``--jobs 2`` runs serially, not as two workers on that CPU."""
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        for cpus, count, jobs in (({0}, 2, 2), ({0, 3}, 3, 8), ({0, 1, 2}, 3, 8)):
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            assert run_corpus(2026, count, jobs)["count"] == count
+        assert pool_sizes == [2, 3]
 
     def test_pool_and_serial_reports_agree(self):
         assert run_corpus(2026, 2, jobs=2) == run_corpus(2026, 2, jobs=1)
