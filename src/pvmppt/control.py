@@ -332,15 +332,15 @@ def make_controller_state(
                            uic_current=ref.i_mpp_arr_sc)
 
 
-def deadline_tick(tick: int, wait_s: float, adc: float, exact: bool = False) -> int:
+def deadline_tick(tick: int, wait_s: float, adc: float) -> int:
     """Where a wait of ``wait_s`` from tick ``tick`` ends: the first ``j >= tick``
-    with ``j*adc + tol >= tick*adc + wait_s``, at most ``TICK_MAX``.  ``tol``
-    is 1e-12 s, so a wait ending a rounding error past a tick ends on it, or 0
-    for an ``exact`` wait: a detection's settle may so wait one tick more (the
-    tolerance would move every psc golden run).  The comparison decides: below
+    with ``j*adc + 1e-12 >= tick*adc + wait_s``, at most ``TICK_MAX``.  Every
+    wait (P&O's next step and each settle) ends by this rule, so a wait that
+    falls due a rounding error past a tick ends on it: at the defaults each
+    settle lasts 40 ticks from any start tick.  The comparison decides: below
     ``TICK_MAX`` ``j*adc`` rises by over ``adc/2`` a tick, so a guess from
     ``wait_s / adc`` is a step or two from ``j``."""
-    tol = 0.0 if exact else 1e-12
+    tol = 1e-12
     due = tick * adc + wait_s
     j = min(tick + int(min(max(wait_s - tol, 0.0) / adc, TICK_MAX)), TICK_MAX)
     while j > tick and (j - 1) * adc + tol >= due:
@@ -428,7 +428,7 @@ def _finish_detection(
 def _slew(state: ControllerState, tick: int, cfg: ControllerConfig) -> bool:
     """Move the command one ramp step toward ``slew_target``, held in
     ``[0, v_cmd_max]``.  On arrival, clear the target, start the settle
-    time and return True."""
+    time, the same wait in every mode, and return True."""
     target = min(max(state.slew_target, 0.0), state.v_cmd_max)
     dv_cmd = cfg.ramp_rate_v_per_s * cfg.adc_period_s
     delta = target - state.v_ref
@@ -437,8 +437,7 @@ def _slew(state: ControllerState, tick: int, cfg: ControllerConfig) -> bool:
         return False
     state.v_ref = target
     state.slew_target = math.nan
-    exact = state.mode is not Mode.SETTLE_TO_BEST
-    state.deadline = deadline_tick(tick, cfg.settle_s, cfg.adc_period_s, exact)
+    state.deadline = deadline_tick(tick, cfg.settle_s, cfg.adc_period_s)
     return True
 
 
@@ -476,7 +475,8 @@ def resume_tick(state: ControllerState) -> int:
     """The controller's only wait rule: on a tick before this one
     :func:`controller_tick` holds its command and leaves ``state`` as it is,
     whatever the measurement, and the closed loop runs those ticks as one
-    stretch.  It is ``state.deadline`` while P&O waits for its next step, or
+    block (after a P&O step, the block of the step).  It is
+    ``state.deadline`` while P&O waits for its next step, or
     a detection or the settle to the best point waits out its settle with no
     slew target; 0 while a scan or a slew acts on every tick.  Holding is
     exact: between ticks the command lies in ``[0, v_cmd_max]``, where

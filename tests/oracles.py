@@ -238,22 +238,19 @@ def scipy_fit(ds: ModuleDatasheet) -> ModuleParams:
     return params
 
 
-def float_wait_over(t: float, due: float, exact: bool) -> bool:
+def float_wait_over(t: float, due: float) -> bool:
     """The float wait rule: a wait that falls due at ``due`` (the time it
     started plus its length) is over at tick time ``t`` when
-    ``t + 1e-12 >= due`` (P&O and the settle to the best point), or when
-    ``t`` is not before ``due`` (an ``exact`` wait: a detection's settle)."""
-    if exact:
-        return not t < due
+    ``t + 1e-12 >= due``.  P&O's next step and every settle wait by it."""
     return t + 1e-12 >= due
 
 
-def first_tick_over(tick: int, wait_s: float, adc: float, exact: bool, limit: int) -> int | None:
+def first_tick_over(tick: int, wait_s: float, adc: float, limit: int) -> int | None:
     """The first tick in ``[tick, limit)`` on which a wait of ``wait_s``
     started on tick ``tick`` is over by :func:`float_wait_over`, each tick
     ``j`` taken at ``j * adc``; None if there is none."""
     due = tick * adc + wait_s
-    return next((j for j in range(tick, limit) if float_wait_over(j * adc, due, exact)), None)
+    return next((j for j in range(tick, limit) if float_wait_over(j * adc, due)), None)
 
 
 def reference_advance(

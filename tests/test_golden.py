@@ -39,24 +39,24 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # (scenario file, extra ``pvmppt run`` arguments) -> (report.json, trace.csv)
 RUN_DIGESTS = {
     ("benchmark_psc1", ()): (
-        "c5672b656bb7ac14fefb6710e15a82398231679745ec2529803b2ee0849b343b",
-        "33bc0c0613840e9f900b4a9b82920624812461d547b60ed3c806496912fab68b",
+        "dcd1c53db6e6a6dfbe1ed4ce0805a4576970cb846608966e75dd215563a579a5",
+        "be6c6c68cbe06de5a2974b538adf53b555ba94a5848d855e8108dd2c5e775f0c",
     ),
     ("benchmark_psc2", ()): (
-        "c57a96c0787f95f02ffc94e9f974543224c81462db0234794d2a2f5d58121f82",
-        "4db0b90d287b36a68ccc76caff1cebe730c6ad2503fcf9530e6f25723ca2bfea",
+        "1cacb73689c3222016a720ef28c32b81daa9d74fc5172ad0bd389c39dafa4761",
+        "96a9990698a3383e10b85f0c8aff6fe5ce11bea2a669a0050d14a8717693ed23",
     ),
     ("benchmark_psc3", ()): (
-        "52c2dd4935d145b63229a26ada3a9f15a2d6919782b006825bbb1d454826f24d",
-        "ccdb2704af2d30c15c11fea08b77e3d85add6d0533938eb03e8f2365d6c664bc",
+        "b6717dff293f4963b347d06720aa1bbd67219ce2bee69ba1452d596de3fb8a99",
+        "318cb2307587f2fd9669a4369974038ff619e3c6029a7e858169dd9f142bee80",
     ),
     ("benchmark_psc4", ()): (
-        "18a43bf2a46c76f445ef0d2379335f531ccf79140e9a5e43b082a25193ce429e",
-        "9c4c1fdab526819e40be25a0e3d18fba3af4c4543499b77bcb7bf058dd693283",
+        "215b8006ec8a6d9aad4b70fd9e580f54c379545e0015928530e84a50bec9b3cd",
+        "38ac134615dfda753ebe640703b88685d101248d12fd5dd72c80d1cfc6de7379",
     ),
     ("benchmark_psc5", ()): (
-        "ad963fb3f0d3fac325094d183387c693d589f2205d60b8e2fd77bea7d45c08f1",
-        "8d025e6aea1c6080b61c0908597be12bcb6b685f81ce81dba3922cc7b3f30ffe",
+        "47e3c9cf9684a68a365c032f8bfdf685d5b983509197f3e028df2b5cec5e67a3",
+        "555cc0cd96dae43099a4e1a558da6024a1ceaf2a4415e89e432b44eeb274ddd8",
     ),
     ("benchmark_psc1", ("--controller", "po")): (
         "65561ecf0c571e6426b5045c58e728bd2eadb56404d9727ec1411d3d0d4b8c02",
@@ -72,8 +72,8 @@ RUN_DIGESTS = {
 # command: extra ``pvmppt run`` arguments -> (report.json, trace.csv)
 LOW_LINK_DIGESTS = {
     (): (
-        "4f5658d48aec5d10e4702f4125edbb46a9e9a234aab25a9a25a3130f5f0df23b",
-        "cf7335298b3328790082a5702e416fd8bfd6bb66d9eb626f09b8e8b211b26557",
+        "6eb912e97fa1089298ecf601775fe798c5a46375683610b48d7e74394faa87d1",
+        "11cf8b53ce23499c90fbc72b767859952069edb1b78c95427f21a1567b7f22a5",
     ),
     ("--controller", "po"): (
         "72bbbeb56e84b55820c3179ffb014d6fdb2cdc17ec60213a63d39586855655e7",
@@ -99,7 +99,7 @@ WAIT_DIGESTS = {
 }
 
 # trace.csv then report.json of each run in _many_runs(), in order
-MANY_RUNS_DIGEST = "1c44249ac9039b6bb0c6dbf5c83184c273eaff6353a23438473a2ef6d9ab9b70"
+MANY_RUNS_DIGEST = "df80c30f7093f895146bd6d36ab12776424319b2a30abcdaac1f0dbe974489db"
 
 # scenario file -> ``pvmppt detect --event-index 1 --prior-irradiance 1.0 --out``
 DETECT_DIGESTS = {

@@ -933,7 +933,7 @@ class TestCli:
             (
                 [],
                 "event 0: oracle 2884.2 W @ 118.0 V, final 2883.1 W (99.96%), detected=None, scan=-\n"
-                "event 1: oracle 1449.7 W @ 96.9 V, final 1448.6 W (99.93%), detected=True, "
+                "event 1: oracle 1449.7 W @ 96.9 V, final 1448.6 W (99.92%), detected=True, "
                 "scan=37.5 ms\n",
             ),
             (
