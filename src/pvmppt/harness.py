@@ -625,8 +625,8 @@ class Trace:
     block of rows (a P&O step and the hold after it, a held wait, or one
     acting tick of a slew or scan): :meth:`block` opens one, and the rows
     that the block's one sampled :func:`advance` call appends to ``v_pv``
-    and ``i_pv`` hold its values.  Iteration gives
-    :class:`TraceRecord` rows."""
+    and ``i_pv`` hold its values.  Iteration gives :class:`TraceRecord`
+    rows."""
 
     def __init__(self, adc: float):
         self.adc = adc
@@ -682,10 +682,10 @@ def run_closed_loop(scn: Scenario) -> tuple[Trace, RunReport]:
     tick start, with the same bits as one tick at a time: the ticks before
     the controller's ``resume_tick``, on which it holds its command; a P&O
     step and the ticks up to P&O's next, which hold the new command; or
-    one tick of a slew or scan, on which the command moves.  The run's samples are checked by
-    :func:`check_samples` at the end, also when the run fails: one tick at
-    a time would have raised at the first bad sample, so a bad sample among
-    those taken wins over a later error."""
+    one tick of a slew or scan, on which the command moves.  The run's
+    samples are checked by :func:`check_samples` at the end, also when the
+    run fails: one tick at a time would have raised at the first bad
+    sample, so a bad sample among those taken wins over a later error."""
     # every event's array is checked before anything is swept
     specs = [base_array_spec(scn, k) for k in range(len(scn.events))]
     ref = commission(scn, specs[0].module)
@@ -953,12 +953,6 @@ def _corpus_worker(args: tuple[int, int]) -> dict:
     return out
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_corpus(seed: int, count: int, jobs: int = 1) -> dict:
     """Run a seeded randomized scenario batch and aggregate the metrics.
 
@@ -970,7 +964,11 @@ def run_corpus(seed: int, count: int, jobs: int = 1) -> dict:
         if value < 1:
             raise ValidationError(f"{where} must be at least 1, got {value}", where)
     args = [(seed, i) for i in range(count)]
-    workers = min(jobs, count, _usable_cpus())
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, count, cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~16 ms no other command pays
 

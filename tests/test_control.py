@@ -623,7 +623,6 @@ class TestDeadlineTick:
         else:
             assert s.deadline == want
 
-
     @pytest.mark.parametrize("mode", [Mode.DETECT_SETTLE, Mode.SETTLE_TO_BEST])
     def test_a_default_settle_lasts_40_ticks_from_any_start_tick(self, mode):
         """At the defaults (a 20 ms settle, 0.5 ms ticks) a settle started on
